@@ -1,12 +1,8 @@
-"""Adaptive-filter inner loops.
+"""Adaptive-filter inner loop.
 
-The per-sample adaptation recursion is the only hot spot in the package, so it
-is compiled with numba when available. A pure-numpy twin with identical
-semantics is kept as a fallback and for benchmarking; set the environment
-variable ``HUSHKIT_NO_NUMBA=1`` (before import) to force the numpy path.
-
-Both kernels fill ``y[start:stop]`` and ``e[start:stop]`` in place and update
-the weight vector ``w`` in place:
+The per-sample adaptation recursion is the only hot spot in the package.
+``adapt_chunk`` fills ``y[start:stop]`` and ``e[start:stop]`` in place and
+updates the weight vector ``w`` in place:
 
     y[n] = sum_k w[k] * x[n-k]                      (controller output)
     e[n] = d[n] - sum_m sec[m] * y[n-m]             (residual at the listener)
@@ -14,15 +10,11 @@ the weight vector ``w`` in place:
     w   <- (1 - mu*leak) * w + g * e[n] * xf_hist
 
 where ``xf`` is the (possibly secondary-path-filtered) reference signal and
-history samples before index 0 are zero.
+history samples before index 0 are zero. Callers look ``adapt_chunk`` up at
+call time, so a faster kernel can replace it; ``adapt_chunk_numpy`` stays the
+reference it must agree with.
 """
 from __future__ import annotations
-
-import os
-
-import numpy as np
-
-_DISABLE_ENV = "HUSHKIT_NO_NUMBA"
 
 
 def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
@@ -45,52 +37,9 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
         w[:k] += (g * e[n]) * xfw
 
 
-def _adapt_chunk_loops(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
-    # Same recursion as adapt_chunk_numpy, written with explicit loops for numba.
-    L = w.shape[0]
-    M = sec.shape[0]
-    decay = 1.0 - mu * leak
-    for n in range(start, stop):
-        k = min(L, n + 1)
-        acc = 0.0
-        for j in range(k):
-            acc += w[j] * x[n - j]
-        y[n] = acc
-        m = min(M, n + 1)
-        sacc = 0.0
-        for j in range(m):
-            sacc += sec[j] * y[n - j]
-        e[n] = d[n] - sacc
-        if normalized:
-            norm = 0.0
-            for j in range(k):
-                norm += xf[n - j] * xf[n - j]
-            g = mu / (norm + eps)
-        else:
-            g = mu
-        ge = g * e[n]
-        if leak != 0.0:
-            for j in range(L):
-                w[j] *= decay
-        for j in range(k):
-            w[j] += ge * xf[n - j]
-
-
-try:  # pragma: no cover - exercised indirectly through the selected backend
-    from numba import njit
-
-    adapt_chunk_numba = njit(cache=True)(_adapt_chunk_loops)
-except ImportError:  # pragma: no cover
-    adapt_chunk_numba = None
-
-if adapt_chunk_numba is not None and not os.environ.get(_DISABLE_ENV):
-    adapt_chunk = adapt_chunk_numba
-    _BACKEND = "numba"
-else:
-    adapt_chunk = adapt_chunk_numpy
-    _BACKEND = "numpy"
+adapt_chunk = adapt_chunk_numpy
 
 
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
+    """Name of the kernel backend in use."""
+    return "numpy"

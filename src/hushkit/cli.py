@@ -10,26 +10,26 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .anc import EXACT, AncConfig, AncResult, anc_run
-from .costing import (BomSummary, OverheadRates, assembly_cost,
-                      check_discrepancies, cost_reduction_report, dfa_index,
-                      load_assembly_csv, load_bom_csv, round_half_away,
-                      bom_rollup, Discrepancy)
+from .costing import (BomSummary, Discrepancy, OverheadRates, assembly_cost,
+                      bom_rollup, check_discrepancies, cost_reduction_report,
+                      dfa_index, load_assembly_csv, load_bom_csv,
+                      round_half_away)
 from .econ import (Adjustment, EconResult, ExpenseLine, ModelSpec, SalesBlock,
-                   SALES_TARGETS, build_cash_flows, evaluate, npv,
-                   sensitivity_row)
+                   build_cash_flows, evaluate, npv, sensitivity_row,
+                   sensitivity_window)
 from .errors import ValidationError
-from .planning import (AFFECTED_ROUNDING_UNIT, ConceptMatrix, MarketParams,
-                       RiskItem, concept_score, load_concept_csv,
-                       load_risk_csv, market_size_estimate,
-                       risk_score_and_map)
+from .planning import (MarketParams, RiskItem, concept_score,
+                       load_concept_csv, load_risk_csv, market_size_estimate,
+                       risk_score_and_map, rounded_basis)
 from .signals import FirPath, generate_broadband, generate_tone
 
 FORMATS = ("table", "json", "csv")
@@ -101,33 +101,54 @@ class _Conf:
         self._data = dict(mapping)
         self._context = context
 
-    def take(self, name, kinds=None, required=False, default=None):
+    def take(self, name, kind, required=False, default=None):
+        """Pop field ``name`` of type ``kind`` (a type or a tuple of types);
+        ``float`` accepts any JSON number and returns it as a float."""
         if name not in self._data:
             if required:
                 raise ValidationError(
                     f"{self._context}: missing required field '{name}'")
             return default
         value = self._data.pop(name)
-        if kinds is not None:
-            allowed = kinds if isinstance(kinds, tuple) else (kinds,)
-            # JSON true/false must not satisfy numeric fields
-            if not isinstance(value, allowed) or (
-                    isinstance(value, bool) and bool not in allowed):
-                raise ValidationError(
-                    f"{self._context}: field '{name}' has the wrong type")
-        return value
+        allowed = _NUM if kind is float else kind
+        # JSON true/false must not satisfy numeric fields
+        if not isinstance(value, allowed) or isinstance(value, bool):
+            raise ValidationError(
+                f"{self._context}: field '{name}' has the wrong type")
+        return float(value) if kind is float else value
 
     def finish(self):
         if self._data:
-            name = sorted(self._data)[0]
-            raise ValidationError(f"{self._context}: unknown field '{name}'")
+            raise ValidationError(f"{self._context}: unknown field '{min(self._data)}'")
+
+
+# Field kinds by annotation text (the model modules postpone annotations).
+_KINDS = {"str": str, "int": int, "float": float}
+
+
+def _build(cls, mapping, context: str):
+    """Read every field of the flat dataclass ``cls`` from ``mapping``, in
+    declaration order; all fields are required and floats accept ints."""
+    c = _Conf(mapping, context)
+    obj = cls(**{f.name: c.take(f.name, _KINDS[f.type], required=True)
+                 for f in fields(cls)})
+    c.finish()
+    return obj
 
 
 def _load_config(path_str: str):
     path = Path(path_str)
     text = path.read_text(encoding="utf-8")  # missing/unreadable -> OSError
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{path}: non-finite number {token} is not allowed")
+        return value
+
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})")
@@ -138,48 +159,27 @@ def _load_config(path_str: str):
 
 def _resolve(path_str: str, config_path: str) -> Path:
     """Resolve a file referenced by a config relative to the config itself."""
-    path = Path(path_str)
-    if path.is_absolute():
-        return path
-    return Path(config_path).resolve().parent / path
+    # an absolute path_str replaces the base directory
+    return Path(config_path).resolve().parent / path_str
 
 
 def _taps_from(values, field: str) -> FirPath:
-    if not isinstance(values, list) or not values or not all(
-            isinstance(v, _NUM) and not isinstance(v, bool) for v in values):
+    if not values or not all(isinstance(v, _NUM) and not isinstance(v, bool)
+                             for v in values):
         raise ValidationError(f"field '{field}' must be a non-empty list of numbers")
     return FirPath(np.asarray(values, dtype=np.float64))
 
 
-def _expense_from(obj, index: int) -> ExpenseLine:
-    c = _Conf(obj, f"expenses[{index}]")
-    line = ExpenseLine(
-        name=c.take("name", str, required=True),
-        first=c.take("first", int, required=True),
-        last=c.take("last", int, required=True),
-        rate=float(c.take("rate", _NUM, required=True)),
-    )
-    c.finish()
-    return line
-
-
-def _model_from(obj, context: str = "model") -> ModelSpec:
-    c = _Conf(obj, context)
+def _model_from(obj) -> ModelSpec:
+    c = _Conf(obj, "model")
     horizon = c.take("horizon", int, required=True)
-    discount_rate = float(c.take("discount_rate", _NUM, required=True))
+    discount_rate = c.take("discount_rate", float, required=True)
     expenses_raw = c.take("expenses", list, required=True)
     sales_raw = c.take("sales", dict, required=True)
     c.finish()
-    sc = _Conf(sales_raw, "sales")
-    sales = SalesBlock(
-        first=sc.take("first", int, required=True),
-        last=sc.take("last", int, required=True),
-        units=float(sc.take("units", _NUM, required=True)),
-        unit_price=float(sc.take("unit_price", _NUM, required=True)),
-        unit_cost=float(sc.take("unit_cost", _NUM, required=True)),
-    )
-    sc.finish()
-    expenses = tuple(_expense_from(e, i) for i, e in enumerate(expenses_raw))
+    sales = _build(SalesBlock, sales_raw, "sales")
+    expenses = tuple(_build(ExpenseLine, e, f"expenses[{i}]")
+                     for i, e in enumerate(expenses_raw))
     return ModelSpec(horizon=horizon, discount_rate=discount_rate,
                      expenses=expenses, sales=sales)
 
@@ -188,7 +188,7 @@ def _adjustment_from(obj, index: int, context: str = "adjustments") -> Adjustmen
     c = _Conf(obj, f"{context}[{index}]")
     adj = Adjustment(
         target=c.take("target", str, required=True),
-        pct=float(c.take("pct", _NUM, required=True)),
+        pct=c.take("pct", float, required=True),
         first_override=c.take("first", int),
         last_override=c.take("last", int),
     )
@@ -201,15 +201,14 @@ def _adjustment_from(obj, index: int, context: str = "adjustments") -> Adjustmen
 
 
 def _cmd_anc_simulate(args) -> Tuple[AncResult, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "anc config")
+    c = _Conf(_load_config(args.config), "anc config")
     algorithm = c.take("algorithm", str, required=True)
     duration = c.take("duration_samples", int, required=True)
     seed = c.take("rng_seed", int, required=True)
-    fs = float(c.take("sample_rate_hz", _NUM, required=True))
+    fs = c.take("sample_rate_hz", float, default=8000.0)
     filter_length = c.take("filter_length", int, default=128)
-    step_size = c.take("step_size", _NUM)
-    leak = float(c.take("leak_factor", _NUM, default=0.0))
+    step_size = c.take("step_size", float)
+    leak = c.take("leak_factor", float, default=0.0)
     estimate_raw = c.take("secondary_estimate", (str, list), default="exact")
     noise_raw = c.take("noise", dict, required=True)
     primary = _taps_from(c.take("primary_path", list, required=True), "primary_path")
@@ -230,7 +229,7 @@ def _cmd_anc_simulate(args) -> Tuple[AncResult, int]:
         duration_samples=duration,
         rng_seed=seed,
         filter_length=filter_length,
-        step_size=None if step_size is None else float(step_size),
+        step_size=step_size,
         leak_factor=leak,
         secondary_estimate=estimate,
     )
@@ -238,14 +237,14 @@ def _cmd_anc_simulate(args) -> Tuple[AncResult, int]:
     nc = _Conf(noise_raw, "noise")
     kind = nc.take("kind", str, required=True)
     if kind == "tone":
-        freq = float(nc.take("freq_hz", _NUM, required=True))
-        amplitude = float(nc.take("amplitude", _NUM, default=1.0))
-        phase = float(nc.take("phase_rad", _NUM, default=0.0))
+        freq = nc.take("freq_hz", float, required=True)
+        amplitude = nc.take("amplitude", float, default=1.0)
+        phase = nc.take("phase_rad", float, default=0.0)
         nc.finish()
         noise = generate_tone(freq, amplitude, phase, duration, fs)
     elif kind == "broadband":
-        low = float(nc.take("low_hz", _NUM, required=True))
-        high = float(nc.take("high_hz", _NUM, required=True))
+        low = nc.take("low_hz", float, required=True)
+        high = nc.take("high_hz", float, required=True)
         nc.finish()
         noise = generate_broadband(seed, low, high, duration, fs)
     else:
@@ -269,29 +268,20 @@ def _cmd_econ_eval(args) -> Tuple[EconResult, int]:
                         for i, a in enumerate(adjustments_raw))
     result = evaluate(spec, adjustments,
                       discounted_breakeven=args.discounted_breakeven)
-    if args.require_irr and result.irr is None:
-        return result, 2
-    return result, 0
+    return result, (2 if args.require_irr and result.irr is None else 0)
 
 
 def _cmd_econ_sensitivity(args) -> Tuple[SensitivityReport, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "sensitivity config")
+    c = _Conf(_load_config(args.config), "sensitivity config")
     model_raw = c.take("model", dict, required=True)
     rows_raw = c.take("rows", list, required=True)
     c.finish()
     spec = _model_from(model_raw)
-    lines = {line.name: line for line in spec.expenses}
     rows: List[SensitivityRow] = []
     for i, row_raw in enumerate(rows_raw):
         adj = _adjustment_from(row_raw, i, context="rows")
-        delta, frac = sensitivity_row(spec, adj)
-        if adj.target in SALES_TARGETS:
-            first, last = spec.sales.first, spec.sales.last
-        else:
-            line = lines[adj.target]  # unknown targets already rejected above
-            first = adj.first_override if adj.first_override is not None else line.first
-            last = adj.last_override if adj.last_override is not None else line.last
+        delta, frac = sensitivity_row(spec, adj)  # rejects unknown targets
+        first, last = sensitivity_window(spec, adj)
         rows.append(SensitivityRow(parameter=adj.target, pct=adj.pct,
                                    first=first, last=last, delta_npv=delta,
                                    delta_pct_of_base=frac))
@@ -299,51 +289,37 @@ def _cmd_econ_sensitivity(args) -> Tuple[SensitivityReport, int]:
     return SensitivityReport(base_npv=base, rows=tuple(rows)), 0
 
 
+# BomSummary figures in report order; also the labels `expected` may audit.
+_SUMMARY_FIELDS = ("direct_materials", "direct_processing", "direct_labor",
+                   "shipment", "direct_total", "overhead", "warranty",
+                   "total_manufacturing")
+
+
 def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "cost config")
+    c = _Conf(_load_config(args.config), "cost config")
     bom_csv = c.take("bom_csv", str, required=True)
-    shipment = float(c.take("shipment", _NUM, required=True))
+    shipment = c.take("shipment", float, required=True)
     rates_raw = c.take("overhead_rates", dict, required=True)
-    warranty = float(c.take("warranty", _NUM, required=True))
-    override = c.take("overhead_override", _NUM)
+    warranty = c.take("warranty", float, required=True)
+    override = c.take("overhead_override", float)
     assembly_raw = c.take("assembly", dict)
     dfa_raw = c.take("dfa", dict)
     reduction_raw = c.take("reduction", dict)
     expected_raw = c.take("expected", dict)
     c.finish()
 
-    rc = _Conf(rates_raw, "overhead_rates")
-    rates = OverheadRates(
-        materials_rate=float(rc.take("materials_rate", _NUM, required=True)),
-        labor_rate=float(rc.take("labor_rate", _NUM, required=True)),
-    )
-    rc.finish()
-
+    rates = _build(OverheadRates, rates_raw, "overhead_rates")
     lines = load_bom_csv(_resolve(bom_csv, args.config))
-    summary = bom_rollup(lines, shipment, rates, warranty,
-                         None if override is None else float(override))
-    computed = {
-        "direct_materials": summary.direct_materials,
-        "direct_processing": summary.direct_processing,
-        "direct_labor": summary.direct_labor,
-        "shipment": summary.shipment,
-        "direct_total": summary.direct_total,
-        "overhead": summary.overhead,
-        "warranty": summary.warranty,
-        "total_manufacturing": summary.total_manufacturing,
-    }
+    summary = bom_rollup(lines, shipment, rates, warranty, override)
 
     seconds = cost = None
     if assembly_raw is not None:
         ac = _Conf(assembly_raw, "assembly")
         ops_csv = ac.take("ops_csv", str, required=True)
-        hourly = float(ac.take("hourly_rate", _NUM, required=True))
+        hourly = ac.take("hourly_rate", float, required=True)
         ac.finish()
         ops = load_assembly_csv(_resolve(ops_csv, args.config))
         seconds, cost = assembly_cost(ops, hourly)
-        computed["assembly_seconds"] = seconds
-        computed["assembly_cost"] = cost
 
     dfa = None
     if dfa_raw is not None:
@@ -354,21 +330,23 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
             raise ValidationError(
                 "dfa requires the 'assembly' section for the total assembly time")
         dfa = dfa_index(min_parts, seconds)
-        computed["dfa_index"] = dfa
 
     savings = fraction = None
     if reduction_raw is not None:
         dc = _Conf(reduction_raw, "reduction")
-        old_total = float(dc.take("old_total", _NUM, required=True))
-        new_total = float(dc.take("new_total", _NUM, required=True))
+        old_total = dc.take("old_total", float, required=True)
+        new_total = dc.take("new_total", float, required=True)
         dc.finish()
         savings, fraction = cost_reduction_report(old_total, new_total)
 
     discrepancies: Tuple[Discrepancy, ...] = ()
     if expected_raw is not None:
+        computed = {name: getattr(summary, name) for name in _SUMMARY_FIELDS}
+        computed.update(assembly_seconds=seconds, assembly_cost=cost,
+                        dfa_index=dfa)
         pairs = []
         for label in sorted(expected_raw):
-            if label not in computed:
+            if computed.get(label) is None:
                 raise ValidationError(f"expected: unknown field '{label}'")
             value = expected_raw[label]
             if not isinstance(value, _NUM) or isinstance(value, bool):
@@ -376,7 +354,7 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
             pairs.append((label, computed[label], float(value)))
         discrepancies = tuple(check_discrepancies(pairs))
 
-    report = BomReport(
+    return BomReport(
         summary=summary,
         assembly_seconds=seconds,
         assembly_cost_value=cost,
@@ -385,13 +363,11 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
         reduction_fraction=fraction,
         expected_given=expected_raw is not None,
         discrepancies=discrepancies,
-    )
-    return report, 0
+    ), 0
 
 
 def _cmd_plan_concept(args) -> Tuple[ConceptReport, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "concept config")
+    c = _Conf(_load_config(args.config), "concept config")
     matrix_csv = c.take("matrix_csv", str, required=True)
     c.finish()
     matrix = load_concept_csv(_resolve(matrix_csv, args.config))
@@ -399,8 +375,7 @@ def _cmd_plan_concept(args) -> Tuple[ConceptReport, int]:
 
 
 def _cmd_plan_risk(args) -> Tuple[RiskReport, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "risk config")
+    c = _Conf(_load_config(args.config), "risk config")
     register_csv = c.take("register_csv", str, required=True)
     threshold = c.take("threshold", int, default=5)
     c.finish()
@@ -410,28 +385,18 @@ def _cmd_plan_risk(args) -> Tuple[RiskReport, int]:
 
 
 def _cmd_plan_market(args) -> Tuple[MarketReport, int]:
-    raw = _load_config(args.config)
-    c = _Conf(raw, "market config")
-    params = MarketParams(
-        world_pop=float(c.take("world_pop", _NUM, required=True)),
-        ref_pop=float(c.take("ref_pop", _NUM, required=True)),
-        ref_affected=float(c.take("ref_affected", _NUM, required=True)),
-        tolerance=float(c.take("tolerance", _NUM, required=True)),
-        adoption_share=float(c.take("adoption_share", _NUM, required=True)),
-        unit_price=float(c.take("unit_price", _NUM, required=True)),
-        unit_cost=float(c.take("unit_cost", _NUM, required=True)),
-    )
-    c.finish()
+    params = _build(MarketParams, _load_config(args.config), "market config")
     affected, profit_exact = market_size_estimate(params, "exact")
     _, profit_rounded = market_size_estimate(params, "rounded")
-    basis = round(affected / AFFECTED_ROUNDING_UNIT) * AFFECTED_ROUNDING_UNIT
-    return MarketReport(affected=affected, rounded_basis=float(basis),
+    return MarketReport(affected=affected, rounded_basis=rounded_basis(affected),
                         profit_exact_basis=profit_exact,
                         profit_rounded_basis=profit_rounded), 0
 
 
 # ---------------------------------------------------------------------------
-# report rendering
+# report rendering: each _emit_* returns a view of its report, a dict for
+# json, rows for csv or lines for table, which emit_report serializes.
+# A column table formats its header and its rows with one template.
 
 
 def _money(value) -> float:
@@ -442,47 +407,51 @@ def _rate(value, ndigits: int = 9) -> float:
     return round(float(value), ndigits) + 0.0
 
 
-def _csv_buffer():
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
+def _scalars(title: str, entries, fmt: str):
+    """View of a `label: value` block of (label, value, kind) entries, where
+    kind "money" prints cents and "rate" six decimals."""
+    if fmt == "json":
+        return {label: _money(v) if kind == "money" else _rate(v, 6)
+                for label, v, kind in entries}
+    money = ",.2f" if fmt == "table" else ".2f"
+    cells = [(label, format(_money(v), money) if kind == "money"
+              else f"{_rate(v, 6):.6f}") for label, v, kind in entries]
+    if fmt == "csv":
+        return [("field", "value"), *cells]
+    return [title, *(f"  {label + ':':<21} {text}" for label, text in cells)]
 
 
-def _emit_anc(result: AncResult, fmt: str) -> str:
+def _emit_anc(result: AncResult, fmt: str):
     trace = [_rate(v, 4) for v in result.attenuation_trace_db]
     steady = _rate(result.steady_state_attenuation_db, 4)
     if fmt == "json":
-        payload = {
+        return {
             "attenuation_trace_db": trace,
             "diverged": bool(result.diverged),
             "n_samples": len(result.residual),
             "steady_state_attenuation_db": steady,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["window", "attenuation_db"])
-        for i, value in enumerate(trace, start=1):
-            writer.writerow([i, f"{value:.4f}"])
-        return buf.getvalue()
-    out = ["noise-control simulation",
-           f"  samples:  {len(result.residual)}",
-           f"  windows:  {len(trace)}",
-           f"  diverged: {'yes' if result.diverged else 'no'}",
-           f"  steady_state_attenuation_db: {steady:.1f}",
-           "",
-           f"  {'window':>8}  {'attenuation_db':>14}"]
-    for i, value in enumerate(trace, start=1):
-        out.append(f"  {i:>8}  {value:>14.1f}")
-    return "\n".join(out) + "\n"
+        return [("window", "attenuation_db"),
+                *((i, f"{value:.4f}") for i, value in enumerate(trace, start=1))]
+    columns = "  {:>8}  {:>14}"
+    return ["noise-control simulation",
+            f"  samples:  {len(result.residual)}",
+            f"  windows:  {len(trace)}",
+            f"  diverged: {'yes' if result.diverged else 'no'}",
+            f"  steady_state_attenuation_db: {steady:.1f}",
+            "",
+            columns.format("window", "attenuation_db"),
+            *(columns.format(i, f"{value:.1f}")
+              for i, value in enumerate(trace, start=1))]
 
 
-def _emit_econ(result: EconResult, fmt: str) -> str:
-    flows = [float(v) for v in result.cash_flows]
+def _emit_econ(result: EconResult, fmt: str):
     r = result.discount_rate
     if fmt == "json":
-        payload = {
+        return {
             "break_even_period": result.break_even_period,
-            "cash_flows": [_money(v) for v in flows],
+            "cash_flows": [_money(v) for v in result.cash_flows],
             "discount_rate": _rate(r),
             "irr": None if result.irr is None else _rate(result.irr, 6),
             "line_deltas": [
@@ -493,49 +462,41 @@ def _emit_econ(result: EconResult, fmt: str) -> str:
             ],
             "npv": _money(result.npv),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    header = ("period", "cash_flow", "discounted", "cumulative")
+    money = ",.2f" if fmt == "table" else ".2f"
+    periods = []
+    cumulative = 0.0
+    for t, flow in enumerate(map(float, result.cash_flows), start=1):
+        cumulative += flow
+        periods.append((t, format(_money(flow), money),
+                        format(_money(flow * (1.0 + r) ** -t), money),
+                        format(_money(cumulative), money)))
     if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["period", "cash_flow", "discounted", "cumulative"])
-        cumulative = 0.0
-        for t, flow in enumerate(flows, start=1):
-            cumulative += flow
-            discounted = flow * (1.0 + r) ** -t
-            writer.writerow([t, f"{_money(flow):.2f}", f"{_money(discounted):.2f}",
-                             f"{_money(cumulative):.2f}"])
-        return buf.getvalue()
+        return [header, *periods]
     irr_text = "undefined" if result.irr is None else f"{result.irr:.6f}"
-    be_text = ("none" if result.break_even_period is None
-               else str(result.break_even_period))
+    columns = "  {:>6}  {:>13}  {:>13}  {:>13}"
     out = ["cash-flow evaluation",
            f"  npv:               {_money(result.npv):,.2f}",
            f"  irr_per_period:    {irr_text}",
-           f"  break_even_period: {be_text}",
+           f"  break_even_period: {result.break_even_period or 'none'}",
            f"  discount_rate:     {r:g}",
            "",
-           f"  {'period':>6}  {'cash_flow':>13}  {'discounted':>13}  {'cumulative':>13}"]
-    cumulative = 0.0
-    for t, flow in enumerate(flows, start=1):
-        cumulative += flow
-        discounted = flow * (1.0 + r) ** -t
-        out.append(f"  {t:>6}  {_money(flow):>13,.2f}  "
-                   f"{_money(discounted):>13,.2f}  {_money(cumulative):>13,.2f}")
+           *(columns.format(*row) for row in (header, *periods))]
     changed = [d for d in result.line_deltas if d.delta != 0.0]
     if changed:
-        out.append("")
-        out.append("  adjusted inputs")
-        out.append(f"  {'name':<22}  {'base':>13}  {'adjusted':>13}  "
-                   f"{'pct':>9}  {'delta':>13}")
-        for d in changed:
-            out.append(f"  {d.name:<22}  {_money(d.base):>13,.2f}  "
-                       f"{_money(d.adjusted):>13,.2f}  {d.pct * 100:>+8.2f}%  "
-                       f"{_money(d.delta):>13,.2f}")
-    return "\n".join(out) + "\n"
+        columns = "  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}"
+        out += ["", "  adjusted inputs",
+                columns.format("name", "base", "adjusted", "pct", "delta"),
+                *(columns.format(d.name, f"{_money(d.base):,.2f}",
+                                 f"{_money(d.adjusted):,.2f}",
+                                 f"{d.pct * 100:+.2f}%", f"{_money(d.delta):,.2f}")
+                  for d in changed)]
+    return out
 
 
-def _emit_sensitivity(report: SensitivityReport, fmt: str) -> str:
+def _emit_sensitivity(report: SensitivityReport, fmt: str):
     if fmt == "json":
-        payload = {
+        return {
             "base_npv": _money(report.base_npv),
             "rows": [
                 {"parameter": row.parameter, "pct": _rate(row.pct),
@@ -546,189 +507,161 @@ def _emit_sensitivity(report: SensitivityReport, fmt: str) -> str:
                 for row in report.rows
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["parameter", "pct", "first", "last", "delta_npv",
-                         "delta_pct_of_base"])
-        for row in report.rows:
-            frac = ("" if row.delta_pct_of_base is None
-                    else f"{row.delta_pct_of_base:.6f}")
-            writer.writerow([row.parameter, f"{row.pct:g}", row.first, row.last,
-                             f"{_money(row.delta_npv):.2f}", frac])
-        return buf.getvalue()
-    out = [f"sensitivity of npv (base {_money(report.base_npv):,.2f})",
-           "",
-           f"  {'parameter':<24}  {'pct':>8}  {'periods':>9}  "
-           f"{'delta_npv':>14}  {'pct_of_base':>11}"]
-    for row in report.rows:
-        frac = ("n/a" if row.delta_pct_of_base is None
-                else f"{row.delta_pct_of_base * 100:+.2f}%")
-        out.append(f"  {row.parameter:<24}  {row.pct * 100:>+7.4g}%  "
-                   f"{f'{row.first}-{row.last}':>9}  "
-                   f"{_money(row.delta_npv):>+14,.2f}  {frac:>11}")
-    return "\n".join(out) + "\n"
+        return [("parameter", "pct", "first", "last", "delta_npv",
+                 "delta_pct_of_base"),
+                *((row.parameter, f"{row.pct:g}", row.first, row.last,
+                   f"{_money(row.delta_npv):.2f}",
+                   "" if row.delta_pct_of_base is None
+                   else f"{row.delta_pct_of_base:.6f}")
+                  for row in report.rows)]
+    columns = "  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}"
+    return [f"sensitivity of npv (base {_money(report.base_npv):,.2f})",
+            "",
+            columns.format("parameter", "pct", "periods", "delta_npv",
+                           "pct_of_base"),
+            *(columns.format(row.parameter, f"{row.pct * 100:+.4g}%",
+                             f"{row.first}-{row.last}",
+                             f"{_money(row.delta_npv):+,.2f}",
+                             "n/a" if row.delta_pct_of_base is None
+                             else f"{row.delta_pct_of_base * 100:+.2f}%")
+              for row in report.rows)]
 
 
-def _bom_fields(report: BomReport) -> List[Tuple[str, float, str]]:
-    """(label, value, kind) rows for the scalar part of a BOM report."""
-    s = report.summary
-    rows = [("direct_materials", s.direct_materials, "money"),
-            ("direct_processing", s.direct_processing, "money"),
-            ("direct_labor", s.direct_labor, "money"),
-            ("shipment", s.shipment, "money"),
-            ("direct_total", s.direct_total, "money"),
-            ("overhead", s.overhead, "money"),
-            ("warranty", s.warranty, "money"),
-            ("total_manufacturing", s.total_manufacturing, "money")]
+def _emit_bom(report: BomReport, fmt: str):
+    entries = [(name, getattr(report.summary, name), "money")
+               for name in _SUMMARY_FIELDS]
     if report.assembly_seconds is not None:
-        rows.append(("assembly_seconds", report.assembly_seconds, "money"))
-        rows.append(("assembly_cost", report.assembly_cost_value, "money"))
+        entries.append(("assembly_seconds", report.assembly_seconds, "money"))
+        entries.append(("assembly_cost", report.assembly_cost_value, "money"))
     if report.dfa is not None:
-        rows.append(("dfa_index", report.dfa, "rate"))
+        entries.append(("dfa_index", report.dfa, "rate"))
     if report.reduction_savings is not None:
-        rows.append(("reduction_savings", report.reduction_savings, "money"))
-        rows.append(("reduction_fraction", report.reduction_fraction, "rate"))
-    return rows
-
-
-def _emit_bom(report: BomReport, fmt: str) -> str:
-    fields = _bom_fields(report)
+        entries.append(("reduction_savings", report.reduction_savings, "money"))
+        entries.append(("reduction_fraction", report.reduction_fraction, "rate"))
+    if fmt == "csv":
+        entries += [(f"discrepancy.{d.label}.{part}", getattr(d, part), "money")
+                    for d in report.discrepancies
+                    for part in ("computed", "expected", "delta")]
+    view = _scalars("manufacturing cost summary", entries, fmt)
     if fmt == "json":
-        payload = {label: (_money(v) if kind == "money" else _rate(v, 6))
-                   for label, v, kind in fields}
-        payload["discrepancies"] = [
+        view["discrepancies"] = [
             {"label": d.label, "computed": _money(d.computed),
              "expected": _money(d.expected), "delta": _money(d.delta)}
             for d in report.discrepancies
         ]
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["field", "value"])
-        for label, value, kind in fields:
-            text = f"{_money(value):.2f}" if kind == "money" else f"{_rate(value, 6):.6f}"
-            writer.writerow([label, text])
-        for d in report.discrepancies:
-            writer.writerow([f"discrepancy.{d.label}.computed", f"{_money(d.computed):.2f}"])
-            writer.writerow([f"discrepancy.{d.label}.expected", f"{_money(d.expected):.2f}"])
-            writer.writerow([f"discrepancy.{d.label}.delta", f"{_money(d.delta):.2f}"])
-        return buf.getvalue()
-    out = ["manufacturing cost summary"]
-    for label, value, kind in fields:
-        text = f"{_money(value):,.2f}" if kind == "money" else f"{_rate(value, 6):.6f}"
-        out.append(f"  {label + ':':<21} {text}")
-    if report.expected_given:
+    elif fmt == "table" and report.expected_given:
         if report.discrepancies:
-            out.append("  figures that differ from the supplied expected values:")
-            for d in report.discrepancies:
-                out.append(f"    {d.label}: computed {_money(d.computed):,.2f}, "
-                           f"expected {_money(d.expected):,.2f} "
-                           f"(delta {_money(d.delta):+,.2f})")
+            view.append("  figures that differ from the supplied expected values:")
+            view += [f"    {d.label}: computed {_money(d.computed):,.2f}, "
+                     f"expected {_money(d.expected):,.2f} "
+                     f"(delta {_money(d.delta):+,.2f})"
+                     for d in report.discrepancies]
         else:
-            out.append("  all supplied expected values match")
-    return "\n".join(out) + "\n"
+            view.append("  all supplied expected values match")
+    return view
 
 
-def _emit_concept(report: ConceptReport, fmt: str) -> str:
+def _emit_concept(report: ConceptReport, fmt: str):
     if fmt == "json":
-        payload = {"scores": [
+        return {"scores": [
             {"concept": name, "total": _rate(total), "rank": rank}
             for name, total, rank in report.scores
         ]}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    header = ("concept", "total", "rank")
+    rows = [(name, f"{total:.4f}", rank) for name, total, rank in report.scores]
     if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["concept", "total", "rank"])
-        for name, total, rank in report.scores:
-            writer.writerow([name, f"{total:.4f}", rank])
-        return buf.getvalue()
-    out = ["concept ranking",
-           f"  {'rank':>4}  {'concept':<20}  {'total':>8}"]
-    for name, total, rank in sorted(report.scores, key=lambda s: s[2]):
-        out.append(f"  {rank:>4}  {name:<20}  {total:>8.4f}")
-    return "\n".join(out) + "\n"
+        return [header, *rows]
+    columns = "  {2:>4}  {0:<20}  {1:>8}"  # table columns: rank, concept, total
+    return ["concept ranking", columns.format(*header),
+            *(columns.format(*row) for row in sorted(rows, key=lambda r: r[2]))]
 
 
-def _emit_risk(report: RiskReport, fmt: str) -> str:
+def _emit_risk(report: RiskReport, fmt: str):
+    header = ("code", "description", "category", "probability", "impact",
+              "score", "quadrant")
+    rows = [(item.code, item.description, item.category, item.probability,
+             item.impact, score, quadrant)
+            for item, score, quadrant in report.items]
     if fmt == "json":
-        payload = {
-            "threshold": report.threshold,
-            "items": [
-                {"code": item.code, "description": item.description,
-                 "category": item.category, "probability": item.probability,
-                 "impact": item.impact, "score": score, "quadrant": quadrant}
-                for item, score, quadrant in report.items
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return {"threshold": report.threshold,
+                "items": [dict(zip(header, row)) for row in rows]}
     if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["code", "description", "category", "probability",
-                         "impact", "score", "quadrant"])
-        for item, score, quadrant in report.items:
-            writer.writerow([item.code, item.description, item.category,
-                             item.probability, item.impact, score, quadrant])
-        return buf.getvalue()
-    out = [f"risk register (threshold {report.threshold})",
-           f"  {'code':<5} {'p':>2} {'i':>2} {'score':>5}  {'quadrant':<8}  "
-           f"{'category':<22}  description"]
-    for item, score, quadrant in report.items:
-        out.append(f"  {item.code:<5} {item.probability:>2} {item.impact:>2} "
-                   f"{score:>5}  {quadrant:<8}  {item.category:<22}  "
-                   f"{item.description}")
-    return "\n".join(out) + "\n"
+        return [header, *rows]
+    # table columns: code, p, i, score, quadrant, category, description
+    columns = "  {0:<5} {3:>2} {4:>2} {5:>5}  {6:<8}  {2:<22}  {1}"
+    return [f"risk register (threshold {report.threshold})",
+            columns.format("code", "description", "category", "p", "i",
+                           "score", "quadrant"),
+            *(columns.format(*row) for row in rows)]
 
 
-def _emit_market(report: MarketReport, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "affected_population": _money(report.affected),
-            "rounded_basis": _money(report.rounded_basis),
-            "profit_exact_basis": _money(report.profit_exact_basis),
-            "profit_rounded_basis": _money(report.profit_rounded_basis),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf, writer = _csv_buffer()
-        writer.writerow(["field", "value"])
-        writer.writerow(["affected_population", f"{_money(report.affected):.2f}"])
-        writer.writerow(["rounded_basis", f"{_money(report.rounded_basis):.2f}"])
-        writer.writerow(["profit_exact_basis",
-                         f"{_money(report.profit_exact_basis):.2f}"])
-        writer.writerow(["profit_rounded_basis",
-                         f"{_money(report.profit_rounded_basis):.2f}"])
-        return buf.getvalue()
-    out = ["market sizing",
-           f"  affected_population:  {_money(report.affected):,.2f}",
-           f"  rounded_basis:        {_money(report.rounded_basis):,.2f}",
-           f"  profit_exact_basis:   {_money(report.profit_exact_basis):,.2f}",
-           f"  profit_rounded_basis: {_money(report.profit_rounded_basis):,.2f}"]
-    return "\n".join(out) + "\n"
+def _emit_market(report: MarketReport, fmt: str):
+    return _scalars("market sizing", [
+        ("affected_population", report.affected, "money"),
+        ("rounded_basis", report.rounded_basis, "money"),
+        ("profit_exact_basis", report.profit_exact_basis, "money"),
+        ("profit_rounded_basis", report.profit_rounded_basis, "money"),
+    ], fmt)
+
+
+_EMITTERS = {
+    AncResult: _emit_anc,
+    EconResult: _emit_econ,
+    SensitivityReport: _emit_sensitivity,
+    BomReport: _emit_bom,
+    ConceptReport: _emit_concept,
+    RiskReport: _emit_risk,
+    MarketReport: _emit_market,
+}
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValidationError(
+            f"unsupported --format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
 def emit_report(result, fmt: str) -> bytes:
     """Render any report object to bytes; identical inputs give identical bytes."""
-    if fmt not in FORMATS:
-        raise ValidationError(
-            f"unsupported --format {fmt!r}; choose from {', '.join(FORMATS)}")
-    emitters = [
-        (AncResult, _emit_anc),
-        (EconResult, _emit_econ),
-        (SensitivityReport, _emit_sensitivity),
-        (BomReport, _emit_bom),
-        (ConceptReport, _emit_concept),
-        (RiskReport, _emit_risk),
-        (MarketReport, _emit_market),
-    ]
-    for kind, emitter in emitters:
-        if isinstance(result, kind):
-            return emitter(result, fmt).encode("utf-8")
-    raise TypeError(f"no report renderer for {type(result).__name__}")
+    _check_format(fmt)
+    emitter = _EMITTERS.get(type(result))
+    if emitter is None:
+        raise TypeError(f"no report renderer for {type(result).__name__}")
+    view = emitter(result, fmt)
+    if fmt == "json":
+        text = json.dumps(view, sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(view)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(view) + "\n"
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
+
+# group -> (help, ((command, help, handler), ...)); argparse lists them in order
+_COMMANDS = {
+    "anc": ("adaptive noise cancellation", (
+        ("simulate", "run an adaptive cancellation simulation", _cmd_anc_simulate),
+    )),
+    "econ": ("cash-flow economics", (
+        ("npv", "evaluate a cash-flow model", _cmd_econ_eval),
+        ("scenario", "evaluate a model with scenario adjustments", _cmd_econ_eval),
+        ("sensitivity", "one-at-a-time NPV sensitivity rows", _cmd_econ_sensitivity),
+    )),
+    "cost": ("bill-of-materials costing", (
+        ("bom", "roll up a BOM into a manufacturing cost summary", _cmd_cost_bom),
+    )),
+    "plan": ("concept scoring, risk, market sizing", (
+        ("concept", "score concepts against weighted criteria", _cmd_plan_concept),
+        ("risk", "score and map a risk register", _cmd_plan_risk),
+        ("market", "top-down market size and profit estimate", _cmd_plan_market),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -736,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hushkit",
         description="Noise-control simulation and product-economics toolkit.")
     groups = parser.add_subparsers(dest="group", required=True,
-                                   metavar="{anc,econ,cost,plan}")
+                                   metavar="{" + ",".join(_COMMANDS) + "}")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
@@ -746,71 +679,35 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write the report to this file instead of stdout")
 
-    anc = groups.add_parser("anc", help="adaptive noise cancellation")
-    anc_cmds = anc.add_subparsers(dest="command", required=True,
-                                  metavar="{simulate}")
-    anc_cmds.add_parser("simulate", parents=[common],
-                        help="run an adaptive cancellation simulation"
-                        ).set_defaults(handler=_cmd_anc_simulate)
-
-    econ = groups.add_parser("econ", help="cash-flow economics")
-    econ_cmds = econ.add_subparsers(dest="command", required=True,
-                                    metavar="{npv,scenario,sensitivity}")
-    for name, text in (("npv", "evaluate a cash-flow model"),
-                       ("scenario", "evaluate a model with scenario adjustments")):
-        sub = econ_cmds.add_parser(name, parents=[common], help=text)
-        sub.add_argument("--require-irr", action="store_true",
-                         help="treat an undefined IRR as a numerical failure")
-        sub.add_argument("--discounted-breakeven", action="store_true",
-                         help="report the discounted break-even period")
-        sub.set_defaults(handler=_cmd_econ_eval)
-    econ_cmds.add_parser("sensitivity", parents=[common],
-                         help="one-at-a-time NPV sensitivity rows"
-                         ).set_defaults(handler=_cmd_econ_sensitivity)
-
-    cost = groups.add_parser("cost", help="bill-of-materials costing")
-    cost_cmds = cost.add_subparsers(dest="command", required=True,
-                                    metavar="{bom}")
-    cost_cmds.add_parser("bom", parents=[common],
-                         help="roll up a BOM into a manufacturing cost summary"
-                         ).set_defaults(handler=_cmd_cost_bom)
-
-    plan = groups.add_parser("plan", help="concept scoring, risk, market sizing")
-    plan_cmds = plan.add_subparsers(dest="command", required=True,
-                                    metavar="{concept,risk,market}")
-    plan_cmds.add_parser("concept", parents=[common],
-                         help="score concepts against weighted criteria"
-                         ).set_defaults(handler=_cmd_plan_concept)
-    plan_cmds.add_parser("risk", parents=[common],
-                         help="score and map a risk register"
-                         ).set_defaults(handler=_cmd_plan_risk)
-    plan_cmds.add_parser("market", parents=[common],
-                         help="top-down market size and profit estimate"
-                         ).set_defaults(handler=_cmd_plan_market)
+    for group, (group_help, commands) in _COMMANDS.items():
+        subs = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(name for name, _, _ in commands) + "}")
+        for name, text, handler in commands:
+            sub = subs.add_parser(name, parents=[common], help=text)
+            if handler is _cmd_econ_eval:
+                sub.add_argument("--require-irr", action="store_true",
+                                 help="treat an undefined IRR as a numerical failure")
+                sub.add_argument("--discounted-breakeven", action="store_true",
+                                 help="report the discounted break-even period")
+            sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.format not in FORMATS:
-        print(f"error: unsupported --format {args.format!r}; "
-              f"choose from {', '.join(FORMATS)}", file=sys.stderr)
-        return 1
     try:
+        _check_format(args.format)
         result, code = args.handler(args)
         payload = emit_report(result, args.format)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
         if args.output:
             Path(args.output).write_bytes(payload)
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

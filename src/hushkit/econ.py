@@ -228,10 +228,10 @@ def break_even(flows: Sequence[float], r: float = 0.0,
     return None
 
 
-def _adjust_window(line: ExpenseLine, adj: Adjustment) -> ExpenseLine:
-    first = adj.first_override if adj.first_override is not None else line.first
-    last = adj.last_override if adj.last_override is not None else line.last
-    return replace(line, rate=line.rate * (1.0 + adj.pct), first=first, last=last)
+def _window(line: ExpenseLine, adj: Adjustment) -> Tuple[int, int]:
+    if adj.first_override is None:  # overrides are given together or not at all
+        return line.first, line.last
+    return adj.first_override, adj.last_override
 
 
 def apply_adjustments(spec: ModelSpec,
@@ -241,7 +241,10 @@ def apply_adjustments(spec: ModelSpec,
     sales = spec.sales
     for adj in adjustments:
         if adj.target in lines:
-            lines[adj.target] = _adjust_window(lines[adj.target], adj)
+            line = lines[adj.target]
+            first, last = _window(line, adj)
+            lines[adj.target] = replace(line, rate=line.rate * (1.0 + adj.pct),
+                                        first=first, last=last)
         elif adj.target in SALES_TARGETS:
             if adj.first_override is not None:
                 raise ValidationError(
@@ -272,6 +275,14 @@ def sensitivity_row(spec: ModelSpec,
     delta = adj_npv - base_npv
     pct = delta / base_npv if base_npv != 0.0 else None
     return delta, pct
+
+
+def sensitivity_window(spec: ModelSpec, adj: Adjustment) -> Tuple[int, int]:
+    """Periods (first, last) over which ``adj`` shifts its target in ``spec``."""
+    if adj.target in SALES_TARGETS:
+        return spec.sales.first, spec.sales.last
+    line = next(e for e in spec.expenses if e.name == adj.target)
+    return _window(line, adj)
 
 
 def _line_deltas(base: ModelSpec, adjusted: ModelSpec) -> Tuple[LineDelta, ...]:

@@ -112,6 +112,11 @@ def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     return [(name, total, ranks[i]) for i, (name, total) in enumerate(totals)]
 
 
+def rounded_basis(affected: float) -> float:
+    """``affected`` rounded to the nearest :data:`AFFECTED_ROUNDING_UNIT`."""
+    return float(round(affected / AFFECTED_ROUNDING_UNIT) * AFFECTED_ROUNDING_UNIT)
+
+
 def market_size_estimate(p: MarketParams,
                          affected_basis: str = "exact") -> Tuple[float, float]:
     """(affected population, profit) from the top-down market model.
@@ -125,7 +130,7 @@ def market_size_estimate(p: MarketParams,
     if affected_basis == "exact":
         basis = affected
     elif affected_basis == "rounded":
-        basis = round(affected / AFFECTED_ROUNDING_UNIT) * AFFECTED_ROUNDING_UNIT
+        basis = rounded_basis(affected)
     else:
         raise ValidationError("affected_basis must be 'exact' or 'rounded'")
     profit = (p.unit_price - p.unit_cost) * basis * p.adoption_share

@@ -239,24 +239,101 @@ def test_invalid_json_exits_1_naming_file(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
-def test_unknown_config_field_exits_1(configs_dir, tmp_path, capsys):
-    config = json.loads((configs_dir / "anc_tone_2tap.json").read_text())
-    config["bogus_knob"] = 1
-    bad = tmp_path / "anc.json"
-    bad.write_text(json.dumps(config))
-    code = main(["anc", "simulate", "--config", str(bad)])
-    assert code == 1
-    assert "bogus_knob" in capsys.readouterr().err
+# section -> (command, shipped config, keys down to the JSON object, a
+# required field of that object, the object's name in error messages)
+_SECTIONS = {
+    "anc": ("anc simulate", "anc_tone_2tap", (), "rng_seed", "anc config"),
+    "sales": ("econ scenario", "econ_best_case", ("model", "sales"), "units",
+              "sales"),
+    "expenses": ("econ scenario", "econ_best_case", ("model", "expenses", 1),
+                 "rate", "expenses[1]"),
+    "overhead_rates": ("cost bom", "cost_initial", ("overhead_rates",),
+                       "labor_rate", "overhead_rates"),
+    "market": ("plan market", "plan_market", (), "ref_affected",
+               "market config"),
+}
 
 
-def test_missing_required_field_exits_1(configs_dir, tmp_path, capsys):
-    config = json.loads((configs_dir / "anc_tone_2tap.json").read_text())
-    del config["rng_seed"]
-    bad = tmp_path / "anc.json"
-    bad.write_text(json.dumps(config))
-    code = main(["anc", "simulate", "--config", str(bad)])
+def _edited_config(configs_dir, tmp_path, name, keys, edit):
+    """Copy a shipped config after ``edit`` changes the object at ``keys``."""
+    config = json.loads((configs_dir / f"{name}.json").read_text())
+    target = config
+    for key in keys:
+        target = target[key]
+    edit(target)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _run_edited(configs_dir, tmp_path, command, name, keys, edit):
+    path = _edited_config(configs_dir, tmp_path, name, keys, edit)
+    return main([*command.split(), "--config", str(path)])
+
+
+@pytest.mark.parametrize("section", sorted(_SECTIONS))
+def test_unknown_config_field_exits_1(section, configs_dir, tmp_path, capsys):
+    command, name, keys, _, context = _SECTIONS[section]
+    code = _run_edited(configs_dir, tmp_path, command, name, keys,
+                       lambda obj: obj.update(bogus_knob=1))
     assert code == 1
-    assert "rng_seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {context}: unknown field 'bogus_knob'\n"
+
+
+@pytest.mark.parametrize("section", sorted(_SECTIONS))
+def test_missing_required_field_exits_1(section, configs_dir, tmp_path, capsys):
+    command, name, keys, field, context = _SECTIONS[section]
+    code = _run_edited(configs_dir, tmp_path, command, name, keys,
+                       lambda obj: obj.pop(field))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {context}: missing required field '{field}'\n")
+
+
+@pytest.mark.parametrize("value", ["12", True], ids=["string", "bool"])
+@pytest.mark.parametrize("section", sorted(_SECTIONS))
+def test_wrong_field_type_exits_1(section, value, configs_dir, tmp_path, capsys):
+    command, name, keys, field, context = _SECTIONS[section]
+    code = _run_edited(configs_dir, tmp_path, command, name, keys,
+                       lambda obj: obj.update({field: value}))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {context}: field '{field}' has the wrong type\n")
+
+
+@pytest.mark.parametrize("command, name, keys, field, token", [
+    ("econ npv", "econ_base", ("sales",), "units", "NaN"),
+    ("cost bom", "cost_initial", (), "shipment", "NaN"),
+    ("econ npv", "econ_base", ("sales",), "unit_price", "Infinity"),
+    ("econ npv", "econ_base", ("sales",), "unit_cost", "-Infinity"),
+    ("plan market", "plan_market", (), "ref_affected", "NaN"),
+    ("plan market", "plan_market", (), "unit_price", "1e999"),
+], ids=["units-NaN", "shipment-NaN", "unit_price-Infinity",
+        "unit_cost-minus-Infinity", "ref_affected-NaN", "unit_price-1e999"])
+def test_non_finite_config_number_exits_1(command, name, keys, field, token,
+                                          configs_dir, tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, name, keys,
+                          lambda obj: obj.update({field: "@"}))
+    path.write_text(path.read_text().replace('"@"', token))
+    assert main([*command.split(), "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: non-finite number {token} is not allowed\n")
+
+
+def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
+    config = json.loads((configs_dir / "anc_tone_2tap.json").read_text())
+    config["duration_samples"] = 4000
+    config["sample_rate_hz"] = 8000.0
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(config))
+    del config["sample_rate_hz"]
+    default = tmp_path / "default.json"
+    default.write_text(json.dumps(config))
+    code, with_rate = run(["anc", "simulate", "--config", str(explicit),
+                           "--format", "json"], tmp_path, "explicit")
+    assert code == 0
+    assert run(["anc", "simulate", "--config", str(default), "--format", "json"],
+               tmp_path, "default") == (0, with_rate)
 
 
 def test_bad_weights_exit_1(tmp_path, capsys):

@@ -6,7 +6,8 @@ from hushkit import ValidationError
 from hushkit.econ import (COST, PRICE, UNITS, Adjustment, ExpenseLine,
                           ModelSpec, SalesBlock, apply_adjustments,
                           break_even, build_cash_flows, evaluate, irr,
-                          irr_interpolate, npv, sensitivity_row)
+                          irr_interpolate, npv, sensitivity_row,
+                          sensitivity_window)
 
 
 def base_model():
@@ -214,6 +215,17 @@ def test_sensitivity_fraction_is_none_for_zero_base():
     delta, frac = sensitivity_row(spec, Adjustment("Op", 0.5))
     assert delta == pytest.approx(-50.0, abs=1e-9)
     assert frac is None
+
+
+def test_sensitivity_window_follows_target_and_overrides():
+    spec = base_model()
+    assert sensitivity_window(spec, Adjustment(UNITS, 0.1)) == (5, 24)
+    assert sensitivity_window(spec, Adjustment("Testing", 0.1)) == (1, 4)
+    moved = Adjustment("Testing", 0.1, first_override=2, last_override=6)
+    assert sensitivity_window(spec, moved) == (2, 6)
+    adjusted = apply_adjustments(spec, [moved])
+    line = next(e for e in adjusted.expenses if e.name == "Testing")
+    assert (line.first, line.last) == (2, 6)
 
 
 # --------------------------------------------------------------- validations

@@ -1,0 +1,111 @@
+"""Byte-for-byte report goldens: every shipped config and six branch cases
+that no shipped config reaches, each in every ``--format``.
+
+One file per case and format lives in ``tests/golden/<case>.<format>``. The
+shipped-config files are also checked against the sha256 table the
+benchmark verifies (``perfbench/golden.json``), so both agree on the bytes.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hushkit.cli import FORMATS, main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
+BENCH_HASHES = CONFIG_DIR.parent / "perfbench" / "golden.json"
+
+SHIPPED = {
+    "anc_broadband": "anc simulate",
+    "anc_tone": "anc simulate",
+    "anc_tone_2tap": "anc simulate",
+    "econ_base": "econ npv",
+    "econ_bare_minimum": "econ scenario",
+    "econ_best_case": "econ scenario",
+    "econ_worst_case": "econ scenario",
+    "econ_scenario_marketing_shift": "econ scenario",
+    "econ_scenario_marketing_shift_price_up": "econ scenario",
+    "econ_scenario_marketing_shift_sales_up": "econ scenario",
+    "econ_sensitivity_grid": "econ sensitivity",
+    "cost_initial": "cost bom",
+    "cost_revised_detail": "cost bom",
+    "cost_revised_totals": "cost bom",
+    "plan_concept": "plan concept",
+    "plan_risk": "plan risk",
+    "plan_market": "plan market",
+}
+
+
+def _variant(name, **changes):
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    config.update(changes)
+    return config
+
+
+_BOM_BASE = {
+    "bom_csv": str(CONFIG_DIR / "bom_initial.csv"),
+    "shipment": 0.2,
+    "overhead_rates": {"materials_rate": 0.1, "labor_rate": 0.8},
+    "warranty": 0.32,
+}
+
+# Base NPV is exactly zero: -100 in period 1, +100 in period 2, undiscounted.
+_ZERO_BASE_MODEL = {
+    "horizon": 2,
+    "discount_rate": 0.0,
+    "expenses": [{"name": "Development", "first": 1, "last": 1, "rate": -100.0}],
+    "sales": {"first": 2, "last": 2, "units": 1.0, "unit_price": 100.0,
+              "unit_cost": 0.0},
+}
+
+# case -> (command, config: shipped name or literal dict, extra flags, exit code)
+CASES = {name: (command, name, (), 0) for name, command in SHIPPED.items()}
+CASES.update({
+    "branch_anc_diverged": (
+        "anc simulate", _variant("anc_tone_2tap", step_size=10.0), (), 2),
+    "branch_econ_discounted_breakeven": (
+        "econ npv", "econ_base", ("--discounted-breakeven",), 0),
+    "branch_econ_require_irr": (
+        "econ scenario", "econ_worst_case", ("--require-irr",), 2),
+    "branch_sensitivity_zero_base": (
+        "econ sensitivity",
+        {"model": _ZERO_BASE_MODEL,
+         "rows": [{"target": "Development", "pct": 0.1},
+                  {"target": "UNITS", "pct": -0.5}]},
+        (), 0),
+    "branch_bom_expected_all_match": (
+        "cost bom",
+        {**_BOM_BASE,
+         "assembly": {"ops_csv": str(CONFIG_DIR / "assembly_ops.csv"),
+                      "hourly_rate": 10.0},
+         "expected": {"direct_total": 107.16, "total_manufacturing": 121.02,
+                      "assembly_seconds": 1840.0}},
+        (), 0),
+    "branch_bom_bare": ("cost bom", _BOM_BASE, (), 0),
+})
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_match_golden(case, fmt, tmp_path):
+    command, config, flags, expected_code = CASES[case]
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = CONFIG_DIR / f"{config}.json"
+    out = tmp_path / "report"
+    code = main([*command.split(), "--config", str(path), *flags,
+                 "--format", fmt, "--output", str(out)])
+    assert code == expected_code
+    assert out.read_bytes() == (GOLDEN_DIR / f"{case}.{fmt}").read_bytes()
+
+
+def test_shipped_goldens_match_benchmark_hashes():
+    recorded = json.loads(BENCH_HASHES.read_text())["sha256"]
+    ours = {f"{name}.json:{fmt}": hashlib.sha256(
+                (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()).hexdigest()
+            for name in SHIPPED for fmt in FORMATS}
+    assert ours == recorded

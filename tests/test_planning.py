@@ -6,7 +6,8 @@ from hushkit import ValidationError
 from hushkit.planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR,
                               URGENT, ConceptMatrix, MarketParams, RiskItem,
                               concept_score, load_concept_csv, load_risk_csv,
-                              market_size_estimate, risk_score_and_map)
+                              market_size_estimate, risk_score_and_map,
+                              rounded_basis)
 
 
 def small_matrix(weights=(0.5, 0.3, 0.2), concepts=None):
@@ -123,6 +124,7 @@ def test_market_rounded_basis():
                                             affected_basis="rounded")
     assert affected == pytest.approx(2_107_243.65, abs=0.01)
     assert profit == pytest.approx(173_250_000.0, abs=1e-6)
+    assert rounded_basis(affected) == 2_100_000.0
 
 
 def test_market_rejects_unknown_basis():
