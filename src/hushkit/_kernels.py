@@ -10,11 +10,29 @@ updates the weight vector ``w`` in place:
     w   <- (1 - mu*leak) * w + g * e[n] * xf_hist
 
 where ``xf`` is the (possibly secondary-path-filtered) reference signal and
-history samples before index 0 are zero. Callers look ``adapt_chunk`` up at
-call time, so a faster kernel can replace it; ``adapt_chunk_numpy`` stays the
-reference it must agree with.
+history samples before index 0 are zero.
+
+``adapt_chunk`` runs a small C kernel (``_C_SOURCE``), compiled with the
+system ``cc`` on the first call and loaded through ``ctypes``. The shared
+library is cached under ``$XDG_CACHE_HOME/hushkit/`` (default
+``~/.cache/hushkit/``), named by the hash of its source, flags and machine,
+so one machine compiles it once. Without a compiler, or when the build or
+the load fails, ``adapt_chunk`` runs ``adapt_chunk_numpy`` instead;
+``backend_name()`` says which one runs.
+
+``adapt_chunk_numpy`` is the reference the C kernel must match bit for bit.
+Its dot products over reversed (negative-stride) views do not go through
+BLAS: numpy sums them in one sequential loop from the newest sample back.
+The C kernel sums in that same order and is built without FMA contraction
+or reassociation, so both give the same bytes. Callers look ``adapt_chunk``
+up at call time, so the reference can be swapped in.
 """
 from __future__ import annotations
+
+import functools
+import os
+
+import numpy as np
 
 
 def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
@@ -37,9 +55,157 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
         w[:k] += (g * e[n]) * xfw
 
 
-adapt_chunk = adapt_chunk_numpy
+_C_SOURCE = b"""\
+#include <stdint.h>
+
+void adapt_chunk(const double *x, const double *xf, const double *d,
+                 const double *sec, int64_t M, double *w, int64_t L,
+                 double *y, double *e, int64_t start, int64_t stop,
+                 double mu, double leak, int normalized, double eps)
+{
+    double decay = 1.0 - mu * leak;
+    for (int64_t n = start; n < stop; n++) {
+        int64_t k = n + 1 < L ? n + 1 : L;
+        int64_t m = n + 1 < M ? n + 1 : M;
+        double s = 0.0;
+        for (int64_t j = 0; j < k; j++) s += w[j] * x[n - j];
+        y[n] = s;
+        s = 0.0;
+        for (int64_t j = 0; j < m; j++) s += sec[j] * y[n - j];
+        e[n] = d[n] - s;
+        double g = mu;
+        if (normalized) {
+            s = 0.0;
+            for (int64_t j = 0; j < k; j++) s += xf[n - j] * xf[n - j];
+            g = mu / (s + eps);
+        }
+        if (leak != 0.0)
+            for (int64_t j = 0; j < L; j++) w[j] *= decay;
+        double ge = g * e[n];
+        for (int64_t j = 0; j < k; j++) w[j] += ge * xf[n - j];
+    }
+}
+"""
+
+# -ffp-contract=off keeps a*b+c from fusing into an FMA, which GCC does by
+# default wherever the target has FMA (every aarch64); never add -ffast-math,
+# -Ofast or -march=native, which reorder sums or enable FMA.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _cache_dir() -> str:
+    """This user's hushkit cache directory, created 0700; raises OSError when
+    it cannot be created or another user could write into it."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "hushkit")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{path} is writable by other users")
+    return path
+
+
+def _compile(out_dir: str, name: str) -> str:
+    """Compile ``_C_SOURCE`` to ``out_dir/name`` through a temporary file, so
+    a concurrent reader never sees a partial library."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".so.tmp")
+    os.close(fd)
+    target = os.path.join(out_dir, name)
+    try:
+        done = subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                              input=_C_SOURCE, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        if done.returncode != 0:
+            raise OSError(f"cc exited with status {done.returncode}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load(name: str):
+    """ctypes handle on the cached library, building it when it is missing.
+    Builds in a private temporary directory when the cache is not usable;
+    never loads from a shared, predictable path."""
+    import ctypes
+
+    try:
+        cache = _cache_dir()
+    except OSError:
+        cache = None
+    if cache is not None:
+        path = os.path.join(cache, name)
+        if os.path.isfile(path):
+            return ctypes.CDLL(path)
+        if os.access(cache, os.W_OK):
+            return ctypes.CDLL(_compile(cache, name))
+    import shutil
+    import tempfile
+
+    private = tempfile.mkdtemp(prefix="hushkit-")
+    try:
+        return ctypes.CDLL(_compile(private, name))
+    finally:
+        shutil.rmtree(private, ignore_errors=True)
+
+
+@functools.cache
+def _compiled():
+    """The C kernel as a ctypes function, or None when it cannot be built or
+    loaded. Resolved on the first kernel call, not at import, so commands
+    that never adapt never load the library or run the compiler."""
+    import ctypes
+    import platform
+    import zlib
+
+    # crc32, not hashlib: hashlib loads OpenSSL, which costs every ANC process
+    # ~6 ms and ~3.6 MB of resident memory; the name only has to tell builds
+    # apart in a directory no other user can write to.
+    key = zlib.crc32(b"\0".join(
+        (_C_SOURCE, " ".join(_CFLAGS).encode(), platform.machine().encode())))
+    try:
+        fn = _load(f"adapt-{key:08x}.so").adapt_chunk
+    except (OSError, AttributeError):
+        return None
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = (ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64,
+                   f64, f64, ctypes.c_int, f64)
+    fn.restype = None
+    return fn
+
+
+def _output(a, name):
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"{name} must be a writeable C-contiguous 1-D float64 array")
+    return a
+
+
+def adapt_chunk(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
+    """Run samples ``[start, stop)`` on the C kernel, or on the numpy one when
+    the C kernel is unavailable; same arguments as ``adapt_chunk_numpy``."""
+    fn = _compiled()
+    if fn is None:
+        return adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak,
+                                 normalized, eps)
+    x, xf, d, sec = (np.ascontiguousarray(a, np.float64) for a in (x, xf, d, sec))
+    w, y, e = _output(w, "w"), _output(y, "y"), _output(e, "e")
+    if any(a.ndim != 1 for a in (x, xf, d, sec)):
+        raise ValueError("x, xf, d and sec must be 1-D")
+    start, stop = int(start), int(stop)
+    if not 0 <= start <= stop <= min(len(x), len(xf), len(d), len(y), len(e)):
+        raise ValueError(f"chunk [{start}, {stop}) lies outside the signal arrays")
+    fn(x.ctypes.data, xf.ctypes.data, d.ctypes.data, sec.ctypes.data, len(sec),
+       w.ctypes.data, len(w), y.ctypes.data, e.ctypes.data, start, stop,
+       float(mu), float(leak), bool(normalized), float(eps))
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use."""
-    return "numpy"
+    """Name of the kernel backend ``adapt_chunk`` runs: ``"c"`` or ``"numpy"``."""
+    return "numpy" if _compiled() is None else "c"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -115,11 +116,21 @@ class _Conf:
         if not isinstance(value, allowed) or isinstance(value, bool):
             raise ValidationError(
                 f"{self._context}: field '{name}' has the wrong type")
-        return float(value) if kind is float else value
+        if kind is float:
+            return _to_float(value, f"{self._context}: field '{name}'")
+        return value
 
     def finish(self):
         if self._data:
             raise ValidationError(f"{self._context}: unknown field '{min(self._data)}'")
+
+
+def _to_float(value, what: str) -> float:
+    # an integer literal too large for a double is an input error, not a crash
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is out of range") from None
 
 
 # Field kinds by annotation text (the model modules postpone annotations).
@@ -351,7 +362,8 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
             value = expected_raw[label]
             if not isinstance(value, _NUM) or isinstance(value, bool):
                 raise ValidationError(f"expected: field '{label}' must be a number")
-            pairs.append((label, computed[label], float(value)))
+            pairs.append((label, computed[label],
+                          _to_float(value, f"expected: field '{label}'")))
         discrepancies = tuple(check_discrepancies(pairs))
 
     return BomReport(
@@ -664,6 +676,9 @@ _COMMANDS = {
 }
 
 
+# Built once per process: building takes longer than parsing and running
+# most business commands, and the fixed ``prog`` keeps every output the same.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hushkit",

@@ -31,6 +31,16 @@ def configs_dir() -> Path:
     return CONFIG_DIR
 
 
+def _kernel_line():
+    from hushkit._kernels import backend_name
+
+    return f"hushkit kernel: {backend_name()}"
+
+
+def pytest_report_header(config):
+    return _kernel_line()
+
+
 def pytest_runtest_logreport(report):
     match = re.search(r"test_acceptance\.py::test_criterion_(\d+)", report.nodeid)
     if not match:
@@ -46,6 +56,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _results:
         return
     terminalreporter.section("acceptance criteria")
+    terminalreporter.write_line(_kernel_line())  # -q hides the report header
     for num in sorted(_CRITERIA):
         if num in _results:
             verdict = "PASS" if _results[num] else "FAIL"

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +319,30 @@ def test_non_finite_config_number_exits_1(command, name, keys, field, token,
     assert main([*command.split(), "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: non-finite number {token} is not allowed\n")
+
+
+_HUGE = int("9" * 400)  # a valid JSON integer that no double can hold
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _huge_expected(config):
+    config["bom_csv"] = str(_CONFIGS / config["bom_csv"])
+    config["assembly"]["ops_csv"] = str(_CONFIGS / config["assembly"]["ops_csv"])
+    config["expected"]["direct_total"] = _HUGE
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("econ npv", "econ_base", lambda c: c["sales"].update(units=_HUGE),
+     "sales: field 'units'"),
+    ("anc simulate", "anc_tone", lambda c: c.update(step_size=_HUGE),
+     "anc config: field 'step_size'"),
+    ("cost bom", "cost_initial", _huge_expected, "expected: field 'direct_total'"),
+], ids=["units", "step_size", "expected"])
+def test_integer_too_large_for_a_float_exits_1(command, name, edit, message,
+                                               configs_dir, tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, name, (), edit)
+    assert main([*command.split(), "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message} is out of range\n"
 
 
 def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
