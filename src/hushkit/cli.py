@@ -13,80 +13,28 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .anc import EXACT, AncConfig, AncResult, anc_run
-from .costing import (BomSummary, Discrepancy, OverheadRates, assembly_cost,
-                      bom_rollup, check_discrepancies, cost_reduction_report,
-                      dfa_index, load_assembly_csv, load_bom_csv,
-                      round_half_away)
+from .costing import (OverheadRates, assembly_cost, bom_rollup,
+                      check_discrepancies, cost_reduction_report, dfa_index,
+                      load_assembly_csv, load_bom_csv, round_half_away)
 from .econ import (Adjustment, EconResult, ExpenseLine, ModelSpec, SalesBlock,
                    build_cash_flows, evaluate, npv, sensitivity_row,
                    sensitivity_window)
 from .errors import ValidationError
-from .planning import (MarketParams, RiskItem, concept_score,
-                       load_concept_csv, load_risk_csv, market_size_estimate,
-                       risk_score_and_map, rounded_basis)
+from .planning import (DEFAULT_RISK_THRESHOLD, MarketParams,
+                       check_risk_threshold, concept_score, load_concept_csv,
+                       load_risk_csv, market_size_estimate, risk_score_and_map,
+                       rounded_basis)
 from .signals import FirPath, generate_broadband, generate_tone
 
 FORMATS = ("table", "json", "csv")
 
 _NUM = (int, float)
-
-
-# ---------------------------------------------------------------------------
-# report containers produced by the subcommand handlers
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    parameter: str
-    pct: float
-    first: int
-    last: int
-    delta_npv: float
-    delta_pct_of_base: Optional[float]
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    base_npv: float
-    rows: Tuple[SensitivityRow, ...]
-
-
-@dataclass(frozen=True)
-class BomReport:
-    summary: BomSummary
-    assembly_seconds: Optional[float]
-    assembly_cost_value: Optional[float]
-    dfa: Optional[float]
-    reduction_savings: Optional[float]
-    reduction_fraction: Optional[float]
-    expected_given: bool
-    discrepancies: Tuple[Discrepancy, ...]
-
-
-@dataclass(frozen=True)
-class ConceptReport:
-    scores: Tuple[Tuple[str, float, int], ...]
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    threshold: int
-    items: Tuple[Tuple[RiskItem, int, str], ...]
-
-
-@dataclass(frozen=True)
-class MarketReport:
-    affected: float
-    rounded_basis: float
-    profit_exact_basis: float
-    profit_rounded_basis: float
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +64,10 @@ class _Conf:
         if not isinstance(value, allowed) or isinstance(value, bool):
             raise ValidationError(
                 f"{self._context}: field '{name}' has the wrong type")
-        if kind is float:
-            return _to_float(value, f"{self._context}: field '{name}'")
+        if kind in _NUM:
+            # an integer too large for a double is out of range in any field
+            number = _to_float(value, f"{self._context}: field '{name}'")
+            return number if kind is float else value
         return value
 
     def finish(self):
@@ -178,7 +128,10 @@ def _taps_from(values, field: str) -> FirPath:
     if not values or not all(isinstance(v, _NUM) and not isinstance(v, bool)
                              for v in values):
         raise ValidationError(f"field '{field}' must be a non-empty list of numbers")
-    return FirPath(np.asarray(values, dtype=np.float64))
+    try:
+        return FirPath(np.asarray(values, dtype=np.float64))
+    except OverflowError:  # an integer too large for a double
+        raise ValidationError(f"field '{field}' is out of range") from None
 
 
 def _model_from(obj) -> ModelSpec:
@@ -208,18 +161,18 @@ def _adjustment_from(obj, index: int, context: str = "adjustments") -> Adjustmen
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report object, exit code)
+# subcommand handlers: each returns (report view, exit code)
 
 
-def _cmd_anc_simulate(args) -> Tuple[AncResult, int]:
+def _cmd_anc_simulate(args):
     c = _Conf(_load_config(args.config), "anc config")
     algorithm = c.take("algorithm", str, required=True)
     duration = c.take("duration_samples", int, required=True)
     seed = c.take("rng_seed", int, required=True)
     fs = c.take("sample_rate_hz", float, default=8000.0)
-    filter_length = c.take("filter_length", int, default=128)
+    filter_length = c.take("filter_length", int, default=AncConfig.filter_length)
     step_size = c.take("step_size", float)
-    leak = c.take("leak_factor", float, default=0.0)
+    leak = c.take("leak_factor", float, default=AncConfig.leak_factor)
     estimate_raw = c.take("secondary_estimate", (str, list), default="exact")
     noise_raw = c.take("noise", dict, required=True)
     primary = _taps_from(c.take("primary_path", list, required=True), "primary_path")
@@ -262,10 +215,10 @@ def _cmd_anc_simulate(args) -> Tuple[AncResult, int]:
         raise ValidationError("noise: field 'kind' must be 'tone' or 'broadband'")
 
     result = anc_run(config, noise, primary, secondary)
-    return result, (2 if result.diverged else 0)
+    return _emit_anc(result, args.format), (2 if result.diverged else 0)
 
 
-def _cmd_econ_eval(args) -> Tuple[EconResult, int]:
+def _cmd_econ_eval(args):
     raw = _load_config(args.config)
     if "model" in raw:
         c = _Conf(raw, "econ config")
@@ -279,34 +232,33 @@ def _cmd_econ_eval(args) -> Tuple[EconResult, int]:
                         for i, a in enumerate(adjustments_raw))
     result = evaluate(spec, adjustments,
                       discounted_breakeven=args.discounted_breakeven)
-    return result, (2 if args.require_irr and result.irr is None else 0)
+    return (_emit_econ(result, args.format),
+            2 if args.require_irr and result.irr is None else 0)
 
 
-def _cmd_econ_sensitivity(args) -> Tuple[SensitivityReport, int]:
+def _cmd_econ_sensitivity(args):
     c = _Conf(_load_config(args.config), "sensitivity config")
     model_raw = c.take("model", dict, required=True)
     rows_raw = c.take("rows", list, required=True)
     c.finish()
     spec = _model_from(model_raw)
-    rows: List[SensitivityRow] = []
+    rows = []
     for i, row_raw in enumerate(rows_raw):
         adj = _adjustment_from(row_raw, i, context="rows")
         delta, frac = sensitivity_row(spec, adj)  # rejects unknown targets
-        first, last = sensitivity_window(spec, adj)
-        rows.append(SensitivityRow(parameter=adj.target, pct=adj.pct,
-                                   first=first, last=last, delta_npv=delta,
-                                   delta_pct_of_base=frac))
+        rows.append((adj.target, adj.pct, *sensitivity_window(spec, adj),
+                     delta, frac))
     base = npv(build_cash_flows(spec), spec.discount_rate)
-    return SensitivityReport(base_npv=base, rows=tuple(rows)), 0
+    return _emit_sensitivity(base, rows, args.format), 0
 
 
-# BomSummary figures in report order; also the labels `expected` may audit.
+# BomSummary figures in report order.
 _SUMMARY_FIELDS = ("direct_materials", "direct_processing", "direct_labor",
                    "shipment", "direct_total", "overhead", "warranty",
                    "total_manufacturing")
 
 
-def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
+def _cmd_cost_bom(args):
     c = _Conf(_load_config(args.config), "cost config")
     bom_csv = c.take("bom_csv", str, required=True)
     shipment = c.take("shipment", float, required=True)
@@ -322,8 +274,9 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
     rates = _build(OverheadRates, rates_raw, "overhead_rates")
     lines = load_bom_csv(_resolve(bom_csv, args.config))
     summary = bom_rollup(lines, shipment, rates, warranty, override)
+    entries = [(name, getattr(summary, name), "money") for name in _SUMMARY_FIELDS]
 
-    seconds = cost = None
+    seconds = None
     if assembly_raw is not None:
         ac = _Conf(assembly_raw, "assembly")
         ops_csv = ac.take("ops_csv", str, required=True)
@@ -331,8 +284,9 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
         ac.finish()
         ops = load_assembly_csv(_resolve(ops_csv, args.config))
         seconds, cost = assembly_cost(ops, hourly)
+        entries += [("assembly_seconds", seconds, "money"),
+                    ("assembly_cost", cost, "money")]
 
-    dfa = None
     if dfa_raw is not None:
         dc = _Conf(dfa_raw, "dfa")
         min_parts = dc.take("min_parts", int, required=True)
@@ -340,73 +294,68 @@ def _cmd_cost_bom(args) -> Tuple[BomReport, int]:
         if seconds is None:
             raise ValidationError(
                 "dfa requires the 'assembly' section for the total assembly time")
-        dfa = dfa_index(min_parts, seconds)
+        entries.append(("dfa_index", dfa_index(min_parts, seconds), "rate"))
+    # `expected` may audit every figure so far, not the reduction ones
+    auditable = {label: value for label, value, _ in entries}
 
-    savings = fraction = None
     if reduction_raw is not None:
         dc = _Conf(reduction_raw, "reduction")
         old_total = dc.take("old_total", float, required=True)
         new_total = dc.take("new_total", float, required=True)
         dc.finish()
         savings, fraction = cost_reduction_report(old_total, new_total)
+        entries += [("reduction_savings", savings, "money"),
+                    ("reduction_fraction", fraction, "rate")]
 
-    discrepancies: Tuple[Discrepancy, ...] = ()
+    discrepancies = ()
     if expected_raw is not None:
-        computed = {name: getattr(summary, name) for name in _SUMMARY_FIELDS}
-        computed.update(assembly_seconds=seconds, assembly_cost=cost,
-                        dfa_index=dfa)
         pairs = []
         for label in sorted(expected_raw):
-            if computed.get(label) is None:
+            if label not in auditable:
                 raise ValidationError(f"expected: unknown field '{label}'")
             value = expected_raw[label]
             if not isinstance(value, _NUM) or isinstance(value, bool):
                 raise ValidationError(f"expected: field '{label}' must be a number")
-            pairs.append((label, computed[label],
+            pairs.append((label, auditable[label],
                           _to_float(value, f"expected: field '{label}'")))
-        discrepancies = tuple(check_discrepancies(pairs))
-
-    return BomReport(
-        summary=summary,
-        assembly_seconds=seconds,
-        assembly_cost_value=cost,
-        dfa=dfa,
-        reduction_savings=savings,
-        reduction_fraction=fraction,
-        expected_given=expected_raw is not None,
-        discrepancies=discrepancies,
-    ), 0
+        discrepancies = check_discrepancies(pairs)
+    return _emit_bom(entries, discrepancies, expected_raw is not None,
+                     args.format), 0
 
 
-def _cmd_plan_concept(args) -> Tuple[ConceptReport, int]:
+def _cmd_plan_concept(args):
     c = _Conf(_load_config(args.config), "concept config")
     matrix_csv = c.take("matrix_csv", str, required=True)
     c.finish()
     matrix = load_concept_csv(_resolve(matrix_csv, args.config))
-    return ConceptReport(scores=tuple(concept_score(matrix))), 0
+    return _emit_concept(concept_score(matrix), args.format), 0
 
 
-def _cmd_plan_risk(args) -> Tuple[RiskReport, int]:
+def _cmd_plan_risk(args):
     c = _Conf(_load_config(args.config), "risk config")
     register_csv = c.take("register_csv", str, required=True)
-    threshold = c.take("threshold", int, default=5)
+    threshold = c.take("threshold", int, default=DEFAULT_RISK_THRESHOLD)
     c.finish()
+    check_risk_threshold(threshold)  # an empty register rates no item
     items = load_risk_csv(_resolve(register_csv, args.config))
-    rated = tuple((item, *risk_score_and_map(item, threshold)) for item in items)
-    return RiskReport(threshold=threshold, items=rated), 0
+    rated = [(item, *risk_score_and_map(item, threshold)) for item in items]
+    return _emit_risk(threshold, rated, args.format), 0
 
 
-def _cmd_plan_market(args) -> Tuple[MarketReport, int]:
+def _cmd_plan_market(args):
     params = _build(MarketParams, _load_config(args.config), "market config")
     affected, profit_exact = market_size_estimate(params, "exact")
     _, profit_rounded = market_size_estimate(params, "rounded")
-    return MarketReport(affected=affected, rounded_basis=rounded_basis(affected),
-                        profit_exact_basis=profit_exact,
-                        profit_rounded_basis=profit_rounded), 0
+    return _scalars("market sizing", [
+        ("affected_population", affected, "money"),
+        ("rounded_basis", rounded_basis(affected), "money"),
+        ("profit_exact_basis", profit_exact, "money"),
+        ("profit_rounded_basis", profit_rounded, "money"),
+    ], args.format), 0
 
 
 # ---------------------------------------------------------------------------
-# report rendering: each _emit_* returns a view of its report, a dict for
+# report rendering: each _emit_* returns a view of a report, a dict for
 # json, rows for csv or lines for table, which emit_report serializes.
 # A column table formats its header and its rows with one template.
 
@@ -506,82 +455,69 @@ def _emit_econ(result: EconResult, fmt: str):
     return out
 
 
-def _emit_sensitivity(report: SensitivityReport, fmt: str):
+def _emit_sensitivity(base_npv: float, rows, fmt: str):
+    """``rows`` are (parameter, pct, first, last, delta_npv, delta_pct_of_base)."""
     if fmt == "json":
         return {
-            "base_npv": _money(report.base_npv),
+            "base_npv": _money(base_npv),
             "rows": [
-                {"parameter": row.parameter, "pct": _rate(row.pct),
-                 "first": row.first, "last": row.last,
-                 "delta_npv": _money(row.delta_npv),
-                 "delta_pct_of_base": (None if row.delta_pct_of_base is None
-                                       else _rate(row.delta_pct_of_base))}
-                for row in report.rows
+                {"parameter": parameter, "pct": _rate(pct),
+                 "first": first, "last": last, "delta_npv": _money(delta),
+                 "delta_pct_of_base": None if frac is None else _rate(frac)}
+                for parameter, pct, first, last, delta, frac in rows
             ],
         }
     if fmt == "csv":
         return [("parameter", "pct", "first", "last", "delta_npv",
                  "delta_pct_of_base"),
-                *((row.parameter, f"{row.pct:g}", row.first, row.last,
-                   f"{_money(row.delta_npv):.2f}",
-                   "" if row.delta_pct_of_base is None
-                   else f"{row.delta_pct_of_base:.6f}")
-                  for row in report.rows)]
+                *((parameter, f"{pct:g}", first, last, f"{_money(delta):.2f}",
+                   "" if frac is None else f"{frac:.6f}")
+                  for parameter, pct, first, last, delta, frac in rows)]
     columns = "  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}"
-    return [f"sensitivity of npv (base {_money(report.base_npv):,.2f})",
+    return [f"sensitivity of npv (base {_money(base_npv):,.2f})",
             "",
             columns.format("parameter", "pct", "periods", "delta_npv",
                            "pct_of_base"),
-            *(columns.format(row.parameter, f"{row.pct * 100:+.4g}%",
-                             f"{row.first}-{row.last}",
-                             f"{_money(row.delta_npv):+,.2f}",
-                             "n/a" if row.delta_pct_of_base is None
-                             else f"{row.delta_pct_of_base * 100:+.2f}%")
-              for row in report.rows)]
+            *(columns.format(parameter, f"{pct * 100:+.4g}%", f"{first}-{last}",
+                             f"{_money(delta):+,.2f}",
+                             "n/a" if frac is None else f"{frac * 100:+.2f}%")
+              for parameter, pct, first, last, delta, frac in rows)]
 
 
-def _emit_bom(report: BomReport, fmt: str):
-    entries = [(name, getattr(report.summary, name), "money")
-               for name in _SUMMARY_FIELDS]
-    if report.assembly_seconds is not None:
-        entries.append(("assembly_seconds", report.assembly_seconds, "money"))
-        entries.append(("assembly_cost", report.assembly_cost_value, "money"))
-    if report.dfa is not None:
-        entries.append(("dfa_index", report.dfa, "rate"))
-    if report.reduction_savings is not None:
-        entries.append(("reduction_savings", report.reduction_savings, "money"))
-        entries.append(("reduction_fraction", report.reduction_fraction, "rate"))
+def _emit_bom(entries, discrepancies, expected_given: bool, fmt: str):
+    """``entries`` are the (label, value, kind) figures of :func:`_scalars`."""
     if fmt == "csv":
-        entries += [(f"discrepancy.{d.label}.{part}", getattr(d, part), "money")
-                    for d in report.discrepancies
-                    for part in ("computed", "expected", "delta")]
+        entries = entries + [
+            (f"discrepancy.{d.label}.{part}", getattr(d, part), "money")
+            for d in discrepancies for part in ("computed", "expected", "delta")]
     view = _scalars("manufacturing cost summary", entries, fmt)
     if fmt == "json":
         view["discrepancies"] = [
             {"label": d.label, "computed": _money(d.computed),
              "expected": _money(d.expected), "delta": _money(d.delta)}
-            for d in report.discrepancies
+            for d in discrepancies
         ]
-    elif fmt == "table" and report.expected_given:
-        if report.discrepancies:
+    elif fmt == "table" and expected_given:
+        if discrepancies:
             view.append("  figures that differ from the supplied expected values:")
             view += [f"    {d.label}: computed {_money(d.computed):,.2f}, "
                      f"expected {_money(d.expected):,.2f} "
                      f"(delta {_money(d.delta):+,.2f})"
-                     for d in report.discrepancies]
+                     for d in discrepancies]
         else:
             view.append("  all supplied expected values match")
     return view
 
 
-def _emit_concept(report: ConceptReport, fmt: str):
+def _emit_concept(scores, fmt: str):
+    """``scores`` are the (concept, total, rank) of :func:`concept_score`."""
     if fmt == "json":
         return {"scores": [
             {"concept": name, "total": _rate(total), "rank": rank}
-            for name, total, rank in report.scores
+            for name, total, rank in scores
         ]}
     header = ("concept", "total", "rank")
-    rows = [(name, f"{total:.4f}", rank) for name, total, rank in report.scores]
+    rows = [(name, f"{total:.4f}", rank) for name, total, rank in scores]
     if fmt == "csv":
         return [header, *rows]
     columns = "  {2:>4}  {0:<20}  {1:>8}"  # table columns: rank, concept, total
@@ -589,43 +525,24 @@ def _emit_concept(report: ConceptReport, fmt: str):
             *(columns.format(*row) for row in sorted(rows, key=lambda r: r[2]))]
 
 
-def _emit_risk(report: RiskReport, fmt: str):
+def _emit_risk(threshold: int, rated, fmt: str):
+    """``rated`` are (RiskItem, score, quadrant) triples."""
     header = ("code", "description", "category", "probability", "impact",
               "score", "quadrant")
     rows = [(item.code, item.description, item.category, item.probability,
              item.impact, score, quadrant)
-            for item, score, quadrant in report.items]
+            for item, score, quadrant in rated]
     if fmt == "json":
-        return {"threshold": report.threshold,
+        return {"threshold": threshold,
                 "items": [dict(zip(header, row)) for row in rows]}
     if fmt == "csv":
         return [header, *rows]
     # table columns: code, p, i, score, quadrant, category, description
     columns = "  {0:<5} {3:>2} {4:>2} {5:>5}  {6:<8}  {2:<22}  {1}"
-    return [f"risk register (threshold {report.threshold})",
+    return [f"risk register (threshold {threshold})",
             columns.format("code", "description", "category", "p", "i",
                            "score", "quadrant"),
             *(columns.format(*row) for row in rows)]
-
-
-def _emit_market(report: MarketReport, fmt: str):
-    return _scalars("market sizing", [
-        ("affected_population", report.affected, "money"),
-        ("rounded_basis", report.rounded_basis, "money"),
-        ("profit_exact_basis", report.profit_exact_basis, "money"),
-        ("profit_rounded_basis", report.profit_rounded_basis, "money"),
-    ], fmt)
-
-
-_EMITTERS = {
-    AncResult: _emit_anc,
-    EconResult: _emit_econ,
-    SensitivityReport: _emit_sensitivity,
-    BomReport: _emit_bom,
-    ConceptReport: _emit_concept,
-    RiskReport: _emit_risk,
-    MarketReport: _emit_market,
-}
 
 
 def _check_format(fmt: str) -> None:
@@ -634,13 +551,10 @@ def _check_format(fmt: str) -> None:
             f"unsupported --format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
-def emit_report(result, fmt: str) -> bytes:
-    """Render any report object to bytes; identical inputs give identical bytes."""
+def emit_report(view, fmt: str) -> bytes:
+    """Serialize a report view in ``fmt``: a dict as JSON, rows as CSV, lines
+    as a table; identical views give identical bytes."""
     _check_format(fmt)
-    emitter = _EMITTERS.get(type(result))
-    if emitter is None:
-        raise TypeError(f"no report renderer for {type(result).__name__}")
-    view = emitter(result, fmt)
     if fmt == "json":
         text = json.dumps(view, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
@@ -713,8 +627,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_format(args.format)
-        result, code = args.handler(args)
-        payload = emit_report(result, args.format)
+        view, code = args.handler(args)
+        payload = emit_report(view, args.format)
         if args.output:
             Path(args.output).write_bytes(payload)
         else:

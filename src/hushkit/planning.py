@@ -16,6 +16,8 @@ RATING_MIN, RATING_MAX = 1, 3
 #: Risk-map quadrants, from (probability >= threshold, impact >= threshold).
 LOW, MONITOR, URGENT, CRITICAL = "LOW", "MONITOR", "URGENT", "CRITICAL"
 
+#: Probability, impact and the map threshold are integers on one scale.
+RISK_SCALE_MIN, RISK_SCALE_MAX = 1, 10
 DEFAULT_RISK_THRESHOLD = 5
 
 #: Granularity of the rounded affected-population basis (nearest 0.1 million).
@@ -90,10 +92,19 @@ class RiskItem:
 
     def __post_init__(self):
         for name in ("probability", "impact"):
-            value = getattr(self, name)
-            if int(value) != value or not 1 <= value <= 10:
-                raise ValidationError(
-                    f"risk {self.code!r}: {name} must be an integer in [1, 10]")
+            _check_risk_scale(getattr(self, name), f"risk {self.code!r}: {name}")
+
+
+def _check_risk_scale(value, what: str) -> None:
+    # the range test comes first, so NaN and infinities fail it, not int()
+    if not RISK_SCALE_MIN <= value <= RISK_SCALE_MAX or int(value) != value:
+        raise ValidationError(
+            f"{what} must be an integer in [{RISK_SCALE_MIN}, {RISK_SCALE_MAX}]")
+
+
+def check_risk_threshold(threshold) -> None:
+    """Reject a map threshold off the 1-10 scale of probability and impact."""
+    _check_risk_scale(threshold, "risk threshold")
 
 
 def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
@@ -140,6 +151,7 @@ def market_size_estimate(p: MarketParams,
 def risk_score_and_map(item: RiskItem,
                        threshold: int = DEFAULT_RISK_THRESHOLD) -> Tuple[int, str]:
     """(probability x impact, quadrant) under an inclusive threshold."""
+    check_risk_threshold(threshold)
     score = item.probability * item.impact
     if item.probability >= threshold:
         quadrant = CRITICAL if item.impact >= threshold else URGENT

@@ -325,10 +325,17 @@ _HUGE = int("9" * 400)  # a valid JSON integer that no double can hold
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _huge_expected(config):
-    config["bom_csv"] = str(_CONFIGS / config["bom_csv"])
-    config["assembly"]["ops_csv"] = str(_CONFIGS / config["assembly"]["ops_csv"])
-    config["expected"]["direct_total"] = _HUGE
+def _huge_in_cost(section, field):
+    """Edit for cost_initial: ``section.field`` huge, CSV paths absolute."""
+    def edit(config):
+        config["bom_csv"] = str(_CONFIGS / config["bom_csv"])
+        config["assembly"]["ops_csv"] = str(_CONFIGS / config["assembly"]["ops_csv"])
+        config[section][field] = _HUGE
+    return edit
+
+
+def _huge_tap(config):
+    config["primary_path"][0] = _HUGE
 
 
 @pytest.mark.parametrize("command, name, edit, message", [
@@ -336,8 +343,17 @@ def _huge_expected(config):
      "sales: field 'units'"),
     ("anc simulate", "anc_tone", lambda c: c.update(step_size=_HUGE),
      "anc config: field 'step_size'"),
-    ("cost bom", "cost_initial", _huge_expected, "expected: field 'direct_total'"),
-], ids=["units", "step_size", "expected"])
+    ("cost bom", "cost_initial", _huge_in_cost("expected", "direct_total"),
+     "expected: field 'direct_total'"),
+    ("econ npv", "econ_base", lambda c: c.update(horizon=_HUGE),
+     "model: field 'horizon'"),
+    ("anc simulate", "anc_tone", lambda c: c.update(duration_samples=_HUGE),
+     "anc config: field 'duration_samples'"),
+    ("cost bom", "cost_initial", _huge_in_cost("dfa", "min_parts"),
+     "dfa: field 'min_parts'"),
+    ("anc simulate", "anc_tone", _huge_tap, "field 'primary_path'"),
+], ids=["units", "step_size", "expected", "horizon", "duration_samples",
+        "min_parts", "primary_path"])
 def test_integer_too_large_for_a_float_exits_1(command, name, edit, message,
                                                configs_dir, tmp_path, capsys):
     path = _edited_config(configs_dir, tmp_path, name, (), edit)
@@ -359,6 +375,47 @@ def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
     assert code == 0
     assert run(["anc", "simulate", "--config", str(default), "--format", "json"],
                tmp_path, "default") == (0, with_rate)
+
+
+def test_omitted_fields_take_the_library_defaults(configs_dir, tmp_path):
+    risk = tmp_path / "risk.json"
+    risk.write_text(json.dumps({"register_csv": str(_CONFIGS / "risk_register.csv")}))
+    code, doc = run_json(["plan", "risk", "--config", str(risk)], tmp_path)
+    assert (code, doc["threshold"]) == (0, 5)
+
+    config = json.loads((configs_dir / "anc_tone.json").read_text())
+    config.update(duration_samples=4000, filter_length=128, leak_factor=0.0)
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(config))
+    del config["filter_length"], config["leak_factor"]
+    default = tmp_path / "default.json"
+    default.write_text(json.dumps(config))
+    code, given = run(["anc", "simulate", "--config", str(explicit)],
+                      tmp_path, "explicit")
+    assert code == 0
+    assert run(["anc", "simulate", "--config", str(default)],
+               tmp_path, "default") == (0, given)
+
+
+_EMPTY_REGISTER = "Code,Description,Category,Probability,Impact\n"
+
+
+@pytest.mark.parametrize("register", ["shipped", "empty"])
+@pytest.mark.parametrize("threshold, expected_code",
+                         [(0, 1), (-3, 1), (11, 1), (1, 0), (10, 0)])
+def test_risk_threshold_outside_1_to_10_exits_1(threshold, expected_code, register,
+                                                configs_dir, tmp_path, capsys):
+    csv_path = _CONFIGS / "risk_register.csv"
+    if register == "empty":
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(_EMPTY_REGISTER)
+    path = _edited_config(configs_dir, tmp_path, "plan_risk", (), lambda c: c.update(
+        threshold=threshold, register_csv=str(csv_path)))
+    code, _ = run(["plan", "risk", "--config", str(path)], tmp_path)
+    assert code == expected_code
+    if expected_code:
+        assert capsys.readouterr().err == (
+            "error: risk threshold must be an integer in [1, 10]\n")
 
 
 def test_bad_weights_exit_1(tmp_path, capsys):

@@ -109,3 +109,8 @@ def test_shipped_goldens_match_benchmark_hashes():
                 (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()).hexdigest()
             for name in SHIPPED for fmt in FORMATS}
     assert ours == recorded
+
+
+def test_golden_dir_holds_exactly_one_file_per_case_and_format():
+    expected = {f"{case}.{fmt}" for case in CASES for fmt in FORMATS}
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(expected)

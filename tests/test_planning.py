@@ -192,6 +192,12 @@ def test_risk_item_bounds():
         risk(5, 11)
 
 
+@pytest.mark.parametrize("threshold", [0, -3, 11, 2.5, float("nan"), float("inf")])
+def test_threshold_off_the_risk_scale_rejected(threshold):
+    with pytest.raises(ValidationError, match=r"threshold must be an integer in \[1, 10\]"):
+        risk_score_and_map(risk(5, 5), threshold=threshold)
+
+
 # ------------------------------------------------------------------- loaders
 
 def test_load_concept_csv_accepts_percent_and_decimal(tmp_path):
