@@ -1,8 +1,12 @@
-"""Deterministic noise-control simulation and product-economics toolkit."""
+"""Deterministic noise-control simulation and product-economics toolkit.
 
-from .anc import (ALGORITHMS, ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE,
-                  DIVERGENCE_POWER_RATIO, EXACT, NLMS_EPS, AncConfig,
-                  AncResult, anc_run)
+The business modules (``econ``, ``costing``, ``planning``) use the standard
+library only. The noise-control names, which need numpy, are imported from
+``anc`` and ``signals`` on first access (PEP 562), so importing the package
+loads no numpy.
+"""
+import importlib
+
 from .costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
                       BomLine, BomSummary, Discrepancy, OverheadRates,
                       assembly_cost, bom_rollup, check_discrepancies,
@@ -18,9 +22,22 @@ from .planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR, URGENT,
                        ConceptMatrix, MarketParams, RiskItem, concept_score,
                        load_concept_csv, load_risk_csv, market_size_estimate,
                        risk_score_and_map)
-from .signals import (ATTENUATION_CAP_DB, FirPath, SampleBuffer,
-                      attenuation_db, convolve_path, generate_broadband,
-                      generate_tone, invert_phase)
+
+_LAZY = {
+    **dict.fromkeys(("ALGORITHMS", "ATTENUATION_WINDOW_S", "DEFAULT_STEP_SIZE",
+                     "DIVERGENCE_POWER_RATIO", "EXACT", "NLMS_EPS", "AncConfig",
+                     "AncResult", "anc_run"), "anc"),
+    **dict.fromkeys(("ATTENUATION_CAP_DB", "FirPath", "SampleBuffer",
+                     "attenuation_db", "convolve_path", "generate_broadband",
+                     "generate_tone", "invert_phase"), "signals"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

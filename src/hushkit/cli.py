@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 config validation failure, 2 numerical failure
 (divergence, or a missing IRR under --require-irr; the report is still
 emitted), 3 I/O failure.
+
+Only ``anc simulate`` needs numpy: it imports ``anc`` and ``signals`` when
+it runs, so the business commands never load them.
 """
 from __future__ import annotations
 
@@ -15,10 +18,8 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .anc import EXACT, AncConfig, AncResult, anc_run
 from .costing import (OverheadRates, assembly_cost, bom_rollup,
                       check_discrepancies, cost_reduction_report, dfa_index,
                       load_assembly_csv, load_bom_csv, round_half_away)
@@ -30,11 +31,24 @@ from .planning import (DEFAULT_RISK_THRESHOLD, MarketParams,
                        check_risk_threshold, concept_score, load_concept_csv,
                        load_risk_csv, market_size_estimate, risk_score_and_map,
                        rounded_basis)
-from .signals import FirPath, generate_broadband, generate_tone
+
+if TYPE_CHECKING:
+    from .anc import AncResult
+    from .signals import FirPath
 
 FORMATS = ("table", "json", "csv")
 
 _NUM = (int, float)
+
+# `anc simulate`'s library names stay attributes of this module (PEP 562),
+# resolved through the package, which imports their modules on first use.
+_ANC_NAMES = ("anc_run", "generate_tone", "generate_broadband")
+
+
+def __getattr__(name):
+    if name in _ANC_NAMES:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +139,10 @@ def _resolve(path_str: str, config_path: str) -> Path:
 
 
 def _taps_from(values, field: str) -> FirPath:
+    import numpy as np
+
+    from .signals import FirPath
+
     if not values or not all(isinstance(v, _NUM) and not isinstance(v, bool)
                              for v in values):
         raise ValidationError(f"field '{field}' must be a non-empty list of numbers")
@@ -165,14 +183,18 @@ def _adjustment_from(obj, index: int, context: str = "adjustments") -> Adjustmen
 
 
 def _cmd_anc_simulate(args):
+    # names are looked up on their modules at call time, so a replaced
+    # binding (a tracing wrapper, say) is the one called
+    from . import anc, signals
+
     c = _Conf(_load_config(args.config), "anc config")
     algorithm = c.take("algorithm", str, required=True)
     duration = c.take("duration_samples", int, required=True)
     seed = c.take("rng_seed", int, required=True)
     fs = c.take("sample_rate_hz", float, default=8000.0)
-    filter_length = c.take("filter_length", int, default=AncConfig.filter_length)
+    filter_length = c.take("filter_length", int, default=anc.AncConfig.filter_length)
     step_size = c.take("step_size", float)
-    leak = c.take("leak_factor", float, default=AncConfig.leak_factor)
+    leak = c.take("leak_factor", float, default=anc.AncConfig.leak_factor)
     estimate_raw = c.take("secondary_estimate", (str, list), default="exact")
     noise_raw = c.take("noise", dict, required=True)
     primary = _taps_from(c.take("primary_path", list, required=True), "primary_path")
@@ -184,11 +206,11 @@ def _cmd_anc_simulate(args):
         if estimate_raw != "exact":
             raise ValidationError(
                 "field 'secondary_estimate' must be \"exact\" or a list of taps")
-        estimate = EXACT
+        estimate = anc.EXACT
     else:
         estimate = _taps_from(estimate_raw, "secondary_estimate")
 
-    config = AncConfig(
+    config = anc.AncConfig(
         algorithm=algorithm,
         duration_samples=duration,
         rng_seed=seed,
@@ -205,16 +227,16 @@ def _cmd_anc_simulate(args):
         amplitude = nc.take("amplitude", float, default=1.0)
         phase = nc.take("phase_rad", float, default=0.0)
         nc.finish()
-        noise = generate_tone(freq, amplitude, phase, duration, fs)
+        noise = signals.generate_tone(freq, amplitude, phase, duration, fs)
     elif kind == "broadband":
         low = nc.take("low_hz", float, required=True)
         high = nc.take("high_hz", float, required=True)
         nc.finish()
-        noise = generate_broadband(seed, low, high, duration, fs)
+        noise = signals.generate_broadband(seed, low, high, duration, fs)
     else:
         raise ValidationError("noise: field 'kind' must be 'tone' or 'broadband'")
 
-    result = anc_run(config, noise, primary, secondary)
+    result = anc.anc_run(config, noise, primary, secondary)
     return _emit_anc(result, args.format), (2 if result.diverged else 0)
 
 
@@ -242,13 +264,13 @@ def _cmd_econ_sensitivity(args):
     rows_raw = c.take("rows", list, required=True)
     c.finish()
     spec = _model_from(model_raw)
+    base = npv(build_cash_flows(spec), spec.discount_rate)
     rows = []
     for i, row_raw in enumerate(rows_raw):
         adj = _adjustment_from(row_raw, i, context="rows")
-        delta, frac = sensitivity_row(spec, adj)  # rejects unknown targets
+        delta, frac = sensitivity_row(spec, adj, base)  # rejects unknown targets
         rows.append((adj.target, adj.pct, *sensitivity_window(spec, adj),
                      delta, frac))
-    base = npv(build_cash_flows(spec), spec.discount_rate)
     return _emit_sensitivity(base, rows, args.format), 0
 
 
@@ -427,7 +449,7 @@ def _emit_econ(result: EconResult, fmt: str):
     money = ",.2f" if fmt == "table" else ".2f"
     periods = []
     cumulative = 0.0
-    for t, flow in enumerate(map(float, result.cash_flows), start=1):
+    for t, flow in enumerate(result.cash_flows, start=1):
         cumulative += flow
         periods.append((t, format(_money(flow), money),
                         format(_money(flow * (1.0 + r) ** -t), money),

@@ -10,12 +10,11 @@ warranty. Reported currency is rounded half-away-from-zero at cent precision.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -29,10 +28,23 @@ BOM_COLUMNS = ("Component", "Qty required", "Purchased Costs", "Processing",
 ASSEMBLY_COLUMNS = ("Part", "Quantity", "Handling Time (s)", "Insertion Time (s)")
 
 
+# A finite double has at most 309 integer digits, so this precision holds
+# any of them quantized to 2 (and up to 90) decimals; the default 28-digit
+# context fails from about 1e26 on.
+_ROUNDING_CONTEXT = Context(prec=400)
+
+
 def round_half_away(value: float, ndigits: int = 2) -> float:
-    """Round with ties going away from zero (display convention)."""
+    """Round with ties going away from zero (display convention).
+
+    Any finite double rounds; a non-finite value is a ValidationError.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"cannot round the non-finite value {value!r}")
     q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP,
+                                               context=_ROUNDING_CONTEXT))
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class BomLine:
             raise ValidationError(f"BOM line {self.component!r}: qty must be >= 1")
         for name in ("purchased", "processing", "assembly_labor"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ValidationError(
                     f"BOM line {self.component!r}: {name} must be finite and >= 0")
 

@@ -1,10 +1,11 @@
 """Discounted-cash-flow engine: burn-rate expense lines plus a sales block.
 
 Periods are 1-based and flows occur at period ends (t = 1..T, no t=0 flow);
-``npv`` therefore discounts C_t by (1+r)^-t. IRR is a per-period rate found by
-bracketing and bisection; it is UNDEFINED (returned as ``None``) when the
-flows never change sign or no bracket exists in [0, 10]. Break-even defaults
-to the undiscounted cumulative flow.
+``npv`` therefore discounts C_t by (1+r)^-t, evaluated by Horner's rule. IRR
+is a per-period rate found by bracketing and bisection; it is UNDEFINED
+(returned as ``None``) when the flows never change sign or no bracket exists
+in [0, 10]. Break-even defaults to the undiscounted cumulative flow. The
+module uses the standard library only; flows are tuples of floats.
 
 Scenario analysis applies fractional :class:`Adjustment` rows to a base
 :class:`ModelSpec` - each targeted value is multiplied by (1 + pct), and
@@ -12,10 +13,9 @@ optional period overrides replace an expense line's active window.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -26,7 +26,12 @@ SALES_TARGETS = (UNITS, PRICE, COST)
 #: |NPV| at the returned IRR is at most this many dollars.
 IRR_NPV_TOL = 0.01
 
+#: Longest accepted model, in periods; a longer horizon is rejected before
+#: any per-period list is built.
+MAX_HORIZON = 10_000
+
 _IRR_LO, _IRR_HI = 0.0, 10.0
+_IRR_GRID_CELLS = 200  # bracket scan step: (hi - lo) / 200
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class ExpenseLine:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("expense line name must be non-empty")
-        if not np.isfinite(self.rate):
+        if not math.isfinite(self.rate):
             raise ValidationError(f"rate of expense line {self.name!r} must be finite")
         if self.first < 1 or self.last < self.first:
             raise ValidationError(
@@ -86,6 +91,8 @@ class ModelSpec:
         object.__setattr__(self, "expenses", tuple(self.expenses))
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
+        if self.horizon > MAX_HORIZON:
+            raise ValidationError(f"horizon must be <= {MAX_HORIZON}")
         if not self.discount_rate > -1:
             raise ValidationError("discount_rate must be > -1")
         names = [line.name for line in self.expenses]
@@ -110,7 +117,7 @@ class Adjustment:
     last_override: Optional[int] = None
 
     def __post_init__(self):
-        if not np.isfinite(self.pct):
+        if not math.isfinite(self.pct):
             raise ValidationError(f"adjustment {self.target!r}: pct must be finite")
         has_first = self.first_override is not None
         has_last = self.last_override is not None
@@ -138,7 +145,7 @@ class LineDelta:
 class EconResult:
     """Evaluated model: per-period flows and the headline figures."""
 
-    cash_flows: np.ndarray
+    cash_flows: Tuple[float, ...]
     npv: float
     irr: Optional[float]
     break_even_period: Optional[int]
@@ -146,27 +153,44 @@ class EconResult:
     discount_rate: float
 
 
-def build_cash_flows(spec: ModelSpec) -> np.ndarray:
+def build_cash_flows(spec: ModelSpec) -> Tuple[float, ...]:
     """Net flow per period: active expense rates plus
     ``units * (unit_price + unit_cost)`` inside the sales window.
 
-    Index 0 of the returned array is period 1.
+    Index 0 of the returned tuple is period 1. Each period adds its expense
+    lines in order, then the sales block.
     """
-    flows = np.zeros(spec.horizon)
-    for line in spec.expenses:
-        flows[line.first - 1 : line.last] += line.rate
+    flows = [0.0] * spec.horizon
     s = spec.sales
-    flows[s.first - 1 : s.last] += s.units * (s.unit_price + s.unit_cost)
-    return flows
+    blocks = [(line.first, line.last, line.rate) for line in spec.expenses]
+    blocks.append((s.first, s.last, s.units * (s.unit_price + s.unit_cost)))
+    for first, last, amount in blocks:
+        flows[first - 1 : last] = [f + amount for f in flows[first - 1 : last]]
+    return tuple(flows)
 
 
 def npv(flows: Sequence[float], r: float) -> float:
-    """Present value of end-of-period flows: sum of C_t * (1+r)^-t, t=1..T."""
+    """Present value of end-of-period flows: sum of C_t * (1+r)^-t, t=1..T.
+
+    Horner's rule from the last period back: the running total plus C_t,
+    divided by (1+r) once per period, in plain float arithmetic.
+    """
     if not r > -1:
         raise ValidationError("discount rate r must be > -1")
-    flows = np.asarray(flows, dtype=np.float64)
-    t = np.arange(1, flows.shape[0] + 1, dtype=np.float64)
-    return float(np.sum(flows * (1.0 + r) ** -t))
+    base = 1.0 + r
+    total = 0.0
+    for c in reversed(flows):
+        total = (total + c) / base
+    return float(total)
+
+
+def _irr_grid(lo: float, hi: float):
+    """Bracket-scan points lo + i * ((hi - lo) / 200) for i < 200, then hi
+    itself: the points of ``np.linspace(lo, hi, 201)``, made one at a time."""
+    step = (hi - lo) / _IRR_GRID_CELLS
+    for i in range(_IRR_GRID_CELLS):
+        yield lo + i * step
+    yield hi
 
 
 def irr(flows: Sequence[float]) -> Optional[float]:
@@ -176,21 +200,22 @@ def irr(flows: Sequence[float]) -> Optional[float]:
     interval is tighter than 1e-12 and |npv| <= $0.01. Flows that never
     change sign have no IRR.
     """
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.size == 0 or (flows >= 0).all() or (flows <= 0).all():
+    if all(c >= 0 for c in flows) or all(c <= 0 for c in flows):
         return None
     lo, hi = _IRR_LO, _IRR_HI
     f_lo, f_hi = npv(flows, lo), npv(flows, hi)
     if f_lo == 0.0:
         return lo
     if f_lo * f_hi > 0:
-        # scan for a bracket inside the range
-        grid = np.linspace(lo, hi, 201)
-        values = [npv(flows, g) for g in grid]
-        for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
+        # scan for the first bracket inside the range, left to right
+        points = _irr_grid(lo, hi)
+        a, fa = next(points), f_lo
+        for b in points:
+            fb = npv(flows, b)
             if fa * fb <= 0:
-                lo, hi, f_lo, f_hi = a, b, fa, fb
+                lo, hi, f_lo = a, b, fa
                 break
+            a, fa = b, fb
         else:
             return None
     while hi - lo > 1e-12:
@@ -221,7 +246,7 @@ def break_even(flows: Sequence[float], r: float = 0.0,
     if not r > -1:
         raise ValidationError("discount rate r must be > -1")
     cumulative = 0.0
-    for t, c in enumerate(np.asarray(flows, dtype=np.float64), start=1):
+    for t, c in enumerate(flows, start=1):
         cumulative += c * (1.0 + r) ** -t if discounted else c
         if cumulative >= 0:
             return t
@@ -263,13 +288,17 @@ def apply_adjustments(spec: ModelSpec,
     return replace(spec, expenses=ordered, sales=sales)
 
 
-def sensitivity_row(spec: ModelSpec,
-                    adj: Adjustment) -> Tuple[float, Optional[float]]:
+def sensitivity_row(spec: ModelSpec, adj: Adjustment,
+                    base_npv: Optional[float] = None
+                    ) -> Tuple[float, Optional[float]]:
     """(ΔNPV, ΔNPV as a fraction of base NPV) for one adjustment.
 
-    The fractional delta is None when the base NPV is zero.
+    ``base_npv`` is the NPV of ``spec`` itself; a caller scoring many rows
+    passes it once instead of having it rebuilt per row. The fractional
+    delta is None when the base NPV is zero.
     """
-    base_npv = npv(build_cash_flows(spec), spec.discount_rate)
+    if base_npv is None:
+        base_npv = npv(build_cash_flows(spec), spec.discount_rate)
     adjusted = apply_adjustments(spec, [adj])
     adj_npv = npv(build_cash_flows(adjusted), adjusted.discount_rate)
     delta = adj_npv - base_npv

@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from .errors import ValidationError
 
@@ -110,11 +109,12 @@ def check_risk_threshold(threshold) -> None:
 def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     """Score every concept and rank by descending total.
 
-    Totals are the weight-rating dot products; ties keep input order. The
-    result preserves the matrix's concept order, with the rank attached.
+    Totals are the weight-rating dot products, summed with ``math.fsum``
+    (correctly rounded); ties keep input order. The result preserves the
+    matrix's concept order, with the rank attached.
     """
-    weights = np.array([w for _, w in matrix.criteria])
-    totals = [(name, float(weights @ np.asarray(ratings, dtype=np.float64)))
+    weights = [w for _, w in matrix.criteria]
+    totals = [(name, math.fsum(w * r for w, r in zip(weights, ratings)))
               for name, ratings in matrix.concepts]
     order = sorted(range(len(totals)), key=lambda i: (-totals[i][1], i))
     ranks = {}

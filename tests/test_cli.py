@@ -8,6 +8,7 @@ import pytest
 
 from hushkit import ValidationError
 from hushkit.cli import emit_report, main
+from hushkit.econ import MAX_HORIZON
 
 
 def run(argv, tmp_path, name="out"):
@@ -325,12 +326,16 @@ _HUGE = int("9" * 400)  # a valid JSON integer that no double can hold
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _huge_in_cost(section, field):
-    """Edit for cost_initial: ``section.field`` huge, CSV paths absolute."""
+def _in_cost(value, *keys):
+    """Edit for cost_initial: the field at ``keys`` set to ``value``, CSV
+    paths absolute."""
     def edit(config):
         config["bom_csv"] = str(_CONFIGS / config["bom_csv"])
         config["assembly"]["ops_csv"] = str(_CONFIGS / config["assembly"]["ops_csv"])
-        config[section][field] = _HUGE
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
     return edit
 
 
@@ -343,13 +348,13 @@ def _huge_tap(config):
      "sales: field 'units'"),
     ("anc simulate", "anc_tone", lambda c: c.update(step_size=_HUGE),
      "anc config: field 'step_size'"),
-    ("cost bom", "cost_initial", _huge_in_cost("expected", "direct_total"),
+    ("cost bom", "cost_initial", _in_cost(_HUGE, "expected", "direct_total"),
      "expected: field 'direct_total'"),
     ("econ npv", "econ_base", lambda c: c.update(horizon=_HUGE),
      "model: field 'horizon'"),
     ("anc simulate", "anc_tone", lambda c: c.update(duration_samples=_HUGE),
      "anc config: field 'duration_samples'"),
-    ("cost bom", "cost_initial", _huge_in_cost("dfa", "min_parts"),
+    ("cost bom", "cost_initial", _in_cost(_HUGE, "dfa", "min_parts"),
      "dfa: field 'min_parts'"),
     ("anc simulate", "anc_tone", _huge_tap, "field 'primary_path'"),
 ], ids=["units", "step_size", "expected", "horizon", "duration_samples",
@@ -359,6 +364,52 @@ def test_integer_too_large_for_a_float_exits_1(command, name, edit, message,
     path = _edited_config(configs_dir, tmp_path, name, (), edit)
     assert main([*command.split(), "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message} is out of range\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command, name, edit", [
+    ("econ npv", "econ_base", lambda c: c["sales"].update(unit_price=1e30)),
+    ("econ npv", "econ_base", lambda c: c["sales"].update(unit_price=1e300)),
+    ("cost bom", "cost_initial", _in_cost(1e300, "shipment")),
+    ("plan market", "plan_market", lambda c: c.update(unit_price=1e300)),
+], ids=["unit_price-1e30", "unit_price-1e300", "shipment-1e300",
+        "market_unit_price-1e300"])
+def test_huge_money_figure_gives_a_report_or_one_error_line(
+        command, name, edit, fmt, configs_dir, tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, name, (), edit)
+    code, payload = run([*command.split(), "--config", str(path),
+                         "--format", fmt], tmp_path)
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and payload
+        if fmt == "json":
+            json.loads(payload, parse_constant=_reject_constant)
+    else:
+        assert code == 1 and payload == b""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_money_figure_that_overflows_exits_1(configs_dir, tmp_path, capsys):
+    # units * unit_price overflows to inf, which no report may print
+    path = _edited_config(configs_dir, tmp_path, "econ_base", ("sales",),
+                          lambda s: s.update(units=1e300, unit_price=1e300))
+    for fmt in ("json", "table", "csv"):
+        assert run(["econ", "npv", "--config", str(path), "--format", fmt],
+                   tmp_path) == (1, b"")
+        assert capsys.readouterr().err == (
+            "error: cannot round the non-finite value inf\n")
+
+
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**20])
+def test_horizon_past_the_bound_exits_1(horizon, configs_dir, tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, "econ_base", (),
+                          lambda c: c.update(horizon=horizon))
+    assert main(["econ", "npv", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: horizon must be <= {MAX_HORIZON}\n"
 
 
 def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):

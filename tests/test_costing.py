@@ -23,6 +23,18 @@ def test_round_half_away(value, expected):
     assert round_half_away(value, 2) == expected
 
 
+@pytest.mark.parametrize("value", [1e26, -1e30, 1e300, 1.7976931348623157e308])
+def test_round_half_away_holds_any_finite_double(value):
+    # the default 28-digit decimal context cannot quantize these to cents
+    assert round_half_away(value, 2) == value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_round_half_away_rejects_non_finite(value):
+    with pytest.raises(ValidationError, match="non-finite"):
+        round_half_away(value)
+
+
 # ------------------------------------------------------------------- roll-up
 
 def test_initial_bom_rollup_goldens(configs_dir):

@@ -1,10 +1,11 @@
 """Cash-flow engine: NPV, IRR, break-even, adjustments, sensitivity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hushkit import ValidationError
-from hushkit.econ import (COST, PRICE, UNITS, Adjustment, ExpenseLine,
-                          ModelSpec, SalesBlock, apply_adjustments,
+from hushkit import ValidationError, econ
+from hushkit.econ import (COST, MAX_HORIZON, PRICE, UNITS, Adjustment,
+                          ExpenseLine, ModelSpec, SalesBlock, apply_adjustments,
                           break_even, build_cash_flows, evaluate, irr,
                           irr_interpolate, npv, sensitivity_row,
                           sensitivity_window)
@@ -34,12 +35,13 @@ def annuity(n, r):
 
 def test_base_cash_flows_by_hand():
     flows = build_cash_flows(base_model())
-    assert flows.shape == (24,)
+    assert isinstance(flows, tuple) and len(flows) == 24
+    assert all(type(f) is float for f in flows)
     assert flows[0] == flows[1] == flows[2] == -70_000.0
     assert flows[3] == -55_000.0
     assert flows[4] == 266_250.0            # 311,250 sales - 45,000 expenses
-    assert np.all(flows[5:12] == 301_250.0)
-    assert np.all(flows[12:] == 311_250.0)
+    assert flows[5:12] == (301_250.0,) * 7
+    assert flows[12:] == (311_250.0,) * 12
 
 
 # ----------------------------------------------------------------------- npv
@@ -61,6 +63,24 @@ def test_npv_rejects_rate_at_minus_one():
         npv([100.0], -1.0)
 
 
+def _npv_numpy(flows, r):
+    """The former array formula, kept as the oracle."""
+    f = np.asarray(flows, dtype=np.float64)
+    t = np.arange(1, f.shape[0] + 1, dtype=np.float64)
+    return float(np.sum(f * (1.0 + r) ** -t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9), max_size=300),
+       st.floats(-0.5, 10.0, exclude_min=True))
+def test_npv_horner_agrees_with_the_array_formula(flows, r):
+    # relative to the sum of |discounted terms|, which bounds the rounding
+    # error of any summation order; the floor covers subnormal terms
+    f = np.asarray(flows, dtype=np.float64)
+    scale = float(np.sum(np.abs(f) * (1.0 + r) ** -np.arange(1.0, len(f) + 1)))
+    assert abs(npv(flows, r) - _npv_numpy(flows, r)) <= 1e-12 * scale + 1e-300
+
+
 # ----------------------------------------------------------------------- irr
 
 def test_irr_two_flow_analytic():
@@ -70,6 +90,29 @@ def test_irr_two_flow_analytic():
 @pytest.mark.parametrize("flows", [[-1.0, -2.0], [1.0, 2.0], []])
 def test_irr_none_when_no_sign_change(flows):
     assert irr(flows) is None
+
+
+def test_irr_grid_is_linspace():
+    grid = list(econ._irr_grid(0.0, 10.0))
+    expected = np.linspace(0, 10, 201).tolist()
+    assert len(grid) == len(expected) == 201
+    assert all(a == b for a, b in zip(grid, expected))
+
+
+def test_irr_scan_stops_at_the_first_bracket(monkeypatch):
+    # NPV(r) * (1+r)^3 = -100 (1+r - 1.12)(1+r - 1.3): negative at r = 0 and
+    # r = 10, so the scan runs; the first sign change is at r = 0.12
+    flows = [-100.0, 242.0, -145.6]
+    grid = set(np.linspace(0, 10, 201).tolist())
+    rates = []
+
+    def counting_npv(values, r):
+        rates.append(r)
+        return npv(values, r)
+
+    monkeypatch.setattr(econ, "npv", counting_npv)
+    assert irr(flows) == pytest.approx(0.12, abs=1e-9)
+    assert sum(r in grid for r in rates) < 20
 
 
 def test_irr_interpolate_midpoint():
@@ -235,6 +278,23 @@ def test_model_rejects_expense_beyond_horizon():
         ModelSpec(horizon=2, discount_rate=0.0,
                   expenses=(ExpenseLine("Op", 1, 3, -1.0),),
                   sales=SalesBlock(1, 2, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**20])
+def test_model_rejects_horizon_past_the_bound(horizon):
+    with pytest.raises(ValidationError, match=f"horizon must be <= {MAX_HORIZON}"):
+        ModelSpec(horizon=horizon, discount_rate=0.0, expenses=(),
+                  sales=SalesBlock(1, 2, 0.0, 0.0, 0.0))
+
+
+def test_sensitivity_row_uses_a_given_base_npv():
+    spec = base_model()
+    adj = Adjustment("Development", -0.30)
+    base = npv(build_cash_flows(spec), spec.discount_rate)
+    assert sensitivity_row(spec, adj, base) == sensitivity_row(spec, adj)
+    adjusted = apply_adjustments(spec, [adj])
+    delta = npv(build_cash_flows(adjusted), spec.discount_rate) - 2 * base
+    assert sensitivity_row(spec, adj, base_npv=2 * base) == (delta, delta / (2 * base))
 
 
 def test_model_rejects_duplicate_line_names():
