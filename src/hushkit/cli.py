@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .costing import (OverheadRates, assembly_cost, bom_rollup,
@@ -39,6 +40,7 @@ if TYPE_CHECKING:
 FORMATS = ("table", "json", "csv")
 
 _NUM = (int, float)
+_PLAIN = (str, int, float, list, dict, str | list)
 
 # `anc simulate`'s library names stay attributes of this module (PEP 562),
 # resolved through the package, which imports their modules on first use.
@@ -52,41 +54,106 @@ def __getattr__(name):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schemas: one table of (name, kind, default) fields per JSON object
+#
+# A kind is str, int, float (any JSON number, read as a float), list, dict or
+# str | list; a table or a flat dataclass for a nested object, which errors
+# name by its field; [table or dataclass] for a list of such objects, item i
+# named `name[i]`; or {tag: table} for objects told apart by their "kind".
+# Tables read as namespaces, flat dataclasses as instances whose fields are
+# all required. A default of None marks an optional field; in `anc simulate`
+# an omitted option takes the AncConfig default.
+
+_REQUIRED = object()
+
+_ADJUSTMENT = (("target", str, _REQUIRED), ("pct", float, _REQUIRED),
+               ("first", int, None), ("last", int, None))
+_MODEL = (("horizon", int, _REQUIRED), ("discount_rate", float, _REQUIRED),
+          ("expenses", [ExpenseLine], _REQUIRED), ("sales", SalesBlock, _REQUIRED))
+
+_SCHEMAS = {
+    "anc config": (
+        ("algorithm", str, _REQUIRED), ("duration_samples", int, _REQUIRED),
+        ("rng_seed", int, _REQUIRED), ("sample_rate_hz", float, 8000.0),
+        ("filter_length", int, None), ("step_size", float, None),
+        ("leak_factor", float, None), ("secondary_estimate", str | list, "exact"),
+        ("noise", {
+            "tone": (("kind", str, _REQUIRED), ("freq_hz", float, _REQUIRED),
+                     ("amplitude", float, 1.0), ("phase_rad", float, 0.0)),
+            "broadband": (("kind", str, _REQUIRED), ("low_hz", float, _REQUIRED),
+                          ("high_hz", float, _REQUIRED)),
+        }, _REQUIRED),
+        ("primary_path", list, _REQUIRED), ("secondary_path", list, _REQUIRED)),
+    "econ config": (("model", _MODEL, _REQUIRED), ("adjustments", [_ADJUSTMENT], ())),
+    "sensitivity config": (("model", _MODEL, _REQUIRED),
+                           ("rows", [_ADJUSTMENT], _REQUIRED)),
+    "cost config": (
+        ("bom_csv", str, _REQUIRED), ("shipment", float, _REQUIRED),
+        ("overhead_rates", OverheadRates, _REQUIRED), ("warranty", float, _REQUIRED),
+        ("overhead_override", float, None),
+        ("assembly", (("ops_csv", str, _REQUIRED), ("hourly_rate", float, _REQUIRED)),
+         None),
+        ("dfa", (("min_parts", int, _REQUIRED),), None),
+        ("reduction", (("old_total", float, _REQUIRED), ("new_total", float, _REQUIRED)),
+         None),
+        ("expected", dict, None)),
+    "concept config": (("matrix_csv", str, _REQUIRED),),
+    "risk config": (("register_csv", str, _REQUIRED),
+                    ("threshold", int, DEFAULT_RISK_THRESHOLD)),
+    "market config": MarketParams,
+}
+
+# Field kinds by annotation text (the model modules postpone annotations).
+_KINDS = {"str": str, "int": int, "float": float}
 
 
-class _Conf:
-    """Field-by-field reader over a JSON object; leftovers are errors."""
+@functools.cache
+def _table_of(cls):
+    return tuple((f.name, _KINDS[f.type], _REQUIRED) for f in fields(cls))
 
-    def __init__(self, mapping, context: str):
-        if not isinstance(mapping, dict):
-            raise ValidationError(f"{context} must be a JSON object")
-        self._data = dict(mapping)
-        self._context = context
 
-    def take(self, name, kind, required=False, default=None):
-        """Pop field ``name`` of type ``kind`` (a type or a tuple of types);
-        ``float`` accepts any JSON number and returns it as a float."""
-        if name not in self._data:
-            if required:
-                raise ValidationError(
-                    f"{self._context}: missing required field '{name}'")
-            return default
-        value = self._data.pop(name)
-        allowed = _NUM if kind is float else kind
-        # JSON true/false must not satisfy numeric fields
-        if not isinstance(value, allowed) or isinstance(value, bool):
-            raise ValidationError(
-                f"{self._context}: field '{name}' has the wrong type")
-        if kind in _NUM:
-            # an integer too large for a double is out of range in any field
-            number = _to_float(value, f"{self._context}: field '{name}'")
-            return number if kind is float else value
+def _read(mapping, context: str, schema):
+    """Read the JSON object ``mapping`` by ``schema``; unknown fields are
+    errors, which name the object by ``context``."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{context} must be a JSON object")
+    table = schema if isinstance(schema, tuple) else _table_of(schema)
+    values = {name: _field(mapping, context, name, kind, default)
+              for name, kind, default in table}
+    unknown = mapping.keys() - values.keys()
+    if unknown:
+        raise ValidationError(f"{context}: unknown field '{min(unknown)}'")
+    return SimpleNamespace(**values) if table is schema else schema(**values)
+
+
+def _field(mapping, context: str, name: str, kind, default):
+    if name not in mapping:
+        if default is _REQUIRED:
+            raise ValidationError(f"{context}: missing required field '{name}'")
+        return default
+    value = mapping[name]
+    plain = kind in _PLAIN
+    json_type = (_NUM if kind is float else kind if plain
+                 else list if isinstance(kind, list) else dict)
+    # JSON true/false must not satisfy numeric fields
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValidationError(f"{context}: field '{name}' has the wrong type")
+    if kind in _NUM:
+        # an integer too large for a double is out of range in any field
+        number = _to_float(value, f"{context}: field '{name}'")
+        return number if kind is float else value
+    if plain:
         return value
-
-    def finish(self):
-        if self._data:
-            raise ValidationError(f"{self._context}: unknown field '{min(self._data)}'")
+    if isinstance(kind, list):
+        return tuple(_read(item, f"{name}[{i}]", kind[0])
+                     for i, item in enumerate(value))
+    if isinstance(kind, dict):
+        tag = _field(value, name, "kind", str, _REQUIRED)
+        if tag not in kind:
+            raise ValidationError(
+                f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
+        kind = kind[tag]
+    return _read(value, name, kind)
 
 
 def _to_float(value, what: str) -> float:
@@ -95,20 +162,6 @@ def _to_float(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{what} is out of range") from None
-
-
-# Field kinds by annotation text (the model modules postpone annotations).
-_KINDS = {"str": str, "int": int, "float": float}
-
-
-def _build(cls, mapping, context: str):
-    """Read every field of the flat dataclass ``cls`` from ``mapping``, in
-    declaration order; all fields are required and floats accept ints."""
-    c = _Conf(mapping, context)
-    obj = cls(**{f.name: c.take(f.name, _KINDS[f.type], required=True)
-                 for f in fields(cls)})
-    c.finish()
-    return obj
 
 
 def _load_config(path_str: str):
@@ -132,6 +185,11 @@ def _load_config(path_str: str):
     return value
 
 
+def _config(args, context: str):
+    """The command's config file read by the schema named ``context``."""
+    return _read(_load_config(args.config), context, _SCHEMAS[context])
+
+
 def _resolve(path_str: str, config_path: str) -> Path:
     """Resolve a file referenced by a config relative to the config itself."""
     # an absolute path_str replaces the base directory
@@ -152,30 +210,8 @@ def _taps_from(values, field: str) -> FirPath:
         raise ValidationError(f"field '{field}' is out of range") from None
 
 
-def _model_from(obj) -> ModelSpec:
-    c = _Conf(obj, "model")
-    horizon = c.take("horizon", int, required=True)
-    discount_rate = c.take("discount_rate", float, required=True)
-    expenses_raw = c.take("expenses", list, required=True)
-    sales_raw = c.take("sales", dict, required=True)
-    c.finish()
-    sales = _build(SalesBlock, sales_raw, "sales")
-    expenses = tuple(_build(ExpenseLine, e, f"expenses[{i}]")
-                     for i, e in enumerate(expenses_raw))
-    return ModelSpec(horizon=horizon, discount_rate=discount_rate,
-                     expenses=expenses, sales=sales)
-
-
-def _adjustment_from(obj, index: int, context: str = "adjustments") -> Adjustment:
-    c = _Conf(obj, f"{context}[{index}]")
-    adj = Adjustment(
-        target=c.take("target", str, required=True),
-        pct=c.take("pct", float, required=True),
-        first_override=c.take("first", int),
-        last_override=c.take("last", int),
-    )
-    c.finish()
-    return adj
+def _adjustment(row) -> Adjustment:
+    return Adjustment(row.target, row.pct, row.first, row.last)
 
 
 # ---------------------------------------------------------------------------
@@ -187,87 +223,51 @@ def _cmd_anc_simulate(args):
     # binding (a tracing wrapper, say) is the one called
     from . import anc, signals
 
-    c = _Conf(_load_config(args.config), "anc config")
-    algorithm = c.take("algorithm", str, required=True)
-    duration = c.take("duration_samples", int, required=True)
-    seed = c.take("rng_seed", int, required=True)
-    fs = c.take("sample_rate_hz", float, default=8000.0)
-    filter_length = c.take("filter_length", int, default=anc.AncConfig.filter_length)
-    step_size = c.take("step_size", float)
-    leak = c.take("leak_factor", float, default=anc.AncConfig.leak_factor)
-    estimate_raw = c.take("secondary_estimate", (str, list), default="exact")
-    noise_raw = c.take("noise", dict, required=True)
-    primary = _taps_from(c.take("primary_path", list, required=True), "primary_path")
-    secondary = _taps_from(c.take("secondary_path", list, required=True),
-                           "secondary_path")
-    c.finish()
-
-    if isinstance(estimate_raw, str):
-        if estimate_raw != "exact":
-            raise ValidationError(
-                "field 'secondary_estimate' must be \"exact\" or a list of taps")
+    c = _config(args, "anc config")
+    primary = _taps_from(c.primary_path, "primary_path")
+    secondary = _taps_from(c.secondary_path, "secondary_path")
+    if isinstance(c.secondary_estimate, list):
+        estimate = _taps_from(c.secondary_estimate, "secondary_estimate")
+    elif c.secondary_estimate == "exact":
         estimate = anc.EXACT
     else:
-        estimate = _taps_from(estimate_raw, "secondary_estimate")
+        raise ValidationError(
+            "field 'secondary_estimate' must be \"exact\" or a list of taps")
+    options = {name: getattr(c, name)
+               for name in ("filter_length", "step_size", "leak_factor")
+               if getattr(c, name) is not None}
+    config = anc.AncConfig(algorithm=c.algorithm, duration_samples=c.duration_samples,
+                           rng_seed=c.rng_seed, secondary_estimate=estimate, **options)
 
-    config = anc.AncConfig(
-        algorithm=algorithm,
-        duration_samples=duration,
-        rng_seed=seed,
-        filter_length=filter_length,
-        step_size=step_size,
-        leak_factor=leak,
-        secondary_estimate=estimate,
-    )
-
-    nc = _Conf(noise_raw, "noise")
-    kind = nc.take("kind", str, required=True)
-    if kind == "tone":
-        freq = nc.take("freq_hz", float, required=True)
-        amplitude = nc.take("amplitude", float, default=1.0)
-        phase = nc.take("phase_rad", float, default=0.0)
-        nc.finish()
-        noise = signals.generate_tone(freq, amplitude, phase, duration, fs)
-    elif kind == "broadband":
-        low = nc.take("low_hz", float, required=True)
-        high = nc.take("high_hz", float, required=True)
-        nc.finish()
-        noise = signals.generate_broadband(seed, low, high, duration, fs)
+    n, fs = c.duration_samples, c.sample_rate_hz
+    if c.noise.kind == "tone":
+        noise = signals.generate_tone(c.noise.freq_hz, c.noise.amplitude,
+                                      c.noise.phase_rad, n, fs)
     else:
-        raise ValidationError("noise: field 'kind' must be 'tone' or 'broadband'")
-
+        noise = signals.generate_broadband(c.rng_seed, c.noise.low_hz,
+                                           c.noise.high_hz, n, fs)
     result = anc.anc_run(config, noise, primary, secondary)
     return _emit_anc(result, args.format), (2 if result.diverged else 0)
 
 
 def _cmd_econ_eval(args):
     raw = _load_config(args.config)
-    if "model" in raw:
-        c = _Conf(raw, "econ config")
-        model_raw = c.take("model", dict, required=True)
-        adjustments_raw = c.take("adjustments", list, default=[])
-        c.finish()
-    else:
-        model_raw, adjustments_raw = raw, []
-    spec = _model_from(model_raw)
-    adjustments = tuple(_adjustment_from(a, i)
-                        for i, a in enumerate(adjustments_raw))
-    result = evaluate(spec, adjustments,
+    # a bare model is a config without adjustments
+    c = _read(raw if "model" in raw else {"model": raw}, "econ config",
+              _SCHEMAS["econ config"])
+    adjustments = tuple(map(_adjustment, c.adjustments))
+    result = evaluate(ModelSpec(**vars(c.model)), adjustments,
                       discounted_breakeven=args.discounted_breakeven)
     return (_emit_econ(result, args.format),
             2 if args.require_irr and result.irr is None else 0)
 
 
 def _cmd_econ_sensitivity(args):
-    c = _Conf(_load_config(args.config), "sensitivity config")
-    model_raw = c.take("model", dict, required=True)
-    rows_raw = c.take("rows", list, required=True)
-    c.finish()
-    spec = _model_from(model_raw)
+    c = _config(args, "sensitivity config")
+    spec = ModelSpec(**vars(c.model))
     base = npv(build_cash_flows(spec), spec.discount_rate)
     rows = []
-    for i, row_raw in enumerate(rows_raw):
-        adj = _adjustment_from(row_raw, i, context="rows")
+    for adj in map(_adjustment, c.rows):
         delta, frac = sensitivity_row(spec, adj, base)  # rejects unknown targets
         rows.append((adj.target, adj.pct, *sensitivity_window(spec, adj),
                      delta, frac))
@@ -281,91 +281,65 @@ _SUMMARY_FIELDS = ("direct_materials", "direct_processing", "direct_labor",
 
 
 def _cmd_cost_bom(args):
-    c = _Conf(_load_config(args.config), "cost config")
-    bom_csv = c.take("bom_csv", str, required=True)
-    shipment = c.take("shipment", float, required=True)
-    rates_raw = c.take("overhead_rates", dict, required=True)
-    warranty = c.take("warranty", float, required=True)
-    override = c.take("overhead_override", float)
-    assembly_raw = c.take("assembly", dict)
-    dfa_raw = c.take("dfa", dict)
-    reduction_raw = c.take("reduction", dict)
-    expected_raw = c.take("expected", dict)
-    c.finish()
-
-    rates = _build(OverheadRates, rates_raw, "overhead_rates")
-    lines = load_bom_csv(_resolve(bom_csv, args.config))
-    summary = bom_rollup(lines, shipment, rates, warranty, override)
+    c = _config(args, "cost config")
+    lines = load_bom_csv(_resolve(c.bom_csv, args.config))
+    summary = bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
+                         c.overhead_override)
     entries = [(name, getattr(summary, name), "money") for name in _SUMMARY_FIELDS]
 
     seconds = None
-    if assembly_raw is not None:
-        ac = _Conf(assembly_raw, "assembly")
-        ops_csv = ac.take("ops_csv", str, required=True)
-        hourly = ac.take("hourly_rate", float, required=True)
-        ac.finish()
-        ops = load_assembly_csv(_resolve(ops_csv, args.config))
-        seconds, cost = assembly_cost(ops, hourly)
+    if c.assembly is not None:
+        ops = load_assembly_csv(_resolve(c.assembly.ops_csv, args.config))
+        seconds, cost = assembly_cost(ops, c.assembly.hourly_rate)
         entries += [("assembly_seconds", seconds, "money"),
                     ("assembly_cost", cost, "money")]
 
-    if dfa_raw is not None:
-        dc = _Conf(dfa_raw, "dfa")
-        min_parts = dc.take("min_parts", int, required=True)
-        dc.finish()
+    if c.dfa is not None:
         if seconds is None:
             raise ValidationError(
                 "dfa requires the 'assembly' section for the total assembly time")
-        entries.append(("dfa_index", dfa_index(min_parts, seconds), "rate"))
+        entries.append(("dfa_index", dfa_index(c.dfa.min_parts, seconds), "rate"))
     # `expected` may audit every figure so far, not the reduction ones
     auditable = {label: value for label, value, _ in entries}
 
-    if reduction_raw is not None:
-        dc = _Conf(reduction_raw, "reduction")
-        old_total = dc.take("old_total", float, required=True)
-        new_total = dc.take("new_total", float, required=True)
-        dc.finish()
-        savings, fraction = cost_reduction_report(old_total, new_total)
+    if c.reduction is not None:
+        savings, fraction = cost_reduction_report(c.reduction.old_total,
+                                                  c.reduction.new_total)
         entries += [("reduction_savings", savings, "money"),
                     ("reduction_fraction", fraction, "rate")]
 
     discrepancies = ()
-    if expected_raw is not None:
+    if c.expected is not None:
         pairs = []
-        for label in sorted(expected_raw):
+        for label in sorted(c.expected):
             if label not in auditable:
                 raise ValidationError(f"expected: unknown field '{label}'")
-            value = expected_raw[label]
+            value = c.expected[label]
             if not isinstance(value, _NUM) or isinstance(value, bool):
                 raise ValidationError(f"expected: field '{label}' must be a number")
             pairs.append((label, auditable[label],
                           _to_float(value, f"expected: field '{label}'")))
         discrepancies = check_discrepancies(pairs)
-    return _emit_bom(entries, discrepancies, expected_raw is not None,
+    return _emit_bom(entries, discrepancies, c.expected is not None,
                      args.format), 0
 
 
 def _cmd_plan_concept(args):
-    c = _Conf(_load_config(args.config), "concept config")
-    matrix_csv = c.take("matrix_csv", str, required=True)
-    c.finish()
-    matrix = load_concept_csv(_resolve(matrix_csv, args.config))
+    c = _config(args, "concept config")
+    matrix = load_concept_csv(_resolve(c.matrix_csv, args.config))
     return _emit_concept(concept_score(matrix), args.format), 0
 
 
 def _cmd_plan_risk(args):
-    c = _Conf(_load_config(args.config), "risk config")
-    register_csv = c.take("register_csv", str, required=True)
-    threshold = c.take("threshold", int, default=DEFAULT_RISK_THRESHOLD)
-    c.finish()
-    check_risk_threshold(threshold)  # an empty register rates no item
-    items = load_risk_csv(_resolve(register_csv, args.config))
-    rated = [(item, *risk_score_and_map(item, threshold)) for item in items]
-    return _emit_risk(threshold, rated, args.format), 0
+    c = _config(args, "risk config")
+    check_risk_threshold(c.threshold)  # an empty register rates no item
+    items = load_risk_csv(_resolve(c.register_csv, args.config))
+    rated = [(item, *risk_score_and_map(item, c.threshold)) for item in items]
+    return _emit_risk(c.threshold, rated, args.format), 0
 
 
 def _cmd_plan_market(args):
-    params = _build(MarketParams, _load_config(args.config), "market config")
+    params = _config(args, "market config")
     affected, profit_exact = market_size_estimate(params, "exact")
     _, profit_rounded = market_size_estimate(params, "rounded")
     return _scalars("market sizing", [
@@ -667,3 +641,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

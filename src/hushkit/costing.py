@@ -9,13 +9,13 @@ warranty. Reported currency is rounded half-away-from-zero at cent precision.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from ._tables import number, read_rows
 from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.
@@ -95,6 +95,8 @@ class AssemblyOp:
     insertion_s: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.handling_s) and math.isfinite(self.insertion_s)):
+            raise ValidationError(f"assembly op {self.part!r}: times must be finite")
         if self.handling_s < 0 or self.insertion_s < 0:
             raise ValidationError(f"assembly op {self.part!r}: times must be >= 0")
 
@@ -208,12 +210,8 @@ def check_discrepancies(pairs: Sequence[Tuple[str, float, float]],
             if abs(computed - expected) > tol]
 
 
-def _parse_money(text: str, column: str, path) -> float:
-    cleaned = text.strip().replace("$", "").replace(",", "")
-    try:
-        return float(cleaned)
-    except ValueError:
-        raise ValidationError(f"{path}: column {column!r} has non-numeric value {text!r}")
+def _money(text: str) -> float:
+    return float(text.strip().replace("$", "").replace(",", ""))
 
 
 def load_bom_csv(path) -> List[BomLine]:
@@ -223,41 +221,35 @@ def load_bom_csv(path) -> List[BomLine]:
     labor within half a cent.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != BOM_COLUMNS:
+    _, rows = read_rows(path, BOM_COLUMNS)
+    cell = {column: f"{path}: column {column!r}" for column in BOM_COLUMNS}
+    lines = []
+    for component, qty, purchased, processing, labor, total, supplier in rows:
+        line = BomLine(
+            component=component.strip(),
+            qty=number(qty, cell["Qty required"], int),
+            purchased=number(purchased, cell["Purchased Costs"], _money),
+            processing=number(processing, cell["Processing"], _money),
+            assembly_labor=number(labor, cell["Assembly (labor)"], _money),
+            supplier=supplier.strip(),
+        )
+        stated = number(total, cell["Total Unit Variable"], _money)
+        if abs(stated - line.line_total) > CENT_TOL:
             raise ValidationError(
-                f"{path}: header must be exactly {','.join(BOM_COLUMNS)}")
-        lines = []
-        for row in reader:
-            line = BomLine(
-                component=row["Component"].strip(),
-                qty=int(row["Qty required"]),
-                purchased=_parse_money(row["Purchased Costs"], "Purchased Costs", path),
-                processing=_parse_money(row["Processing"], "Processing", path),
-                assembly_labor=_parse_money(row["Assembly (labor)"], "Assembly (labor)", path),
-                supplier=row["Suppliers"].strip(),
-            )
-            stated = _parse_money(row["Total Unit Variable"], "Total Unit Variable", path)
-            if abs(stated - line.line_total) > CENT_TOL:
-                raise ValidationError(
-                    f"{path}: line {line.component!r}: Total Unit Variable {stated} "
-                    f"does not equal purchased + processing + labor")
-            lines.append(line)
+                f"{path}: line {line.component!r}: Total Unit Variable {stated} "
+                f"does not equal purchased + processing + labor")
+        lines.append(line)
     return lines
 
 
 def load_assembly_csv(path) -> List[AssemblyOp]:
     """Read an assembly-operation file with the :data:`ASSEMBLY_COLUMNS` header."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ASSEMBLY_COLUMNS:
-            raise ValidationError(
-                f"{path}: header must be exactly {','.join(ASSEMBLY_COLUMNS)}")
-        return [AssemblyOp(
-            part=row["Part"].strip(),
-            qty=int(row["Quantity"]),
-            handling_s=_parse_money(row["Handling Time (s)"], "Handling Time (s)", path),
-            insertion_s=_parse_money(row["Insertion Time (s)"], "Insertion Time (s)", path),
-        ) for row in reader]
+    _, rows = read_rows(path, ASSEMBLY_COLUMNS)
+    cell = {column: f"{path}: column {column!r}" for column in ASSEMBLY_COLUMNS}
+    return [AssemblyOp(
+        part=part.strip(),
+        qty=number(qty, cell["Quantity"], int),
+        handling_s=number(handling, cell["Handling Time (s)"], _money),
+        insertion_s=number(insertion, cell["Insertion Time (s)"], _money),
+    ) for part, qty, handling, insertion in rows]

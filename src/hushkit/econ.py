@@ -70,6 +70,9 @@ class SalesBlock:
     def __post_init__(self):
         if self.first < 1 or self.last < self.first:
             raise ValidationError("sales window must satisfy 1 <= first <= last")
+        for name in ("units", "unit_price", "unit_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.units < 0:
             raise ValidationError("units must be >= 0")
         if self.unit_price < 0:

@@ -1,12 +1,12 @@
 """Concept scoring, market sizing, and probability-impact risk rating."""
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Tuple
 
+from ._tables import number, read_rows
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -42,6 +42,8 @@ class ConceptMatrix:
                            tuple((n, float(w)) for n, w in self.criteria))
         object.__setattr__(self, "concepts",
                            tuple((n, tuple(r)) for n, r in self.concepts))
+        if not all(math.isfinite(w) for _, w in self.criteria):
+            raise ValidationError("criterion weights must be finite")
         total = sum(w for _, w in self.criteria)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(
@@ -68,6 +70,9 @@ class MarketParams:
     unit_cost: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if not self.world_pop > 0:
             raise ValidationError("world_pop must be > 0")
         if not self.ref_pop > 0:
@@ -160,14 +165,11 @@ def risk_score_and_map(item: RiskItem,
     return score, quadrant
 
 
-def _parse_weight(text: str, path) -> float:
+def _weight(text: str) -> float:
     cleaned = text.strip()
-    try:
-        if cleaned.endswith("%"):
-            return float(cleaned[:-1]) / 100.0
-        return float(cleaned)
-    except ValueError:
-        raise ValidationError(f"{path}: weights column has non-numeric value {text!r}")
+    if cleaned.endswith("%"):
+        return float(cleaned[:-1]) / 100.0
+    return float(cleaned)
 
 
 def load_concept_csv(path) -> ConceptMatrix:
@@ -176,62 +178,40 @@ def load_concept_csv(path) -> ConceptMatrix:
     Weights may be written as fractions (`0.08`) or percentages (`8%`).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty")
-        if len(header) < 3 or header[0] != "Criterion" or header[1] != "Weight":
-            raise ValidationError(
-                f"{path}: header must start with Criterion,Weight and name at "
-                "least one concept column")
-        concept_names = [name.strip() for name in header[2:]]
-        criteria = []
-        ratings = [[] for _ in concept_names]
-        for row in reader:
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: row {row!r} has the wrong column count")
-            criteria.append((row[0].strip(), _parse_weight(row[1], path)))
-            for i, cell in enumerate(row[2:]):
-                try:
-                    ratings[i].append(int(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: rating column {concept_names[i]!r} has "
-                        f"non-integer value {cell!r}")
-    return ConceptMatrix(
-        criteria=tuple(criteria),
-        concepts=tuple((name, tuple(r)) for name, r in zip(concept_names, ratings)),
-    )
+    header, rows = read_rows(path, ("Criterion", "Weight"), more="concept")
+    concept_names = [name.strip() for name in header[2:]]
+    weight = f"{path}: weights column"
+    rating = [f"{path}: rating column {name!r}" for name in concept_names]
+    criteria, rated = [], []
+    for row in rows:
+        criteria.append((row[0].strip(), number(row[1], weight, _weight)))
+        rated.append([number(cell, what, int) for cell, what in zip(row[2:], rating)])
+    # a matrix without rows fails the weight sum before its concepts are read
+    return ConceptMatrix(criteria=tuple(criteria),
+                         concepts=tuple(zip(concept_names, zip(*rated))))
 
 
 def load_risk_csv(path) -> List[RiskItem]:
     """Read a risk register with the :data:`RISK_COLUMNS` header; codes unique."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RISK_COLUMNS:
+    _, rows = read_rows(path, RISK_COLUMNS)
+    items = []
+    seen = set()
+    for code, description, category, probability, impact in rows:
+        code = code.strip()
+        if code in seen:
+            raise ValidationError(f"{path}: duplicate risk code {code!r}")
+        seen.add(code)
+        try:
+            probability, impact = int(probability), int(impact)
+        except ValueError:
             raise ValidationError(
-                f"{path}: header must be exactly {','.join(RISK_COLUMNS)}")
-        items = []
-        seen = set()
-        for row in reader:
-            code = row["Code"].strip()
-            if code in seen:
-                raise ValidationError(f"{path}: duplicate risk code {code!r}")
-            seen.add(code)
-            try:
-                probability = int(row["Probability"])
-                impact = int(row["Impact"])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: risk {code!r}: Probability and Impact must be integers")
-            items.append(RiskItem(
-                code=code,
-                description=row["Description"].strip(),
-                category=row["Category"].strip(),
-                probability=probability,
-                impact=impact,
-            ))
+                f"{path}: risk {code!r}: Probability and Impact must be integers")
+        items.append(RiskItem(
+            code=code,
+            description=description.strip(),
+            category=category.strip(),
+            probability=probability,
+            impact=impact,
+        ))
     return items

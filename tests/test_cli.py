@@ -1,13 +1,22 @@
 """Command-line interface: exit codes, formats, config handling, determinism."""
+import copy
 import csv
+import dataclasses
 import io
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_golden import SHIPPED
 
 from hushkit import ValidationError
-from hushkit.cli import emit_report, main
+from hushkit.cli import _SCHEMAS, FORMATS, emit_report, main
+from hushkit.costing import BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
 
 
@@ -494,3 +503,202 @@ def test_table_format_is_default(configs_dir, capsysbinary):
     text = capsysbinary.readouterr().out.decode()
     assert text.startswith("market sizing")
     assert "173,250,000.00" in text
+
+
+# ------------------------------------------------------ malformed CSV tables
+
+_BOM_ROW = "Wi-Fi RF Transceiver Module,1,3,0.3,0.2,3.5,"
+_ASSEMBLY_ROW = "LED display panel,1,20,25"
+_RISK_ROW = "Design-related,4,6"
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+def _append(row):
+    return lambda text: text + row + "\n"
+
+
+def _bom_cell(old, new):
+    """Edit of one cell in the first row of ``bom_initial.csv``."""
+    return _replace(_BOM_ROW, _BOM_ROW.replace(old, new))
+
+
+# case -> (shipped CSV, edit of its text, the error after "<csv path>: ").
+# The first block used to end in a traceback, a NaN report or a misleading
+# error; the second keeps the message it always had.
+_CSV_CASES = {
+    "bom-qty-word": ("bom_initial.csv", _bom_cell(",1,", ",two,"),
+                     "column 'Qty required' has non-integer value 'two'"),
+    "bom-short-row": ("bom_initial.csv", _append("Widget,1,2"),
+                      "row ['Widget', '1', '2'] has the wrong column count"),
+    "bom-long-row": ("bom_initial.csv", _append("Widget,1,1,1,1,3,Acme,extra"),
+                     "row ['Widget', '1', '1', '1', '1', '3', 'Acme', 'extra'] "
+                     "has the wrong column count"),
+    "bom-total-nan": ("bom_initial.csv", _bom_cell("3.5", "nan"),
+                      "column 'Total Unit Variable' has non-finite value 'nan'"),
+    "assembly-qty-x": ("assembly_ops.csv",
+                       _replace(_ASSEMBLY_ROW, "LED display panel,x,20,25"),
+                       "column 'Quantity' has non-integer value 'x'"),
+    "assembly-handling-nan": ("assembly_ops.csv",
+                              _replace(_ASSEMBLY_ROW, "LED display panel,1,nan,25"),
+                              "column 'Handling Time (s)' has non-finite value 'nan'"),
+    "concept-weight-nan": ("concept_matrix.csv", _replace("8%", "nan"),
+                           "weights column has non-finite value 'nan'"),
+    "concept-weights-inf": ("concept_matrix.csv",
+                            lambda t: t.replace("8%", "inf").replace("7%", "-inf"),
+                            "weights column has non-finite value 'inf'"),
+    "risk-short-row": ("risk_register.csv", _append("Z9,desc"),
+                       "row ['Z9', 'desc'] has the wrong column count"),
+
+    "bom-money-word": ("bom_initial.csv", _bom_cell(",3,", ",x,"),
+                       "column 'Purchased Costs' has non-numeric value 'x'"),
+    "bom-header": ("bom_initial.csv", _replace("Suppliers", "Supplier"),
+                   "header must be exactly " + ",".join(BOM_COLUMNS)),
+    "bom-empty": ("bom_initial.csv", lambda t: "",
+                  "header must be exactly " + ",".join(BOM_COLUMNS)),
+    "concept-weight-word": ("concept_matrix.csv", _replace("8%", "x%"),
+                            "weights column has non-numeric value 'x%'"),
+    "concept-rating-word": ("concept_matrix.csv", _replace("8%,3,", "8%,three,"),
+                            "rating column 'A' has non-integer value 'three'"),
+    "concept-short-row": ("concept_matrix.csv", _append("Extra,0,1"),
+                          "row ['Extra', '0', '1'] has the wrong column count"),
+    "concept-header": ("concept_matrix.csv", _replace("Criterion", "Crit"),
+                       "header must start with Criterion,Weight and name at least "
+                       "one concept column"),
+    "concept-empty": ("concept_matrix.csv", lambda t: "", "file is empty"),
+    "risk-word": ("risk_register.csv", _replace(_RISK_ROW, "Design-related,four,6"),
+                  "risk 'D1': Probability and Impact must be integers"),
+    "risk-duplicate": ("risk_register.csv", _replace("D2,", "D1,"),
+                       "duplicate risk code 'D1'"),
+}
+
+# shipped CSV -> (command, shipped config that reads it)
+_CSV_USERS = {
+    "bom_initial.csv": ("cost bom", "cost_initial"),
+    "assembly_ops.csv": ("cost bom", "cost_initial"),
+    "concept_matrix.csv": ("plan concept", "plan_concept"),
+    "risk_register.csv": ("plan risk", "plan_risk"),
+}
+
+
+def _copy_csvs(directory):
+    for csv_file in _CONFIGS.glob("*.csv"):
+        shutil.copy(csv_file, directory)
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_malformed_csv_exits_1_with_one_error_line(case, tmp_path, capsysbinary):
+    csv_name, edit, message = _CSV_CASES[case]
+    command, name = _CSV_USERS[csv_name]
+    _copy_csvs(tmp_path)
+    bad = tmp_path.resolve() / csv_name
+    bad.write_text(edit(bad.read_text()))
+    config = shutil.copy(_CONFIGS / f"{name}.json", tmp_path)
+    for fmt in FORMATS:
+        assert main([*command.split(), "--config", str(config), "--format", fmt]) == 1
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert err.decode() == f"error: {bad}: {message}\n"
+
+
+def test_blank_lines_after_the_header_are_skipped(tmp_path, capsysbinary):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text((_CONFIGS / "concept_matrix.csv").read_text()
+                      .replace("\n", "\n\n") + "\n")
+    config = tmp_path / "concept.json"
+    config.write_text(json.dumps({"matrix_csv": "matrix.csv"}))
+    assert main(["plan", "concept", "--config", str(config), "--format", "json"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "plan_concept.json"
+    assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
+# ------------------------------------------------------------ entry points
+
+def test_python_m_runs_the_cli(configs_dir):
+    root = _CONFIGS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "hushkit.cli", "econ", "npv",
+         "--config", str(configs_dir / "econ_base.json"), "--format", "json"],
+        env=env, cwd=root, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (root / "tests" / "golden" / "econ_base.json").read_bytes()
+
+
+# --------------------------------------------------- single-fault config sweep
+
+_FAULTS = ("12", True, [], {})
+
+
+def _json_objects(node, keys=()):
+    """(keys, object) for every JSON object in ``node``, outermost first."""
+    if isinstance(node, dict):
+        yield keys, node
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _json_objects(value, (*keys, key))
+
+
+def _single_faults(config):
+    """Copies of ``config`` with one fault each: a field deleted, a field set
+    to each of :data:`_FAULTS`, or an unknown field added to one object."""
+    for keys, obj in list(_json_objects(config)):
+        edits = [(name, fault) for name in obj for fault in ("delete", *_FAULTS)]
+        for name, fault in [*edits, ("bogus_knob", 1)]:
+            broken = copy.deepcopy(config)
+            target = broken
+            for key in keys:
+                target = target[key]
+            if fault == "delete":
+                del target[name]
+            else:
+                target[name] = fault
+            yield broken
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_single_fault_configs_exit_cleanly(name, tmp_path, capsysbinary):
+    _copy_csvs(tmp_path)
+    path = tmp_path / f"{name}.json"
+    runs = 0
+    for broken in _single_faults(json.loads((_CONFIGS / f"{name}.json").read_text())):
+        path.write_text(json.dumps(broken))
+        code = main([*SHIPPED[name].split(), "--config", str(path), "--format", "json"])
+        err = capsysbinary.readouterr().err.decode()
+        assert code in (0, 1, 2, 3), (broken, code)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
+            (broken, err)
+        runs += 1
+    assert runs > 5
+
+
+# ------------------------------------------------------------ docs drift
+
+def _schema_names(schema):
+    """Every field name in a config schema, nested objects included."""
+    if isinstance(schema, dict):  # objects told apart by their "kind"
+        return set().union(*map(_schema_names, schema.values()))
+    if isinstance(schema, list):
+        return _schema_names(schema[0])
+    if not isinstance(schema, tuple):
+        if not dataclasses.is_dataclass(schema):
+            return set()
+        schema = [(f.name, None, None) for f in dataclasses.fields(schema)]
+    return {name for name, _, _ in schema}.union(
+        *(_schema_names(kind) for _, kind, _ in schema))
+
+
+def test_readme_names_every_config_field():
+    readme = (_CONFIGS.parent / "README.md").read_text()
+    section = readme.split("### Config schemas", 1)[1].split("\n## ", 1)[0]
+    quoted = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+    names = set().union(*map(_schema_names, _SCHEMAS.values()))
+    assert len(names) > 40
+    assert sorted(names - quoted) == []

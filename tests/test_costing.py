@@ -1,4 +1,6 @@
 """Manufacturing-cost roll-up, assembly timing, DFA index, discrepancies."""
+import math
+
 import pytest
 
 from hushkit import ValidationError
@@ -87,6 +89,15 @@ def test_assembly_op_times_are_row_totals():
     # informational and must not scale them again
     op = AssemblyOp("Screw", 4, 5.0, 10.0)
     assert op.total_s == pytest.approx(15.0, abs=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["handling_s", "insertion_s"])
+def test_assembly_op_rejects_non_finite_times(field, value):
+    times = {"handling_s": 5.0, "insertion_s": 10.0, field: value}
+    with pytest.raises(ValidationError, match="times must be finite"):
+        AssemblyOp("Screw", 4, **times)
 
 
 # ----------------------------------------------------------------------- dfa

@@ -1,4 +1,6 @@
 """Cash-flow engine: NPV, IRR, break-even, adjustments, sensitivity."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +310,15 @@ def test_model_rejects_duplicate_line_names():
 def test_sales_block_requires_nonpositive_unit_cost():
     with pytest.raises(ValidationError, match="unit_cost"):
         SalesBlock(1, 4, 10.0, 100.0, 92.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["units", "unit_price", "unit_cost"])
+def test_sales_block_rejects_non_finite(field, value):
+    numbers = {"units": 10.0, "unit_price": 100.0, "unit_cost": -50.0, field: value}
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        SalesBlock(1, 4, **numbers)
 
 
 def test_expense_line_requires_ordered_window():

@@ -1,4 +1,6 @@
 """Concept scoring, market sizing, and risk-register mapping."""
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from hushkit.planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR,
                               concept_score, load_concept_csv, load_risk_csv,
                               market_size_estimate, risk_score_and_map,
                               rounded_basis)
+
+NAN, INF = math.nan, math.inf
 
 
 def small_matrix(weights=(0.5, 0.3, 0.2), concepts=None):
@@ -150,6 +154,19 @@ def test_market_params_validation():
         market_params(ref_pop=0.0)
     with pytest.raises(ValidationError, match="tolerance"):
         market_params(tolerance=1.5)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["ref_affected", "unit_price", "unit_cost"])
+def test_market_params_reject_non_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        market_params(**{field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_concept_weights_reject_non_finite(value):
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        small_matrix(weights=(value, 0.5, 0.5))
 
 
 # ----------------------------------------------------------------- risk map
