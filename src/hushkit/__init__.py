@@ -15,13 +15,14 @@ from .costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
                       round_half_away)
 from .econ import (COST, IRR_NPV_TOL, PRICE, SALES_TARGETS, UNITS, Adjustment,
                    EconResult, ExpenseLine, LineDelta, ModelSpec, SalesBlock,
-                   apply_adjustments, break_even, build_cash_flows, evaluate,
-                   irr, irr_interpolate, npv, sensitivity_row)
+                   apply_adjustments, break_even, build_cash_flows,
+                   discounted_flows, evaluate, irr, irr_interpolate, npv,
+                   sensitivity, sensitivity_row)
 from .errors import ValidationError
 from .planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR, URGENT,
-                       ConceptMatrix, MarketParams, RiskItem, concept_score,
-                       load_concept_csv, load_risk_csv, market_size_estimate,
-                       risk_score_and_map)
+                       ConceptMatrix, MarketEstimate, MarketParams, RiskItem,
+                       concept_score, load_concept_csv, load_risk_csv,
+                       market_size_estimate, risk_score_and_map)
 
 _LAZY = {
     **dict.fromkeys(("ALGORITHMS", "ATTENUATION_WINDOW_S", "DEFAULT_STEP_SIZE",
@@ -49,14 +50,14 @@ __all__ = [
     "SALES_TARGETS", "UNITS", "URGENT",
     "Adjustment", "AncConfig", "AncResult", "AssemblyOp", "BomLine",
     "BomSummary", "ConceptMatrix", "Discrepancy", "EconResult", "ExpenseLine",
-    "FirPath", "LineDelta", "MarketParams", "ModelSpec", "OverheadRates",
-    "RiskItem", "SalesBlock", "SampleBuffer", "ValidationError",
+    "FirPath", "LineDelta", "MarketEstimate", "MarketParams", "ModelSpec",
+    "OverheadRates", "RiskItem", "SalesBlock", "SampleBuffer", "ValidationError",
     "anc_run", "apply_adjustments", "assembly_cost", "attenuation_db",
     "bom_rollup", "break_even", "build_cash_flows", "check_discrepancies",
     "concept_score", "convolve_path", "cost_reduction_report", "dfa_index",
-    "evaluate", "generate_broadband", "generate_tone", "gross_margin",
-    "invert_phase", "irr", "irr_interpolate", "load_assembly_csv",
+    "discounted_flows", "evaluate", "generate_broadband", "generate_tone",
+    "gross_margin", "invert_phase", "irr", "irr_interpolate", "load_assembly_csv",
     "load_bom_csv", "load_concept_csv", "load_risk_csv",
     "market_size_estimate", "npv", "overhead_cost", "risk_score_and_map",
-    "round_half_away", "sensitivity_row",
+    "round_half_away", "sensitivity", "sensitivity_row",
 ]

@@ -33,6 +33,11 @@ DIVERGENCE_POWER_RATIO = 10.0
 #: Regularizer added to the reference-history norm in the NLMS step.
 NLMS_EPS = 1e-8
 
+#: Largest accepted run, in samples (250 s at 8 kHz), and controller length,
+#: in taps; larger values are rejected before any buffer is allocated.
+MAX_DURATION_SAMPLES = 2_000_000
+MAX_FILTER_LENGTH = 4_096
+
 
 class _ExactMarker:
     """Singleton marker: use the true secondary path as its own estimate."""
@@ -74,8 +79,12 @@ class AncConfig:
                 f"algorithm must be one of {'/'.join(ALGORITHMS)}, got {self.algorithm!r}")
         if int(self.duration_samples) < 1:
             raise ValidationError("duration_samples must be >= 1")
+        if int(self.duration_samples) > MAX_DURATION_SAMPLES:
+            raise ValidationError(f"duration_samples must be <= {MAX_DURATION_SAMPLES}")
         if int(self.filter_length) < 1:
             raise ValidationError("filter_length must be >= 1")
+        if int(self.filter_length) > MAX_FILTER_LENGTH:
+            raise ValidationError(f"filter_length must be <= {MAX_FILTER_LENGTH}")
         if int(self.filter_length) > int(self.duration_samples):
             raise ValidationError("filter_length must not exceed duration_samples")
         if int(self.rng_seed) < 0:

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -25,13 +26,11 @@ from .costing import (OverheadRates, assembly_cost, bom_rollup,
                       check_discrepancies, cost_reduction_report, dfa_index,
                       load_assembly_csv, load_bom_csv, round_half_away)
 from .econ import (Adjustment, EconResult, ExpenseLine, ModelSpec, SalesBlock,
-                   build_cash_flows, evaluate, npv, sensitivity_row,
-                   sensitivity_window)
+                   discounted_flows, evaluate, sensitivity)
 from .errors import ValidationError
 from .planning import (DEFAULT_RISK_THRESHOLD, MarketParams,
                        check_risk_threshold, concept_score, load_concept_csv,
-                       load_risk_csv, market_size_estimate, risk_score_and_map,
-                       rounded_basis)
+                       load_risk_csv, market_size_estimate, risk_score_and_map)
 
 if TYPE_CHECKING:
     from .anc import AncResult
@@ -140,7 +139,10 @@ def _field(mapping, context: str, name: str, kind, default):
         raise ValidationError(f"{context}: field '{name}' has the wrong type")
     if kind in _NUM:
         # an integer too large for a double is out of range in any field
-        number = _to_float(value, f"{context}: field '{name}'")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValidationError(f"{context}: field '{name}' is out of range") from None
         return number if kind is float else value
     if plain:
         return value
@@ -154,14 +156,6 @@ def _field(mapping, context: str, name: str, kind, default):
                 f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
         kind = kind[tag]
     return _read(value, name, kind)
-
-
-def _to_float(value, what: str) -> float:
-    # an integer literal too large for a double is an input error, not a crash
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{what} is out of range") from None
 
 
 def _load_config(path_str: str):
@@ -214,6 +208,11 @@ def _adjustment(row) -> Adjustment:
     return Adjustment(row.target, row.pct, row.first, row.last)
 
 
+def _money_fields(record):
+    """(label, value, "money") entries of a library record, in field order."""
+    return [(f.name, getattr(record, f.name), "money") for f in fields(record)]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (report view, exit code)
 
@@ -264,20 +263,9 @@ def _cmd_econ_eval(args):
 
 def _cmd_econ_sensitivity(args):
     c = _config(args, "sensitivity config")
-    spec = ModelSpec(**vars(c.model))
-    base = npv(build_cash_flows(spec), spec.discount_rate)
-    rows = []
-    for adj in map(_adjustment, c.rows):
-        delta, frac = sensitivity_row(spec, adj, base)  # rejects unknown targets
-        rows.append((adj.target, adj.pct, *sensitivity_window(spec, adj),
-                     delta, frac))
+    # a lazy map: each row's Adjustment is checked just before it is scored
+    base, rows = sensitivity(ModelSpec(**vars(c.model)), map(_adjustment, c.rows))
     return _emit_sensitivity(base, rows, args.format), 0
-
-
-# BomSummary figures in report order.
-_SUMMARY_FIELDS = ("direct_materials", "direct_processing", "direct_labor",
-                   "shipment", "direct_total", "overhead", "warranty",
-                   "total_manufacturing")
 
 
 def _cmd_cost_bom(args):
@@ -285,7 +273,7 @@ def _cmd_cost_bom(args):
     lines = load_bom_csv(_resolve(c.bom_csv, args.config))
     summary = bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
                          c.overhead_override)
-    entries = [(name, getattr(summary, name), "money") for name in _SUMMARY_FIELDS]
+    entries = _money_fields(summary)
 
     seconds = None
     if c.assembly is not None:
@@ -310,16 +298,11 @@ def _cmd_cost_bom(args):
 
     discrepancies = ()
     if c.expected is not None:
-        pairs = []
-        for label in sorted(c.expected):
-            if label not in auditable:
-                raise ValidationError(f"expected: unknown field '{label}'")
-            value = c.expected[label]
-            if not isinstance(value, _NUM) or isinstance(value, bool):
-                raise ValidationError(f"expected: field '{label}' must be a number")
-            pairs.append((label, auditable[label],
-                          _to_float(value, f"expected: field '{label}'")))
-        discrepancies = check_discrepancies(pairs)
+        expected = _read(c.expected, "expected",
+                         tuple((label, float, None) for label in auditable))
+        discrepancies = check_discrepancies(sorted(
+            (label, auditable[label], value)
+            for label, value in vars(expected).items() if value is not None))
     return _emit_bom(entries, discrepancies, c.expected is not None,
                      args.format), 0
 
@@ -339,15 +322,8 @@ def _cmd_plan_risk(args):
 
 
 def _cmd_plan_market(args):
-    params = _config(args, "market config")
-    affected, profit_exact = market_size_estimate(params, "exact")
-    _, profit_rounded = market_size_estimate(params, "rounded")
-    return _scalars("market sizing", [
-        ("affected_population", affected, "money"),
-        ("rounded_basis", rounded_basis(affected), "money"),
-        ("profit_exact_basis", profit_exact, "money"),
-        ("profit_rounded_basis", profit_rounded, "money"),
-    ], args.format), 0
+    estimate = market_size_estimate(_config(args, "market config"))
+    return _scalars("market sizing", _money_fields(estimate), args.format), 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +397,11 @@ def _emit_econ(result: EconResult, fmt: str):
         }
     header = ("period", "cash_flow", "discounted", "cumulative")
     money = ",.2f" if fmt == "table" else ".2f"
-    periods = []
-    cumulative = 0.0
-    for t, flow in enumerate(result.cash_flows, start=1):
-        cumulative += flow
-        periods.append((t, format(_money(flow), money),
-                        format(_money(flow * (1.0 + r) ** -t), money),
-                        format(_money(cumulative), money)))
+    flows = result.cash_flows
+    periods = [(t, format(_money(flow), money), format(_money(pv), money),
+                format(_money(cumulative), money))
+               for t, (flow, pv, cumulative) in enumerate(
+                   zip(flows, discounted_flows(flows, r), accumulate(flows)), start=1)]
     if fmt == "csv":
         return [header, *periods]
     irr_text = "undefined" if result.irr is None else f"{result.irr:.6f}"
@@ -451,11 +425,11 @@ def _emit_econ(result: EconResult, fmt: str):
     return out
 
 
-def _emit_sensitivity(base_npv: float, rows, fmt: str):
-    """``rows`` are (parameter, pct, first, last, delta_npv, delta_pct_of_base)."""
+def _emit_sensitivity(base: float, rows, fmt: str):
+    """``base`` and ``rows`` as :func:`sensitivity` returns them."""
     if fmt == "json":
         return {
-            "base_npv": _money(base_npv),
+            "base_npv": _money(base),
             "rows": [
                 {"parameter": parameter, "pct": _rate(pct),
                  "first": first, "last": last, "delta_npv": _money(delta),
@@ -470,7 +444,7 @@ def _emit_sensitivity(base_npv: float, rows, fmt: str):
                    "" if frac is None else f"{frac:.6f}")
                   for parameter, pct, first, last, delta, frac in rows)]
     columns = "  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}"
-    return [f"sensitivity of npv (base {_money(base_npv):,.2f})",
+    return [f"sensitivity of npv (base {_money(base):,.2f})",
             "",
             columns.format("parameter", "pct", "periods", "delta_npv",
                            "pct_of_base"),

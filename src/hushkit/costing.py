@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from ._tables import number, read_rows
+from ._tables import names_file, number, read_rows
 from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.
@@ -76,15 +75,11 @@ class BomSummary:
     direct_processing: float
     direct_labor: float
     shipment: float
+    #: direct cost including shipment (the tables' Total Direct Cost row)
+    direct_total: float
     overhead: float
     warranty: float
     total_manufacturing: float
-
-    @property
-    def direct_total(self) -> float:
-        """Direct cost including shipment (the tables' Total Direct Cost row)."""
-        return (self.direct_materials + self.direct_processing
-                + self.direct_labor + self.shipment)
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,8 @@ def bom_rollup(lines: Sequence[BomLine], shipment: float, rates: OverheadRates,
     """Roll per-line costs into a manufacturing-cost summary.
 
     Overhead is computed from ``rates`` unless ``overhead_override`` restates
-    a fixed figure; the total stacks direct + shipment + overhead + warranty.
+    a fixed figure; the total stacks direct (shipment included) + overhead +
+    warranty, in that order.
     """
     if shipment < 0:
         raise ValidationError("shipment must be >= 0")
@@ -147,17 +143,19 @@ def bom_rollup(lines: Sequence[BomLine], shipment: float, rates: OverheadRates,
     materials = float(sum(line.purchased for line in lines))
     processing = float(sum(line.processing for line in lines))
     labor = float(sum(line.assembly_labor for line in lines))
-    overhead = (overhead_override if overhead_override is not None
-                else overhead_cost(materials, labor, rates))
+    overhead = float(overhead_override if overhead_override is not None
+                     else overhead_cost(materials, labor, rates))
+    shipment, warranty = float(shipment), float(warranty)
+    direct = materials + processing + labor + shipment
     return BomSummary(
         direct_materials=materials,
         direct_processing=processing,
         direct_labor=labor,
-        shipment=float(shipment),
-        overhead=float(overhead),
-        warranty=float(warranty),
-        total_manufacturing=materials + processing + labor
-        + float(shipment) + float(overhead) + float(warranty),
+        shipment=shipment,
+        direct_total=direct,
+        overhead=overhead,
+        warranty=warranty,
+        total_manufacturing=direct + overhead + warranty,
     )
 
 
@@ -214,15 +212,15 @@ def _money(text: str) -> float:
     return float(text.strip().replace("$", "").replace(",", ""))
 
 
+@names_file
 def load_bom_csv(path) -> List[BomLine]:
     """Read a BOM file with the :data:`BOM_COLUMNS` header.
 
     Each row's Total Unit Variable column must equal purchased + processing +
     labor within half a cent.
     """
-    path = Path(path)
     _, rows = read_rows(path, BOM_COLUMNS)
-    cell = {column: f"{path}: column {column!r}" for column in BOM_COLUMNS}
+    cell = {column: f"column {column!r}" for column in BOM_COLUMNS}
     lines = []
     for component, qty, purchased, processing, labor, total, supplier in rows:
         line = BomLine(
@@ -236,17 +234,17 @@ def load_bom_csv(path) -> List[BomLine]:
         stated = number(total, cell["Total Unit Variable"], _money)
         if abs(stated - line.line_total) > CENT_TOL:
             raise ValidationError(
-                f"{path}: line {line.component!r}: Total Unit Variable {stated} "
+                f"line {line.component!r}: Total Unit Variable {stated} "
                 f"does not equal purchased + processing + labor")
         lines.append(line)
     return lines
 
 
+@names_file
 def load_assembly_csv(path) -> List[AssemblyOp]:
     """Read an assembly-operation file with the :data:`ASSEMBLY_COLUMNS` header."""
-    path = Path(path)
     _, rows = read_rows(path, ASSEMBLY_COLUMNS)
-    cell = {column: f"{path}: column {column!r}" for column in ASSEMBLY_COLUMNS}
+    cell = {column: f"column {column!r}" for column in ASSEMBLY_COLUMNS}
     return [AssemblyOp(
         part=part.strip(),
         qty=number(qty, cell["Quantity"], int),

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
 #: Adjustment targets addressing the sales block rather than an expense line.
 UNITS, PRICE, COST = "UNITS", "PRICE", "COST"
 SALES_TARGETS = (UNITS, PRICE, COST)
+_SALES_FIELDS = {UNITS: "units", PRICE: "unit_price", COST: "unit_cost"}
 
 #: |NPV| at the returned IRR is at most this many dollars.
 IRR_NPV_TOL = 0.01
@@ -49,6 +51,9 @@ class ExpenseLine:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("expense line name must be non-empty")
+        if self.name in SALES_TARGETS:
+            raise ValidationError(
+                f"expense line name {self.name!r} is reserved for the sales block")
         if not math.isfinite(self.rate):
             raise ValidationError(f"rate of expense line {self.name!r} must be finite")
         if self.first < 1 or self.last < self.first:
@@ -243,23 +248,31 @@ def irr_interpolate(ra: float, rb: float, npva: float, npvb: float) -> float:
     return ra + npva * (rb - ra) / (npva - npvb)
 
 
+def discounted_flows(flows: Sequence[float], r: float) -> Tuple[float, ...]:
+    """End-of-period present value of each flow: C_t * (1+r)^-t, t=1..T.
+
+    A discount factor too large for a double makes the term +-inf, or 0 for
+    a zero flow, instead of raising ``OverflowError``.
+    """
+    terms = []
+    for t, c in enumerate(flows, start=1):
+        try:
+            terms.append(c * (1.0 + r) ** -t)
+        except OverflowError:
+            terms.append(math.copysign(math.inf, c) if c else 0.0)
+    return tuple(terms)
+
+
 def break_even(flows: Sequence[float], r: float = 0.0,
                discounted: bool = False) -> Optional[int]:
     """Smallest period t with cumulative (optionally discounted) flow >= 0."""
     if not r > -1:
         raise ValidationError("discount rate r must be > -1")
-    cumulative = 0.0
-    for t, c in enumerate(flows, start=1):
-        cumulative += c * (1.0 + r) ** -t if discounted else c
+    terms = discounted_flows(flows, r) if discounted else flows
+    for t, cumulative in enumerate(accumulate(terms), start=1):
         if cumulative >= 0:
             return t
     return None
-
-
-def _window(line: ExpenseLine, adj: Adjustment) -> Tuple[int, int]:
-    if adj.first_override is None:  # overrides are given together or not at all
-        return line.first, line.last
-    return adj.first_override, adj.last_override
 
 
 def apply_adjustments(spec: ModelSpec,
@@ -270,19 +283,17 @@ def apply_adjustments(spec: ModelSpec,
     for adj in adjustments:
         if adj.target in lines:
             line = lines[adj.target]
-            first, last = _window(line, adj)
+            # overrides are given together or not at all
+            first, last = ((line.first, line.last) if adj.first_override is None
+                           else (adj.first_override, adj.last_override))
             lines[adj.target] = replace(line, rate=line.rate * (1.0 + adj.pct),
                                         first=first, last=last)
         elif adj.target in SALES_TARGETS:
             if adj.first_override is not None:
                 raise ValidationError(
                     f"adjustment {adj.target!r}: period overrides apply only to expense lines")
-            if adj.target == UNITS:
-                sales = replace(sales, units=sales.units * (1.0 + adj.pct))
-            elif adj.target == PRICE:
-                sales = replace(sales, unit_price=sales.unit_price * (1.0 + adj.pct))
-            else:
-                sales = replace(sales, unit_cost=sales.unit_cost * (1.0 + adj.pct))
+            field = _SALES_FIELDS[adj.target]
+            sales = replace(sales, **{field: getattr(sales, field) * (1.0 + adj.pct)})
         else:
             raise ValidationError(
                 f"adjustment target {adj.target!r} matches no expense line "
@@ -291,48 +302,38 @@ def apply_adjustments(spec: ModelSpec,
     return replace(spec, expenses=ordered, sales=sales)
 
 
-def sensitivity_row(spec: ModelSpec, adj: Adjustment,
-                    base_npv: Optional[float] = None
-                    ) -> Tuple[float, Optional[float]]:
-    """(ΔNPV, ΔNPV as a fraction of base NPV) for one adjustment.
+def sensitivity(spec: ModelSpec, adjustments: Iterable[Adjustment]
+                ) -> Tuple[float, Tuple[tuple, ...]]:
+    """(base NPV, rows): one row per adjustment, each applied to ``spec``
+    alone: (target, pct, first, last, ΔNPV, ΔNPV / base NPV), where
+    first..last are the target's periods in the adjusted spec and the
+    fraction is None when the base NPV is zero."""
+    base = npv(build_cash_flows(spec), spec.discount_rate)
+    rows = []
+    for adj in adjustments:
+        adjusted = apply_adjustments(spec, [adj])
+        delta = npv(build_cash_flows(adjusted), adjusted.discount_rate) - base
+        target = next((line for line in adjusted.expenses if line.name == adj.target),
+                      adjusted.sales)
+        rows.append((adj.target, adj.pct, target.first, target.last, delta,
+                     delta / base if base != 0.0 else None))
+    return base, tuple(rows)
 
-    ``base_npv`` is the NPV of ``spec`` itself; a caller scoring many rows
-    passes it once instead of having it rebuilt per row. The fractional
-    delta is None when the base NPV is zero.
-    """
-    if base_npv is None:
-        base_npv = npv(build_cash_flows(spec), spec.discount_rate)
-    adjusted = apply_adjustments(spec, [adj])
-    adj_npv = npv(build_cash_flows(adjusted), adjusted.discount_rate)
-    delta = adj_npv - base_npv
-    pct = delta / base_npv if base_npv != 0.0 else None
-    return delta, pct
 
-
-def sensitivity_window(spec: ModelSpec, adj: Adjustment) -> Tuple[int, int]:
-    """Periods (first, last) over which ``adj`` shifts its target in ``spec``."""
-    if adj.target in SALES_TARGETS:
-        return spec.sales.first, spec.sales.last
-    line = next(e for e in spec.expenses if e.name == adj.target)
-    return _window(line, adj)
+def sensitivity_row(spec: ModelSpec, adj: Adjustment) -> Tuple[float, Optional[float]]:
+    """(ΔNPV, ΔNPV as a fraction of base NPV) for one adjustment."""
+    _, ((*_, delta, fraction),) = sensitivity(spec, [adj])
+    return delta, fraction
 
 
 def _line_deltas(base: ModelSpec, adjusted: ModelSpec) -> Tuple[LineDelta, ...]:
-    deltas = []
-    adj_lines = {line.name: line for line in adjusted.expenses}
-    for line in base.expenses:
-        after = adj_lines[line.name]
-        pct = (after.rate / line.rate - 1.0) if line.rate != 0 else 0.0
-        deltas.append(LineDelta(line.name, line.rate, after.rate, pct,
-                                after.rate - line.rate))
-    for name, before, after in (
-        (UNITS, base.sales.units, adjusted.sales.units),
-        (PRICE, base.sales.unit_price, adjusted.sales.unit_price),
-        (COST, base.sales.unit_cost, adjusted.sales.unit_cost),
-    ):
-        pct = (after / before - 1.0) if before != 0 else 0.0
-        deltas.append(LineDelta(name, before, after, pct, after - before))
-    return tuple(deltas)
+    rates = {line.name: line.rate for line in adjusted.expenses}
+    pairs = [(line.name, line.rate, rates[line.name]) for line in base.expenses]
+    pairs += [(name, getattr(base.sales, field), getattr(adjusted.sales, field))
+              for name, field in _SALES_FIELDS.items()]
+    return tuple(LineDelta(name, before, after,
+                           (after / before - 1.0) if before != 0 else 0.0, after - before)
+                 for name, before, after in pairs)
 
 
 def evaluate(spec: ModelSpec, adjustments: Sequence[Adjustment] = (),

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import List, Tuple
 
-from ._tables import number, read_rows
+from ._tables import names_file, number, read_rows
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -128,29 +127,30 @@ def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     return [(name, total, ranks[i]) for i, (name, total) in enumerate(totals)]
 
 
-def rounded_basis(affected: float) -> float:
-    """``affected`` rounded to the nearest :data:`AFFECTED_ROUNDING_UNIT`."""
-    return float(round(affected / AFFECTED_ROUNDING_UNIT) * AFFECTED_ROUNDING_UNIT)
+@dataclass(frozen=True)
+class MarketEstimate:
+    """The market-sizing figures, in report order."""
+
+    affected_population: float
+    rounded_basis: float
+    profit_exact_basis: float
+    profit_rounded_basis: float
 
 
-def market_size_estimate(p: MarketParams,
-                         affected_basis: str = "exact") -> Tuple[float, float]:
-    """(affected population, profit) from the top-down market model.
+def market_size_estimate(p: MarketParams) -> MarketEstimate:
+    """Affected population and profit from the top-down market model.
 
     affected = world_pop/ref_pop * ref_affected * tolerance. Profit applies
-    (unit_price - unit_cost) * adoption_share to the affected population,
-    either exactly (``affected_basis="exact"``) or after rounding the
-    population to the nearest 0.1 million (``"rounded"``).
+    (unit_price - unit_cost) * adoption_share to a population basis: the
+    affected population itself, and that population rounded to the nearest
+    :data:`AFFECTED_ROUNDING_UNIT` (0.1 million).
     """
     affected = p.world_pop / p.ref_pop * p.ref_affected * p.tolerance
-    if affected_basis == "exact":
-        basis = affected
-    elif affected_basis == "rounded":
-        basis = rounded_basis(affected)
-    else:
-        raise ValidationError("affected_basis must be 'exact' or 'rounded'")
-    profit = (p.unit_price - p.unit_cost) * basis * p.adoption_share
-    return affected, profit
+    # a float round: an overflowed population stays inf, for the report to reject
+    rounded = round(affected / AFFECTED_ROUNDING_UNIT, 0) * AFFECTED_ROUNDING_UNIT
+    margin = p.unit_price - p.unit_cost
+    return MarketEstimate(affected, rounded, margin * affected * p.adoption_share,
+                          margin * rounded * p.adoption_share)
 
 
 def risk_score_and_map(item: RiskItem,
@@ -172,16 +172,16 @@ def _weight(text: str) -> float:
     return float(cleaned)
 
 
+@names_file
 def load_concept_csv(path) -> ConceptMatrix:
     """Read a concept matrix: `Criterion,Weight,<one column per concept>`.
 
     Weights may be written as fractions (`0.08`) or percentages (`8%`).
     """
-    path = Path(path)
     header, rows = read_rows(path, ("Criterion", "Weight"), more="concept")
     concept_names = [name.strip() for name in header[2:]]
-    weight = f"{path}: weights column"
-    rating = [f"{path}: rating column {name!r}" for name in concept_names]
+    weight = "weights column"
+    rating = [f"rating column {name!r}" for name in concept_names]
     criteria, rated = [], []
     for row in rows:
         criteria.append((row[0].strip(), number(row[1], weight, _weight)))
@@ -191,22 +191,22 @@ def load_concept_csv(path) -> ConceptMatrix:
                          concepts=tuple(zip(concept_names, zip(*rated))))
 
 
+@names_file
 def load_risk_csv(path) -> List[RiskItem]:
     """Read a risk register with the :data:`RISK_COLUMNS` header; codes unique."""
-    path = Path(path)
     _, rows = read_rows(path, RISK_COLUMNS)
     items = []
     seen = set()
     for code, description, category, probability, impact in rows:
         code = code.strip()
         if code in seen:
-            raise ValidationError(f"{path}: duplicate risk code {code!r}")
+            raise ValidationError(f"duplicate risk code {code!r}")
         seen.add(code)
         try:
             probability, impact = int(probability), int(impact)
         except ValueError:
             raise ValidationError(
-                f"{path}: risk {code!r}: Probability and Impact must be integers")
+                f"risk {code!r}: Probability and Impact must be integers")
         items.append(RiskItem(
             code=code,
             description=description.strip(),

@@ -4,7 +4,8 @@ import pytest
 
 from hushkit import ValidationError
 from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE, EXACT,
-                         AncConfig, anc_run)
+                         MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH, AncConfig,
+                         anc_run)
 from hushkit.signals import (ATTENUATION_CAP_DB, FirPath, SampleBuffer,
                              convolve_path, generate_broadband, generate_tone)
 
@@ -53,6 +54,29 @@ def test_config_rejects_filter_longer_than_run():
     with pytest.raises(ValidationError, match="filter_length"):
         AncConfig(algorithm="LMS", duration_samples=64, rng_seed=0,
                   filter_length=65)
+
+
+@pytest.mark.parametrize("duration", [MAX_DURATION_SAMPLES + 1, 10**12])
+def test_config_rejects_duration_past_the_bound(duration):
+    # AncConfig allocates nothing, so no size here is ever allocated
+    with pytest.raises(ValidationError,
+                       match=f"duration_samples must be <= {MAX_DURATION_SAMPLES}"):
+        AncConfig(algorithm="LMS", duration_samples=duration, rng_seed=0)
+
+
+@pytest.mark.parametrize("taps", [MAX_FILTER_LENGTH + 1, 10**12])
+def test_config_rejects_filter_length_past_the_bound(taps):
+    with pytest.raises(ValidationError,
+                       match=f"filter_length must be <= {MAX_FILTER_LENGTH}"):
+        AncConfig(algorithm="LMS", duration_samples=MAX_DURATION_SAMPLES,
+                  rng_seed=0, filter_length=taps)
+
+
+def test_config_accepts_sizes_at_the_bounds():
+    config = AncConfig(algorithm="LMS", duration_samples=MAX_DURATION_SAMPLES,
+                       rng_seed=0, filter_length=MAX_FILTER_LENGTH)
+    assert (config.duration_samples, config.filter_length) == (
+        MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH)
 
 
 def test_config_rejects_negative_seed():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -15,6 +16,7 @@ import pytest
 from test_golden import SHIPPED
 
 from hushkit import ValidationError
+from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
 from hushkit.cli import _SCHEMAS, FORMATS, emit_report, main
 from hushkit.costing import BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
@@ -421,6 +423,107 @@ def test_horizon_past_the_bound_exits_1(horizon, configs_dir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: horizon must be <= {MAX_HORIZON}\n"
 
 
+def _overflowing_discount(model):
+    # 0.1 ** -t overflows a double from t = 309 on; the flows end at period 24
+    model.update(discount_rate=-0.9, horizon=400)
+
+
+def test_overflowing_discount_factor_gives_a_report_in_every_format(
+        configs_dir, tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, "econ_base", (), _overflowing_discount)
+    argv = ["econ", "npv", "--config", str(path)]
+    code, doc = run_json(argv, tmp_path)
+    assert code == 0 and math.isfinite(doc["npv"])
+    code, table = run([*argv, "--format", "table"], tmp_path)
+    assert code == 0
+    npv_line = next(line for line in table.decode().splitlines()
+                    if line.startswith("  npv:"))
+    assert float(npv_line.split()[1].replace(",", "")) == doc["npv"]
+    code, payload = run([*argv, "--format", "csv"], tmp_path)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(payload.decode())))[1:]
+    assert len(rows) == 400 and {row[2] for row in rows[24:]} == {"0.00"}
+    # the discounted column is the terms of that NPV
+    assert math.fsum(float(row[2]) for row in rows) == pytest.approx(doc["npv"],
+                                                                    rel=1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_discounted_breakeven_with_an_overflowing_factor(configs_dir, tmp_path, capsys):
+    def edit(model):
+        _overflowing_discount(model)
+        model["sales"]["units"] = 0.0  # the loss is never recovered
+    path = _edited_config(configs_dir, tmp_path, "econ_base", (), edit)
+    argv = ["econ", "npv", "--config", str(path), "--discounted-breakeven"]
+    code, doc = run_json(argv, tmp_path)
+    assert (code, doc["break_even_period"]) == (0, None)
+    for fmt in ("table", "csv"):
+        assert run([*argv, "--format", fmt], tmp_path)[0] == 0
+    assert b"break_even_period: none" in run(argv, tmp_path)[1]
+    assert capsys.readouterr().err == ""
+
+
+def _line_named(name, target_key):
+    """Edit of an econ config: its first expense line renamed ``name``, and
+    the first row under ``target_key`` aimed at it."""
+    def edit(config):
+        config["model"]["expenses"][0]["name"] = name
+        config[target_key][0]["target"] = name
+    return edit
+
+
+@pytest.mark.parametrize("command, name, edit, line", [
+    ("econ sensitivity", "econ_sensitivity_grid", _line_named("PRICE", "rows"), "PRICE"),
+    ("econ scenario", "econ_best_case", _line_named("UNITS", "adjustments"), "UNITS"),
+    ("econ npv", "econ_best_case", _line_named("COST", "adjustments"), "COST"),
+])
+def test_expense_line_named_like_a_sales_target_exits_1(command, name, edit, line,
+                                                         configs_dir, tmp_path, capsys):
+    # such a line would make every adjustment aimed at that name ambiguous
+    assert _run_edited(configs_dir, tmp_path, command, name, (), edit) == 1
+    assert capsys.readouterr().err == (
+        f"error: expense line name '{line}' is reserved for the sales block\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("12", "field 'assembly_cost' has the wrong type"),
+    (True, "field 'assembly_cost' has the wrong type"),
+    (None, "field 'assembly_cost' has the wrong type"),
+])
+def test_expected_value_of_the_wrong_type_exits_1(value, message, configs_dir,
+                                                  tmp_path, capsys):
+    path = _edited_config(configs_dir, tmp_path, "cost_initial", (),
+                          _in_cost(value, "expected", "assembly_cost"))
+    assert main(["cost", "bom", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: expected: {message}\n"
+
+
+def test_expected_label_that_is_not_audited_exits_1(configs_dir, tmp_path, capsys):
+    # the reduction figures come after the audit, so they cannot be expected
+    path = _edited_config(configs_dir, tmp_path, "cost_initial", (),
+                          _in_cost(1.0, "expected", "reduction_savings"))
+    assert main(["cost", "bom", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: expected: unknown field 'reduction_savings'\n")
+
+
+@pytest.mark.parametrize("field, value, bound", [
+    ("duration_samples", 10**12, MAX_DURATION_SAMPLES),
+    ("duration_samples", MAX_DURATION_SAMPLES + 1, MAX_DURATION_SAMPLES),
+    ("filter_length", 10**12, MAX_FILTER_LENGTH),
+    ("filter_length", MAX_FILTER_LENGTH + 1, MAX_FILTER_LENGTH),
+])
+def test_anc_size_past_the_bound_exits_1(field, value, bound, configs_dir, tmp_path,
+                                         capsys):
+    # rejected before any buffer is allocated
+    path = _edited_config(configs_dir, tmp_path, "anc_tone", (),
+                          lambda c: c.update({field: value}))
+    for fmt in FORMATS:
+        assert run(["anc", "simulate", "--config", str(path), "--format", fmt],
+                   tmp_path) == (1, b"")
+        assert capsys.readouterr().err == f"error: {field} must be <= {bound}\n"
+
+
 def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
     config = json.loads((configs_dir / "anc_tone_2tap.json").read_text())
     config["duration_samples"] = 4000
@@ -527,7 +630,8 @@ def _bom_cell(old, new):
 
 # case -> (shipped CSV, edit of its text, the error after "<csv path>: ").
 # The first block used to end in a traceback, a NaN report or a misleading
-# error; the second keeps the message it always had.
+# error; the second used to leave out the file's path; the third keeps the
+# message it always had.
 _CSV_CASES = {
     "bom-qty-word": ("bom_initial.csv", _bom_cell(",1,", ",two,"),
                      "column 'Qty required' has non-integer value 'two'"),
@@ -551,6 +655,16 @@ _CSV_CASES = {
                             "weights column has non-finite value 'inf'"),
     "risk-short-row": ("risk_register.csv", _append("Z9,desc"),
                        "row ['Z9', 'desc'] has the wrong column count"),
+
+    "bom-qty-zero": ("bom_initial.csv", _bom_cell(",1,", ",0,"),
+                     "BOM line 'Wi-Fi RF Transceiver Module': qty must be >= 1"),
+    "risk-probability-11": ("risk_register.csv",
+                            _replace(_RISK_ROW, "Design-related,11,6"),
+                            "risk 'D1': probability must be an integer in [1, 10]"),
+    "concept-rating-4": ("concept_matrix.csv", _replace("8%,3,", "8%,4,"),
+                         "concept 'A': ratings must be integers in [1, 3], got 4"),
+    "concept-weights-sum": ("concept_matrix.csv", _replace("8%", "9%"),
+                            "criterion weights must sum to 1, got 1.01"),
 
     "bom-money-word": ("bom_initial.csv", _bom_cell(",3,", ",x,"),
                        "column 'Purchased Costs' has non-numeric value 'x'"),

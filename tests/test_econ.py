@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hushkit import ValidationError, econ
 from hushkit.econ import (COST, MAX_HORIZON, PRICE, UNITS, Adjustment,
                           ExpenseLine, ModelSpec, SalesBlock, apply_adjustments,
-                          break_even, build_cash_flows, evaluate, irr,
-                          irr_interpolate, npv, sensitivity_row,
-                          sensitivity_window)
+                          break_even, build_cash_flows, discounted_flows,
+                          evaluate, irr, irr_interpolate, npv, sensitivity,
+                          sensitivity_row)
 
 
 def base_model():
@@ -146,6 +146,27 @@ def test_break_even_never_recovered_is_none():
     assert break_even([-100.0]) is None
 
 
+def test_discounted_flows_are_end_of_period():
+    assert discounted_flows((110.0, 121.0, 0.0), 0.1) == pytest.approx((100.0, 100.0, 0.0))
+    assert discounted_flows((), 0.1) == ()
+
+
+def test_discounted_flows_overflow_to_signed_infinity():
+    # 0.1 ** -400 overflows a double: the term is inf with the flow's sign, 0 for 0
+    flows = (5.0, -3.0) + (0.0,) * 397 + (2.0, -2.0)
+    terms = discounted_flows(flows, -0.9)
+    assert terms[:2] == pytest.approx((50.0, -300.0))
+    assert terms[2:-2] == (0.0,) * 397
+    assert terms[-2:] == (math.inf, -math.inf)
+
+
+def test_discounted_break_even_survives_an_overflowing_factor():
+    # a loss never recovered, over a horizon whose late factors overflow
+    assert break_even((-1.0,) + (0.0,) * 399, r=-0.9, discounted=True) is None
+    assert break_even((-1.0, 0.01) + (0.0,) * 398 + (1.0,), r=-0.9,
+                      discounted=True) == 401
+
+
 def test_break_even_rejects_bad_rate():
     with pytest.raises(ValidationError, match="-1"):
         break_even([1.0], r=-1.0)
@@ -264,10 +285,11 @@ def test_sensitivity_fraction_is_none_for_zero_base():
 
 def test_sensitivity_window_follows_target_and_overrides():
     spec = base_model()
-    assert sensitivity_window(spec, Adjustment(UNITS, 0.1)) == (5, 24)
-    assert sensitivity_window(spec, Adjustment("Testing", 0.1)) == (1, 4)
     moved = Adjustment("Testing", 0.1, first_override=2, last_override=6)
-    assert sensitivity_window(spec, moved) == (2, 6)
+    _, rows = sensitivity(spec, [Adjustment(UNITS, 0.1),
+                                 Adjustment("Testing", 0.1), moved])
+    assert [row[:4] for row in rows] == [(UNITS, 0.1, 5, 24), ("Testing", 0.1, 1, 4),
+                                         ("Testing", 0.1, 2, 6)]
     adjusted = apply_adjustments(spec, [moved])
     line = next(e for e in adjusted.expenses if e.name == "Testing")
     assert (line.first, line.last) == (2, 6)
@@ -289,14 +311,30 @@ def test_model_rejects_horizon_past_the_bound(horizon):
                   sales=SalesBlock(1, 2, 0.0, 0.0, 0.0))
 
 
-def test_sensitivity_row_uses_a_given_base_npv():
+def test_sensitivity_scores_every_row_against_one_base_npv(monkeypatch):
     spec = base_model()
-    adj = Adjustment("Development", -0.30)
-    base = npv(build_cash_flows(spec), spec.discount_rate)
-    assert sensitivity_row(spec, adj, base) == sensitivity_row(spec, adj)
-    adjusted = apply_adjustments(spec, [adj])
-    delta = npv(build_cash_flows(adjusted), spec.discount_rate) - 2 * base
-    assert sensitivity_row(spec, adj, base_npv=2 * base) == (delta, delta / (2 * base))
+    adjustments = [Adjustment("Development", -0.30), Adjustment(PRICE, 0.1),
+                   Adjustment("Testing", 0.2, first_override=3, last_override=9)]
+    base, rows = sensitivity(spec, adjustments)
+    assert base == npv(build_cash_flows(spec), spec.discount_rate)
+    for adj, row in zip(adjustments, rows, strict=True):
+        adjusted = apply_adjustments(spec, [adj])
+        delta = npv(build_cash_flows(adjusted), spec.discount_rate) - base
+        assert row[4:] == (delta, delta / base) == sensitivity_row(spec, adj)
+    # the base flows are built once per table, plus once per row
+    calls = []
+    monkeypatch.setattr(econ, "build_cash_flows",
+                        lambda s: calls.append(s) or build_cash_flows(s))
+    sensitivity(spec, adjustments)
+    assert len(calls) == 1 + len(adjustments)
+
+
+@pytest.mark.parametrize("name", [UNITS, PRICE, COST])
+def test_expense_line_names_of_sales_targets_are_reserved(name):
+    # a line named like a sales target would make adjustments ambiguous
+    with pytest.raises(ValidationError,
+                       match=f"expense line name '{name}' is reserved for the sales block"):
+        ExpenseLine(name, 1, 2, -1.0)
 
 
 def test_model_rejects_duplicate_line_names():

@@ -1,4 +1,5 @@
 """Concept scoring, market sizing, and risk-register mapping."""
+import dataclasses
 import math
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from hushkit import ValidationError
 from hushkit.planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR,
-                              URGENT, ConceptMatrix, MarketParams, RiskItem,
-                              concept_score, load_concept_csv, load_risk_csv,
-                              market_size_estimate, risk_score_and_map,
-                              rounded_basis)
+                              URGENT, ConceptMatrix, MarketEstimate,
+                              MarketParams, RiskItem, concept_score,
+                              load_concept_csv, load_risk_csv,
+                              market_size_estimate, risk_score_and_map)
 
 NAN, INF = math.nan, math.inf
 
@@ -118,34 +119,53 @@ def market_params(**overrides):
 
 
 def test_market_goldens():
-    affected, profit = market_size_estimate(market_params())
-    assert affected == pytest.approx(2_107_243.65, abs=0.01)
-    assert profit == pytest.approx(173_847_601.13, abs=0.01)
+    estimate = market_size_estimate(market_params())
+    assert isinstance(estimate, MarketEstimate)
+    assert estimate.affected_population == pytest.approx(2_107_243.65, abs=0.01)
+    assert estimate.profit_exact_basis == pytest.approx(173_847_601.13, abs=0.01)
 
 
 def test_market_rounded_basis():
-    affected, profit = market_size_estimate(market_params(),
-                                            affected_basis="rounded")
+    # the four reported figures, in report order
+    affected, rounded, profit_exact, profit_rounded = dataclasses.astuple(
+        market_size_estimate(market_params()))
     assert affected == pytest.approx(2_107_243.65, abs=0.01)
-    assert profit == pytest.approx(173_250_000.0, abs=1e-6)
-    assert rounded_basis(affected) == 2_100_000.0
+    assert rounded == 2_100_000.0
+    assert profit_exact == (300.0 - 150.0) * affected * 0.55
+    assert profit_rounded == pytest.approx(173_250_000.0, abs=1e-6)
+    assert [f.name for f in dataclasses.fields(MarketEstimate)] == [
+        "affected_population", "rounded_basis", "profit_exact_basis",
+        "profit_rounded_basis"]
 
 
-def test_market_rejects_unknown_basis():
-    with pytest.raises(ValidationError, match="affected_basis"):
-        market_size_estimate(market_params(), affected_basis="truncated")
+@pytest.mark.parametrize("affected, rounded", [
+    (0.0, 0.0), (49_999.0, 0.0), (150_000.0, 200_000.0), (250_000.0, 200_000.0),
+    (2_107_243.65, 2_100_000.0)])
+def test_market_rounded_basis_is_nearest_tenth_of_a_million(affected, rounded):
+    # ref_affected scales the population one to one; ties round to even
+    estimate = market_size_estimate(market_params(world_pop=1.0, ref_pop=1.0,
+                                                  ref_affected=affected, tolerance=1.0))
+    assert (estimate.affected_population, estimate.rounded_basis) == (affected, rounded)
+
+
+def test_market_affected_population_that_overflows_stays_infinite():
+    estimate = market_size_estimate(market_params(world_pop=1e300, ref_pop=1e-10))
+    assert estimate.affected_population == estimate.rounded_basis == math.inf
 
 
 def test_market_profit_is_linear_in_margin():
-    _, narrow = market_size_estimate(market_params(unit_price=200.0))
-    _, wide = market_size_estimate(market_params(unit_price=250.0))
-    # margin 50 -> 100 doubles the profit
-    assert wide == pytest.approx(2.0 * narrow, rel=1e-12)
+    narrow = market_size_estimate(market_params(unit_price=200.0))
+    wide = market_size_estimate(market_params(unit_price=250.0))
+    # margin 50 -> 100 doubles the profit on either basis
+    assert wide.profit_exact_basis == pytest.approx(2.0 * narrow.profit_exact_basis,
+                                                    rel=1e-12)
+    assert wide.profit_rounded_basis == pytest.approx(
+        2.0 * narrow.profit_rounded_basis, rel=1e-12)
 
 
 def test_market_affected_is_linear_in_tolerance():
-    half, _ = market_size_estimate(market_params(tolerance=0.10))
-    full, _ = market_size_estimate(market_params(tolerance=0.20))
+    half = market_size_estimate(market_params(tolerance=0.10)).affected_population
+    full = market_size_estimate(market_params(tolerance=0.20)).affected_population
     assert full == pytest.approx(2.0 * half, rel=1e-12)
 
 
