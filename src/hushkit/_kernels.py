@@ -107,32 +107,11 @@ def _cache_dir() -> str:
     return path
 
 
-def _compile(out_dir: str, name: str) -> str:
-    """Compile ``_C_SOURCE`` to ``out_dir/name`` through a temporary file, so
-    a concurrent reader never sees a partial library."""
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".so.tmp")
-    os.close(fd)
-    target = os.path.join(out_dir, name)
-    try:
-        done = subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp],
-                              input=_C_SOURCE, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
-        if done.returncode != 0:
-            raise OSError(f"cc exited with status {done.returncode}")
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return target
-
-
 def _load(name: str):
     """ctypes handle on the cached library, building it when it is missing.
-    Builds in a private temporary directory when the cache is not usable;
-    never loads from a shared, predictable path."""
+    Builds in a fresh private directory: inside the cache when the cache is
+    usable, then moves the library into place; otherwise in the system temp
+    dir, and loads it from there. Never loads from a shared, predictable path."""
     import ctypes
 
     try:
@@ -143,16 +122,22 @@ def _load(name: str):
         path = os.path.join(cache, name)
         if os.path.isfile(path):
             return ctypes.CDLL(path)
-        if os.access(cache, os.W_OK):
-            return ctypes.CDLL(_compile(cache, name))
-    import shutil
+        if not os.access(cache, os.W_OK):
+            cache = None
+    import subprocess
     import tempfile
 
-    private = tempfile.mkdtemp(prefix="hushkit-")
-    try:
-        return ctypes.CDLL(_compile(private, name))
-    finally:
-        shutil.rmtree(private, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="hushkit-", dir=cache) as tmp:
+        lib = os.path.join(tmp, name)
+        done = subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", lib],
+                              input=_C_SOURCE, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        if done.returncode != 0:
+            raise OSError(f"cc exited with status {done.returncode}")
+        if cache is None:
+            return ctypes.CDLL(lib)
+        os.replace(lib, path)
+    return ctypes.CDLL(path)
 
 
 @functools.cache
@@ -161,14 +146,13 @@ def _compiled():
     loaded. Resolved on the first kernel call, not at import, so commands
     that never adapt never load the library or run the compiler."""
     import ctypes
-    import platform
     import zlib
 
     # crc32, not hashlib: hashlib loads OpenSSL, which costs every ANC process
     # ~6 ms and ~3.6 MB of resident memory; the name only has to tell builds
     # apart in a directory no other user can write to.
     key = zlib.crc32(b"\0".join(
-        (_C_SOURCE, " ".join(_CFLAGS).encode(), platform.machine().encode())))
+        (_C_SOURCE, " ".join(_CFLAGS).encode(), os.uname().machine.encode())))
     try:
         fn = _load(f"adapt-{key:08x}.so").adapt_chunk
     except (OSError, AttributeError):

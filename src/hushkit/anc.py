@@ -10,7 +10,7 @@ reported as attenuation in dB per analysis window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -39,21 +39,8 @@ MAX_DURATION_SAMPLES = 2_000_000
 MAX_FILTER_LENGTH = 4_096
 
 
-class _ExactMarker:
-    """Singleton marker: use the true secondary path as its own estimate."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EXACT"
-
-
-EXACT = _ExactMarker()
+#: ``secondary_estimate`` value: the true secondary path is its own estimate.
+EXACT = None
 
 
 @dataclass(frozen=True)
@@ -69,9 +56,9 @@ class AncConfig:
     duration_samples: int
     rng_seed: int
     filter_length: int = 128
-    step_size: Union[float, None] = None
+    step_size: Optional[float] = None
     leak_factor: float = 0.0
-    secondary_estimate: Union[FirPath, _ExactMarker] = EXACT
+    secondary_estimate: Optional[FirPath] = EXACT
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -94,7 +81,8 @@ class AncConfig:
             raise ValidationError("step_size must be finite and >= 0")
         if not 0.0 <= float(self.leak_factor) < 1.0:
             raise ValidationError("leak_factor must lie in [0, 1)")
-        if not isinstance(self.secondary_estimate, (_ExactMarker, FirPath)):
+        if not (self.secondary_estimate is EXACT
+                or isinstance(self.secondary_estimate, FirPath)):
             raise ValidationError("secondary_estimate must be a FirPath or EXACT")
 
     def resolved_step_size(self) -> float:
@@ -143,21 +131,24 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
     Divergence - a window whose residual power exceeds
     ``DIVERGENCE_POWER_RATIO`` times the disturbance power, or any non-finite
     sample - stops the run: the result has ``diverged=True`` and all traces
-    truncated at the detection point.
+    truncated at the detection point. A path longer than
+    ``MAX_FILTER_LENGTH`` taps, or a window whose disturbance power is not
+    finite, raises ``ValidationError`` instead.
     """
     n = len(noise)
     if n != int(cfg.duration_samples):
         raise ValidationError(
             f"noise length {n} does not match duration_samples {cfg.duration_samples}")
 
+    estimate = secondary if cfg.secondary_estimate is EXACT else cfg.secondary_estimate
+    for name, path in (("primary_path", primary), ("secondary_path", secondary),
+                       ("secondary_estimate", estimate)):
+        if len(path) > MAX_FILTER_LENGTH:
+            raise ValidationError(f"{name} must have at most {MAX_FILTER_LENGTH} taps")
+
     x = noise.samples
     d = convolve_path(primary, noise).samples
-    if cfg.algorithm == "FXLMS":
-        estimate = secondary if isinstance(cfg.secondary_estimate, _ExactMarker) \
-            else cfg.secondary_estimate
-        xf = convolve_path(estimate, noise).samples
-    else:
-        xf = x
+    xf = convolve_path(estimate, noise).samples if cfg.algorithm == "FXLMS" else x
     normalized = cfg.algorithm == "NLMS"
 
     mu = cfg.resolved_step_size()
@@ -176,16 +167,17 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
     with np.errstate(all="ignore"):
         for start in range(0, n, window):
             stop = min(start + window, n)
+            dist_power = float(np.mean(d[start:stop] ** 2))
+            if not np.isfinite(dist_power):
+                raise ValidationError(
+                    f"disturbance power is not finite in the window starting at sample {start}")
             _kernels.adapt_chunk(x, xf, d, secondary.taps, w, y, e,
                                  start, stop, mu, leak, normalized, NLMS_EPS)
-            chunk_ok = np.isfinite(e[start:stop]).all() and np.isfinite(y[start:stop]).all()
-            if not chunk_ok:
-                bad = start + int(np.argmin(
-                    np.isfinite(e[start:stop]) & np.isfinite(y[start:stop])))
+            finite = np.isfinite(e[start:stop]) & np.isfinite(y[start:stop])
+            if not finite.all():
                 diverged = True
-                end = bad
+                end = start + int(np.argmin(finite))
                 break
-            dist_power = float(np.mean(d[start:stop] ** 2))
             resid_power = float(np.mean(e[start:stop] ** 2))
             trace.append(_window_attenuation_db(dist_power, resid_power))
             if resid_power > DIVERGENCE_POWER_RATIO * dist_power:

@@ -191,15 +191,13 @@ def _resolve(path_str: str, config_path: str) -> Path:
 
 
 def _taps_from(values, field: str) -> FirPath:
-    import numpy as np
-
     from .signals import FirPath
 
     if not values or not all(isinstance(v, _NUM) and not isinstance(v, bool)
                              for v in values):
         raise ValidationError(f"field '{field}' must be a non-empty list of numbers")
     try:
-        return FirPath(np.asarray(values, dtype=np.float64))
+        return FirPath(values)
     except OverflowError:  # an integer too large for a double
         raise ValidationError(f"field '{field}' is out of range") from None
 

@@ -251,15 +251,20 @@ def irr_interpolate(ra: float, rb: float, npva: float, npvb: float) -> float:
 def discounted_flows(flows: Sequence[float], r: float) -> Tuple[float, ...]:
     """End-of-period present value of each flow: C_t * (1+r)^-t, t=1..T.
 
-    A discount factor too large for a double makes the term +-inf, or 0 for
-    a zero flow, instead of raising ``OverflowError``.
+    When the discount factor is too large for a double, the term is computed
+    through logarithms: it is the true term when that is finite, +-inf when
+    it is not, and 0 for a zero flow. It never raises ``OverflowError``.
     """
     terms = []
     for t, c in enumerate(flows, start=1):
         try:
             terms.append(c * (1.0 + r) ** -t)
         except OverflowError:
-            terms.append(math.copysign(math.inf, c) if c else 0.0)
+            try:
+                terms.append(math.copysign(
+                    math.exp(math.log(abs(c)) - t * math.log1p(r)), c) if c else 0.0)
+            except OverflowError:
+                terms.append(math.copysign(math.inf, c))
     return tuple(terms)
 
 

@@ -204,6 +204,37 @@ def test_noise_length_must_match_duration():
         anc_run(cfg, noise, UNIT, UNIT)
 
 
+def _one_tap_at(index, taps, value=1.0):
+    path = np.zeros(taps)
+    path[index] = value
+    return FirPath(path)
+
+
+@pytest.mark.parametrize("index, start", [(0, 0), (2500, 2000)])
+def test_disturbance_whose_power_overflows_is_rejected(index, start):
+    # the squares of 1e300 * noise overflow from sample `index` on
+    noise = generate_tone(200.0, 1.0, 0.0, 40000, FS)
+    with pytest.raises(ValidationError, match=(
+            f"disturbance power is not finite in the window starting at sample {start}$")):
+        anc_run(tonal_config(), noise, _one_tap_at(index, index + 1, 1e300), UNIT)
+
+
+@pytest.mark.parametrize("taps", [MAX_FILTER_LENGTH, MAX_FILTER_LENGTH + 1])
+@pytest.mark.parametrize("field", ["primary_path", "secondary_path",
+                                   "secondary_estimate"])
+def test_paths_past_the_tap_bound_are_rejected(field, taps):
+    paths = {"primary_path": UNIT, "secondary_path": UNIT, "secondary_estimate": UNIT}
+    paths[field] = _one_tap_at(0, taps)
+    cfg = tonal_config(duration_samples=100, secondary_estimate=paths["secondary_estimate"])
+    noise = generate_tone(200.0, 1.0, 0.0, 100, FS)
+    if taps == MAX_FILTER_LENGTH:
+        assert not anc_run(cfg, noise, paths["primary_path"], paths["secondary_path"]).diverged
+        return
+    with pytest.raises(ValidationError,
+                       match=f"{field} must have at most {MAX_FILTER_LENGTH} taps"):
+        anc_run(cfg, noise, paths["primary_path"], paths["secondary_path"])
+
+
 def test_estimate_path_used_for_fxlms_reference():
     # a deliberately wrong estimate must change the trajectory
     noise = generate_tone(200.0, 1.0, 0.0, 20000, FS)

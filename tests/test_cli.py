@@ -449,6 +449,28 @@ def test_overflowing_discount_factor_gives_a_report_in_every_format(
     assert capsys.readouterr().err == ""
 
 
+def test_finite_term_of_an_overflowing_factor_gives_a_report_in_every_format(
+        configs_dir, tmp_path, capsys):
+    def edit(model):
+        _overflowing_discount(model)
+        # 0.1 ** -320 overflows, but the period-320 term is -1e290
+        model["expenses"] = [{"name": "Tiny", "first": 320, "last": 320,
+                              "rate": -1e-30}]
+    path = _edited_config(configs_dir, tmp_path, "econ_base", (), edit)
+    argv = ["econ", "npv", "--config", str(path)]
+    assert run_json(argv, tmp_path)[0] == 0
+    code, payload = run([*argv, "--format", "csv"], tmp_path)
+    assert code == 0
+    row = list(csv.reader(io.StringIO(payload.decode())))[320]
+    assert row[0] == "320" and float(row[2]) == pytest.approx(-1e290, rel=1e-9)
+    code, table = run([*argv, "--format", "table"], tmp_path)
+    assert code == 0
+    row = next(line.split() for line in table.decode().splitlines()
+               if line.split()[:1] == ["320"])
+    assert float(row[2].replace(",", "")) == pytest.approx(-1e290, rel=1e-9)
+    assert capsys.readouterr().err == ""
+
+
 def test_discounted_breakeven_with_an_overflowing_factor(configs_dir, tmp_path, capsys):
     def edit(model):
         _overflowing_discount(model)
@@ -522,6 +544,39 @@ def test_anc_size_past_the_bound_exits_1(field, value, bound, configs_dir, tmp_p
         assert run(["anc", "simulate", "--config", str(path), "--format", fmt],
                    tmp_path) == (1, b"")
         assert capsys.readouterr().err == f"error: {field} must be <= {bound}\n"
+
+
+@pytest.mark.parametrize("taps", [MAX_FILTER_LENGTH, MAX_FILTER_LENGTH + 1])
+@pytest.mark.parametrize("field", ["primary_path", "secondary_path",
+                                   "secondary_estimate"])
+def test_anc_tap_list_past_the_bound_exits_1(field, taps, configs_dir, tmp_path,
+                                             capsys):
+    # anc_tone_2tap is FXLMS, so the estimate is convolved too
+    path = _edited_config(configs_dir, tmp_path, "anc_tone_2tap", (),
+                          lambda c: c.update({"duration_samples": 4000,
+                                              field: [1.0] + [0.0] * (taps - 1)}))
+    argv = ["anc", "simulate", "--config", str(path)]
+    if taps == MAX_FILTER_LENGTH:
+        assert run_json(argv, tmp_path)[0] == 0
+        return
+    for fmt in FORMATS:
+        assert run([*argv, "--format", fmt], tmp_path) == (1, b"")
+        assert capsys.readouterr().err == (
+            f"error: {field} must have at most {MAX_FILTER_LENGTH} taps\n")
+
+
+@pytest.mark.parametrize("name, tap", [("anc_tone", 7), ("anc_tone_2tap", 0)])
+def test_anc_disturbance_power_overflow_exits_1(name, tap, configs_dir, tmp_path,
+                                                capsys):
+    # 1e300 is finite, but its square is not: every window's power overflows
+    path = _edited_config(configs_dir, tmp_path, name, ("primary_path",),
+                          lambda taps: taps.__setitem__(tap, 1e300))
+    for fmt in FORMATS:
+        assert run(["anc", "simulate", "--config", str(path), "--format", fmt],
+                   tmp_path) == (1, b"")
+        assert capsys.readouterr().err == (
+            "error: disturbance power is not finite in the window starting at "
+            "sample 0\n")
 
 
 def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
@@ -791,6 +846,49 @@ def test_single_fault_configs_exit_cleanly(name, tmp_path, capsysbinary):
             (broken, err)
         runs += 1
     assert runs > 5
+
+
+# ---------------------------------------------------------- huge-number sweep
+
+def _number_paths(node, keys=()):
+    """Key path of every JSON number in ``node``."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _number_paths(value, (*keys, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_huge_numbers_exit_cleanly_with_strict_json_reports(name, tmp_path,
+                                                            capsysbinary):
+    # every number of the config, one at a time, set to 1e300 and then to 1e30
+    _copy_csvs(tmp_path)
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    for value in (1e300, 1e30):
+        for keys in _number_paths(config):
+            huge = copy.deepcopy(config)
+            target = huge
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            path.write_text(json.dumps(huge))
+            code = main([*SHIPPED[name].split(), "--config", str(path), "--format", "json"])
+            out, err = capsysbinary.readouterr()
+            assert code in (0, 1, 2), (keys, value, code)
+            assert err == b"" or (err.startswith(b"error: ") and err.count(b"\n") == 1), \
+                (keys, value, err)
+            if code != 1:
+                try:
+                    json.loads(out, parse_constant=_reject_constant)
+                except ValueError as exc:
+                    pytest.fail(f"{keys} = {value}: {exc}")
 
 
 # ------------------------------------------------------------ docs drift

@@ -160,6 +160,13 @@ def test_discounted_flows_overflow_to_signed_infinity():
     assert terms[-2:] == (math.inf, -math.inf)
 
 
+def test_discounted_flows_keep_a_finite_term_whose_factor_overflows():
+    # 0.1 ** -320 overflows a double, but -1e-30 * 0.1 ** -320 is -1e290
+    terms = discounted_flows((0.0,) * 319 + (-1e-30,), -0.9)
+    assert terms[:-1] == (0.0,) * 319
+    assert terms[-1] == pytest.approx(-1e290, rel=1e-9)
+
+
 def test_discounted_break_even_survives_an_overflowing_factor():
     # a loss never recovered, over a horizon whose late factors overflow
     assert break_even((-1.0,) + (0.0,) * 399, r=-0.9, discounted=True) is None

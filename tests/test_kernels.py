@@ -2,7 +2,8 @@
 
 ``adapt_chunk`` must give the same bytes as ``adapt_chunk_numpy`` whichever
 backend runs; the subprocess tests pin the compile-once cache and the numpy
-fallback without a compiler.
+fallback without a working compiler, and the build tests pin that a cache
+it cannot use is left untouched.
 """
 import os
 import shutil
@@ -125,3 +126,31 @@ def test_without_a_compiler_the_numpy_kernel_gives_the_golden_report(tmp_path):
                      "json", "--output", str(out))
     assert backend == "numpy"
     assert out.read_bytes() == (ROOT / "tests" / "golden" / "anc_tone_2tap.json").read_bytes()
+
+
+def test_a_failing_compiler_leaves_the_cache_empty(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    out = tmp_path / "report.json"
+    backend = _probe(tmp_path / "cache", str(bin_dir), "anc", "simulate", "--config",
+                     str(ROOT / "configs" / "anc_tone_2tap.json"), "--format",
+                     "json", "--output", str(out))
+    assert backend == "numpy"
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "anc_tone_2tap.json").read_bytes()
+    assert list((tmp_path / "cache" / "hushkit").iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_a_cache_it_may_not_write_gets_no_file(tmp_path, monkeypatch):
+    # mode bits do not stop root, so the cache is made unwritable by os.access
+    access = os.access
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw:
+                        not mode & os.W_OK and access(path, mode, **kw))
+    lib = _kernels._load("adapt-test.so")
+    assert lib.adapt_chunk
+    assert list((tmp_path / "hushkit").iterdir()) == []
+    # built in a private temporary directory, already removed
+    assert not lib._name.startswith(str(tmp_path)) and not os.path.exists(lib._name)
