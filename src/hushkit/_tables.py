@@ -1,8 +1,8 @@
 """The CSV tables' input boundary: one row reader and one cell parser.
 
-A table is a header row and rows as wide as it; blank lines after the
-header are skipped, and a number cell must hold a finite number. Each
-loader is wrapped by :func:`names_file`, so its errors name the file.
+A table is UTF-8 text: a header row and rows as wide as it; blank lines
+after the header are skipped, and a number cell must hold a finite number.
+Each loader is wrapped by :func:`names_file`, so its errors name the file.
 """
 import csv
 import functools
@@ -27,10 +27,15 @@ def names_file(loader):
 def read_rows(path, columns: tuple, more: str = None):
     """(header, rows) of the CSV file at ``path``, a Path. The header must be
     ``columns``, or ``columns`` and at least one ``more`` column."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        rows = [row for row in reader if row]
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError:
+        raise ValidationError("file is not UTF-8 text") from None
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
     if more is None:
         if header is None or tuple(header) != columns:
             raise ValidationError(f"header must be exactly {','.join(columns)}")

@@ -25,15 +25,14 @@ from typing import TYPE_CHECKING
 from .costing import (OverheadRates, assembly_cost, bom_rollup,
                       check_discrepancies, cost_reduction_report, dfa_index,
                       load_assembly_csv, load_bom_csv, round_half_away)
-from .econ import (Adjustment, EconResult, ExpenseLine, ModelSpec, SalesBlock,
-                   discounted_flows, evaluate, sensitivity)
+from .econ import (Adjustment, ExpenseLine, ModelSpec, SalesBlock, discounted_flows,
+                   evaluate, sensitivity)
 from .errors import ValidationError
 from .planning import (DEFAULT_RISK_THRESHOLD, MarketParams,
                        check_risk_threshold, concept_score, load_concept_csv,
                        load_risk_csv, market_size_estimate, risk_score_and_map)
 
 if TYPE_CHECKING:
-    from .anc import AncResult
     from .signals import FirPath
 
 FORMATS = ("table", "json", "csv")
@@ -160,7 +159,6 @@ def _field(mapping, context: str, name: str, kind, default):
 
 def _load_config(path_str: str):
     path = Path(path_str)
-    text = path.read_text(encoding="utf-8")  # missing/unreadable -> OSError
 
     def finite(token: str) -> float:
         value = float(token)
@@ -169,11 +167,24 @@ def _load_config(path_str: str):
                 f"{path}: non-finite number {token} is not allowed")
         return value
 
+    def integer(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:  # past int()'s digit limit, far beyond any double
+            raise ValidationError(f"{path}: integer of {len(token.lstrip('-'))} "
+                                  "digits is too long") from None
+
     try:
-        value = json.loads(text, parse_float=finite, parse_constant=finite)
+        # a missing or unreadable file raises OSError
+        value = json.loads(path.read_text(encoding="utf-8"), parse_float=finite,
+                           parse_int=integer, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: file is not UTF-8 text") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON is nested too deeply") from None
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return value
@@ -206,13 +217,47 @@ def _adjustment(row) -> Adjustment:
     return Adjustment(row.target, row.pct, row.first, row.last)
 
 
-def _money_fields(record):
-    """(label, value, "money") entries of a library record, in field order."""
-    return [(f.name, getattr(record, f.name), "money") for f in fields(record)]
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report view, exit code)
+# subcommand handlers: each reads its config, calls the library and renders
+# the result as a report view, a dict for json, rows for csv or lines for
+# table, which emit_report serializes; each returns (view, exit code)
+
+
+def _money(value) -> float:
+    return round_half_away(float(value), 2) + 0.0
+
+
+def _rate(value, ndigits: int = 9) -> float:
+    return round(float(value), ndigits) + 0.0
+
+
+def _cash(value, fmt: str, sign: str = "") -> str:
+    """A money cell: cents, grouped by thousands in table only; ``sign`` "+"
+    signs a change."""
+    return format(_money(value), sign + ("," if fmt == "table" else "") + ".2f")
+
+
+def _block(title: str, pairs, width: int):
+    """A table's title and its `label: text` lines, labels padded to ``width``."""
+    return [title, *(f"  {label + ':':<{width}} {text}" for label, text in pairs)]
+
+
+def _grid(template: str, header, rows):
+    """A column table: the header and every row formatted by ``template``."""
+    return [template.format(*row) for row in (header, *rows)]
+
+
+def _scalars(title: str, entries, fmt: str):
+    """View of a `label: value` block of (label, value) entries."""
+    rates = ("dfa_index", "reduction_fraction")  # six decimals; the rest are money
+    if fmt == "json":
+        return {label: _rate(v, 6) if label in rates else _money(v)
+                for label, v in entries}
+    cells = [(label, f"{_rate(v, 6):.6f}" if label in rates else _cash(v, fmt))
+             for label, v in entries]
+    if fmt == "csv":
+        return [("field", "value"), *cells]
+    return _block(title, cells, 21)
 
 
 def _cmd_anc_simulate(args):
@@ -244,7 +289,26 @@ def _cmd_anc_simulate(args):
         noise = signals.generate_broadband(c.rng_seed, c.noise.low_hz,
                                            c.noise.high_hz, n, fs)
     result = anc.anc_run(config, noise, primary, secondary)
-    return _emit_anc(result, args.format), (2 if result.diverged else 0)
+    code = 2 if result.diverged else 0
+    trace = [_rate(v, 4) for v in result.attenuation_trace_db]
+    steady = _rate(result.steady_state_attenuation_db, 4)
+    if args.format == "json":
+        return {
+            "attenuation_trace_db": trace,
+            "diverged": bool(result.diverged),
+            "n_samples": len(result.residual),
+            "steady_state_attenuation_db": steady,
+        }, code
+    header = ("window", "attenuation_db")
+    windows = list(enumerate(trace, start=1))
+    if args.format == "csv":
+        return [header, *((i, f"{value:.4f}") for i, value in windows)], code
+    summary = [("samples", len(result.residual)), ("windows", len(trace)),
+               ("diverged", "yes" if result.diverged else "no"),
+               ("steady_state_attenuation_db", f"{steady:.1f}")]
+    grid = _grid("  {:>8}  {:>14}", header,
+                 [(i, f"{value:.1f}") for i, value in windows])
+    return [*_block("noise-control simulation", summary, 9), "", *grid], code
 
 
 def _cmd_econ_eval(args):
@@ -255,130 +319,9 @@ def _cmd_econ_eval(args):
     adjustments = tuple(map(_adjustment, c.adjustments))
     result = evaluate(ModelSpec(**vars(c.model)), adjustments,
                       discounted_breakeven=args.discounted_breakeven)
-    return (_emit_econ(result, args.format),
-            2 if args.require_irr and result.irr is None else 0)
-
-
-def _cmd_econ_sensitivity(args):
-    c = _config(args, "sensitivity config")
-    # a lazy map: each row's Adjustment is checked just before it is scored
-    base, rows = sensitivity(ModelSpec(**vars(c.model)), map(_adjustment, c.rows))
-    return _emit_sensitivity(base, rows, args.format), 0
-
-
-def _cmd_cost_bom(args):
-    c = _config(args, "cost config")
-    lines = load_bom_csv(_resolve(c.bom_csv, args.config))
-    summary = bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
-                         c.overhead_override)
-    entries = _money_fields(summary)
-
-    seconds = None
-    if c.assembly is not None:
-        ops = load_assembly_csv(_resolve(c.assembly.ops_csv, args.config))
-        seconds, cost = assembly_cost(ops, c.assembly.hourly_rate)
-        entries += [("assembly_seconds", seconds, "money"),
-                    ("assembly_cost", cost, "money")]
-
-    if c.dfa is not None:
-        if seconds is None:
-            raise ValidationError(
-                "dfa requires the 'assembly' section for the total assembly time")
-        entries.append(("dfa_index", dfa_index(c.dfa.min_parts, seconds), "rate"))
-    # `expected` may audit every figure so far, not the reduction ones
-    auditable = {label: value for label, value, _ in entries}
-
-    if c.reduction is not None:
-        savings, fraction = cost_reduction_report(c.reduction.old_total,
-                                                  c.reduction.new_total)
-        entries += [("reduction_savings", savings, "money"),
-                    ("reduction_fraction", fraction, "rate")]
-
-    discrepancies = ()
-    if c.expected is not None:
-        expected = _read(c.expected, "expected",
-                         tuple((label, float, None) for label in auditable))
-        discrepancies = check_discrepancies(sorted(
-            (label, auditable[label], value)
-            for label, value in vars(expected).items() if value is not None))
-    return _emit_bom(entries, discrepancies, c.expected is not None,
-                     args.format), 0
-
-
-def _cmd_plan_concept(args):
-    c = _config(args, "concept config")
-    matrix = load_concept_csv(_resolve(c.matrix_csv, args.config))
-    return _emit_concept(concept_score(matrix), args.format), 0
-
-
-def _cmd_plan_risk(args):
-    c = _config(args, "risk config")
-    check_risk_threshold(c.threshold)  # an empty register rates no item
-    items = load_risk_csv(_resolve(c.register_csv, args.config))
-    rated = [(item, *risk_score_and_map(item, c.threshold)) for item in items]
-    return _emit_risk(c.threshold, rated, args.format), 0
-
-
-def _cmd_plan_market(args):
-    estimate = market_size_estimate(_config(args, "market config"))
-    return _scalars("market sizing", _money_fields(estimate), args.format), 0
-
-
-# ---------------------------------------------------------------------------
-# report rendering: each _emit_* returns a view of a report, a dict for
-# json, rows for csv or lines for table, which emit_report serializes.
-# A column table formats its header and its rows with one template.
-
-
-def _money(value) -> float:
-    return round_half_away(float(value), 2) + 0.0
-
-
-def _rate(value, ndigits: int = 9) -> float:
-    return round(float(value), ndigits) + 0.0
-
-
-def _scalars(title: str, entries, fmt: str):
-    """View of a `label: value` block of (label, value, kind) entries, where
-    kind "money" prints cents and "rate" six decimals."""
-    if fmt == "json":
-        return {label: _money(v) if kind == "money" else _rate(v, 6)
-                for label, v, kind in entries}
-    money = ",.2f" if fmt == "table" else ".2f"
-    cells = [(label, format(_money(v), money) if kind == "money"
-              else f"{_rate(v, 6):.6f}") for label, v, kind in entries]
-    if fmt == "csv":
-        return [("field", "value"), *cells]
-    return [title, *(f"  {label + ':':<21} {text}" for label, text in cells)]
-
-
-def _emit_anc(result: AncResult, fmt: str):
-    trace = [_rate(v, 4) for v in result.attenuation_trace_db]
-    steady = _rate(result.steady_state_attenuation_db, 4)
-    if fmt == "json":
-        return {
-            "attenuation_trace_db": trace,
-            "diverged": bool(result.diverged),
-            "n_samples": len(result.residual),
-            "steady_state_attenuation_db": steady,
-        }
-    if fmt == "csv":
-        return [("window", "attenuation_db"),
-                *((i, f"{value:.4f}") for i, value in enumerate(trace, start=1))]
-    columns = "  {:>8}  {:>14}"
-    return ["noise-control simulation",
-            f"  samples:  {len(result.residual)}",
-            f"  windows:  {len(trace)}",
-            f"  diverged: {'yes' if result.diverged else 'no'}",
-            f"  steady_state_attenuation_db: {steady:.1f}",
-            "",
-            columns.format("window", "attenuation_db"),
-            *(columns.format(i, f"{value:.1f}")
-              for i, value in enumerate(trace, start=1))]
-
-
-def _emit_econ(result: EconResult, fmt: str):
+    code = 2 if args.require_irr and result.irr is None else 0
     r = result.discount_rate
+    fmt = args.format
     if fmt == "json":
         return {
             "break_even_period": result.break_even_period,
@@ -392,72 +335,96 @@ def _emit_econ(result: EconResult, fmt: str):
                 for d in result.line_deltas
             ],
             "npv": _money(result.npv),
-        }
+        }, code
     header = ("period", "cash_flow", "discounted", "cumulative")
-    money = ",.2f" if fmt == "table" else ".2f"
     flows = result.cash_flows
-    periods = [(t, format(_money(flow), money), format(_money(pv), money),
-                format(_money(cumulative), money))
+    periods = [(t, _cash(flow, fmt), _cash(pv, fmt), _cash(cumulative, fmt))
                for t, (flow, pv, cumulative) in enumerate(
                    zip(flows, discounted_flows(flows, r), accumulate(flows)), start=1)]
     if fmt == "csv":
-        return [header, *periods]
-    irr_text = "undefined" if result.irr is None else f"{result.irr:.6f}"
-    columns = "  {:>6}  {:>13}  {:>13}  {:>13}"
-    out = ["cash-flow evaluation",
-           f"  npv:               {_money(result.npv):,.2f}",
-           f"  irr_per_period:    {irr_text}",
-           f"  break_even_period: {result.break_even_period or 'none'}",
-           f"  discount_rate:     {r:g}",
-           "",
-           *(columns.format(*row) for row in (header, *periods))]
+        return [header, *periods], code
+    summary = [("npv", _cash(result.npv, fmt)),
+               ("irr_per_period", "undefined" if result.irr is None
+                else f"{result.irr:.6f}"),
+               ("break_even_period", result.break_even_period or "none"),
+               ("discount_rate", f"{r:g}")]
+    view = [*_block("cash-flow evaluation", summary, 18), "",
+            *_grid("  {:>6}  {:>13}  {:>13}  {:>13}", header, periods)]
     changed = [d for d in result.line_deltas if d.delta != 0.0]
     if changed:
-        columns = "  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}"
-        out += ["", "  adjusted inputs",
-                columns.format("name", "base", "adjusted", "pct", "delta"),
-                *(columns.format(d.name, f"{_money(d.base):,.2f}",
-                                 f"{_money(d.adjusted):,.2f}",
-                                 f"{d.pct * 100:+.2f}%", f"{_money(d.delta):,.2f}")
-                  for d in changed)]
-    return out
+        view += ["", "  adjusted inputs",
+                 *_grid("  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}",
+                        ("name", "base", "adjusted", "pct", "delta"),
+                        [(d.name, _cash(d.base, fmt), _cash(d.adjusted, fmt),
+                          f"{d.pct * 100:+.2f}%", _cash(d.delta, fmt))
+                         for d in changed])]
+    return view, code
 
 
-def _emit_sensitivity(base: float, rows, fmt: str):
-    """``base`` and ``rows`` as :func:`sensitivity` returns them."""
+def _cmd_econ_sensitivity(args):
+    c = _config(args, "sensitivity config")
+    # a lazy map: each row's Adjustment is checked just before it is scored
+    base, rows = sensitivity(ModelSpec(**vars(c.model)), map(_adjustment, c.rows))
+    fmt = args.format
+    header = ("parameter", "pct", "first", "last", "delta_npv", "delta_pct_of_base")
     if fmt == "json":
         return {
             "base_npv": _money(base),
-            "rows": [
-                {"parameter": parameter, "pct": _rate(pct),
-                 "first": first, "last": last, "delta_npv": _money(delta),
-                 "delta_pct_of_base": None if frac is None else _rate(frac)}
-                for parameter, pct, first, last, delta, frac in rows
-            ],
-        }
+            "rows": [dict(zip(header, (parameter, _rate(pct), first, last,
+                                       _money(delta),
+                                       None if frac is None else _rate(frac))))
+                     for parameter, pct, first, last, delta, frac in rows],
+        }, 0
     if fmt == "csv":
-        return [("parameter", "pct", "first", "last", "delta_npv",
-                 "delta_pct_of_base"),
-                *((parameter, f"{pct:g}", first, last, f"{_money(delta):.2f}",
-                   "" if frac is None else f"{frac:.6f}")
-                  for parameter, pct, first, last, delta, frac in rows)]
-    columns = "  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}"
-    return [f"sensitivity of npv (base {_money(base):,.2f})",
-            "",
-            columns.format("parameter", "pct", "periods", "delta_npv",
-                           "pct_of_base"),
-            *(columns.format(parameter, f"{pct * 100:+.4g}%", f"{first}-{last}",
-                             f"{_money(delta):+,.2f}",
-                             "n/a" if frac is None else f"{frac * 100:+.2f}%")
-              for parameter, pct, first, last, delta, frac in rows)]
+        return [header, *((parameter, f"{pct:g}", first, last, _cash(delta, fmt),
+                           "" if frac is None else f"{frac:.6f}")
+                          for parameter, pct, first, last, delta, frac in rows)], 0
+    return [f"sensitivity of npv (base {_cash(base, fmt)})", "",
+            *_grid("  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}",
+                   ("parameter", "pct", "periods", "delta_npv", "pct_of_base"),
+                   [(parameter, f"{pct * 100:+.4g}%", f"{first}-{last}",
+                     _cash(delta, fmt, "+"),
+                     "n/a" if frac is None else f"{frac * 100:+.2f}%")
+                    for parameter, pct, first, last, delta, frac in rows])], 0
 
 
-def _emit_bom(entries, discrepancies, expected_given: bool, fmt: str):
-    """``entries`` are the (label, value, kind) figures of :func:`_scalars`."""
+def _cmd_cost_bom(args):
+    c = _config(args, "cost config")
+    lines = load_bom_csv(_resolve(c.bom_csv, args.config))
+    summary = bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
+                         c.overhead_override)
+    entries = list(vars(summary).items())
+
+    seconds = None
+    if c.assembly is not None:
+        ops = load_assembly_csv(_resolve(c.assembly.ops_csv, args.config))
+        seconds, cost = assembly_cost(ops, c.assembly.hourly_rate)
+        entries += [("assembly_seconds", seconds), ("assembly_cost", cost)]
+
+    if c.dfa is not None:
+        if seconds is None:
+            raise ValidationError(
+                "dfa requires the 'assembly' section for the total assembly time")
+        entries.append(("dfa_index", dfa_index(c.dfa.min_parts, seconds)))
+    # `expected` may audit every figure so far, not the reduction ones
+    auditable = dict(entries)
+
+    if c.reduction is not None:
+        savings, fraction = cost_reduction_report(c.reduction.old_total,
+                                                  c.reduction.new_total)
+        entries += [("reduction_savings", savings), ("reduction_fraction", fraction)]
+
+    discrepancies = ()
+    if c.expected is not None:
+        expected = _read(c.expected, "expected",
+                         tuple((label, float, None) for label in auditable))
+        discrepancies = check_discrepancies(sorted(
+            (label, auditable[label], value)
+            for label, value in vars(expected).items() if value is not None))
+    fmt = args.format
     if fmt == "csv":
-        entries = entries + [
-            (f"discrepancy.{d.label}.{part}", getattr(d, part), "money")
-            for d in discrepancies for part in ("computed", "expected", "delta")]
+        entries += [(f"discrepancy.{d.label}.{part}", getattr(d, part))
+                    for d in discrepancies for part in ("computed", "expected", "delta")]
     view = _scalars("manufacturing cost summary", entries, fmt)
     if fmt == "json":
         view["discrepancies"] = [
@@ -465,52 +432,57 @@ def _emit_bom(entries, discrepancies, expected_given: bool, fmt: str):
              "expected": _money(d.expected), "delta": _money(d.delta)}
             for d in discrepancies
         ]
-    elif fmt == "table" and expected_given:
+    elif fmt == "table" and c.expected is not None:
         if discrepancies:
             view.append("  figures that differ from the supplied expected values:")
-            view += [f"    {d.label}: computed {_money(d.computed):,.2f}, "
-                     f"expected {_money(d.expected):,.2f} "
-                     f"(delta {_money(d.delta):+,.2f})"
+            view += [f"    {d.label}: computed {_cash(d.computed, fmt)}, "
+                     f"expected {_cash(d.expected, fmt)} "
+                     f"(delta {_cash(d.delta, fmt, '+')})"
                      for d in discrepancies]
         else:
             view.append("  all supplied expected values match")
-    return view
+    return view, 0
 
 
-def _emit_concept(scores, fmt: str):
-    """``scores`` are the (concept, total, rank) of :func:`concept_score`."""
-    if fmt == "json":
-        return {"scores": [
-            {"concept": name, "total": _rate(total), "rank": rank}
-            for name, total, rank in scores
-        ]}
+def _cmd_plan_concept(args):
+    c = _config(args, "concept config")
+    scores = concept_score(load_concept_csv(_resolve(c.matrix_csv, args.config)))
     header = ("concept", "total", "rank")
+    if args.format == "json":
+        return {"scores": [dict(zip(header, (name, _rate(total), rank)))
+                           for name, total, rank in scores]}, 0
     rows = [(name, f"{total:.4f}", rank) for name, total, rank in scores]
-    if fmt == "csv":
-        return [header, *rows]
-    columns = "  {2:>4}  {0:<20}  {1:>8}"  # table columns: rank, concept, total
-    return ["concept ranking", columns.format(*header),
-            *(columns.format(*row) for row in sorted(rows, key=lambda r: r[2]))]
+    if args.format == "csv":
+        return [header, *rows], 0
+    # table columns: rank, concept, total
+    return ["concept ranking",
+            *_grid("  {2:>4}  {0:<20}  {1:>8}", header,
+                   sorted(rows, key=lambda row: row[2]))], 0
 
 
-def _emit_risk(threshold: int, rated, fmt: str):
-    """``rated`` are (RiskItem, score, quadrant) triples."""
+def _cmd_plan_risk(args):
+    c = _config(args, "risk config")
+    check_risk_threshold(c.threshold)  # an empty register rates no item
+    items = load_risk_csv(_resolve(c.register_csv, args.config))
     header = ("code", "description", "category", "probability", "impact",
               "score", "quadrant")
     rows = [(item.code, item.description, item.category, item.probability,
-             item.impact, score, quadrant)
-            for item, score, quadrant in rated]
-    if fmt == "json":
-        return {"threshold": threshold,
-                "items": [dict(zip(header, row)) for row in rows]}
-    if fmt == "csv":
-        return [header, *rows]
+             item.impact, *risk_score_and_map(item, c.threshold)) for item in items]
+    if args.format == "json":
+        return {"threshold": c.threshold,
+                "items": [dict(zip(header, row)) for row in rows]}, 0
+    if args.format == "csv":
+        return [header, *rows], 0
     # table columns: code, p, i, score, quadrant, category, description
-    columns = "  {0:<5} {3:>2} {4:>2} {5:>5}  {6:<8}  {2:<22}  {1}"
-    return [f"risk register (threshold {threshold})",
-            columns.format("code", "description", "category", "p", "i",
-                           "score", "quadrant"),
-            *(columns.format(*row) for row in rows)]
+    return [f"risk register (threshold {c.threshold})",
+            *_grid("  {0:<5} {3:>2} {4:>2} {5:>5}  {6:<8}  {2:<22}  {1}",
+                   ("code", "description", "category", "p", "i", "score", "quadrant"),
+                   rows)], 0
+
+
+def _cmd_plan_market(args):
+    estimate = market_size_estimate(_config(args, "market config"))
+    return _scalars("market sizing", vars(estimate).items(), args.format), 0
 
 
 def _check_format(fmt: str) -> None:

@@ -252,6 +252,20 @@ def test_invalid_json_exits_1_naming_file(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"model": 1}\xff', "file is not UTF-8 text"),
+    (b'{"horizon": ' + b"9" * 5000 + b"}", "integer of 5000 digits is too long"),
+    (b"[" * 100_000, "JSON is nested too deeply"),
+], ids=["not-utf-8", "5000-digit-integer", "deep-nesting"])
+def test_unparsable_config_exits_1_with_one_error_line(data, message, tmp_path,
+                                                       capsysbinary):
+    bad = tmp_path / "config.json"
+    bad.write_bytes(data)
+    assert main(["econ", "npv", "--config", str(bad)]) == 1
+    out, err = capsysbinary.readouterr()
+    assert (out, err.decode()) == (b"", f"error: {bad}: {message}\n")
+
+
 # section -> (command, shipped config, keys down to the JSON object, a
 # required field of that object, the object's name in error messages)
 _SECTIONS = {
@@ -683,7 +697,8 @@ def _bom_cell(old, new):
     return _replace(_BOM_ROW, _BOM_ROW.replace(old, new))
 
 
-# case -> (shipped CSV, edit of its text, the error after "<csv path>: ").
+# case -> (shipped CSV, edit of its text to text or bytes, the error after
+# "<csv path>: ").
 # The first block used to end in a traceback, a NaN report or a misleading
 # error; the second used to leave out the file's path; the third keeps the
 # message it always had.
@@ -710,6 +725,11 @@ _CSV_CASES = {
                             "weights column has non-finite value 'inf'"),
     "risk-short-row": ("risk_register.csv", _append("Z9,desc"),
                        "row ['Z9', 'desc'] has the wrong column count"),
+    "risk-latin-1": ("risk_register.csv",
+                     lambda t: t.replace("Yield", "Yield \xe9").encode("latin-1"),
+                     "file is not UTF-8 text"),
+    "risk-huge-cell": ("risk_register.csv", _replace("Yield", "y" * 131_073),
+                       "line 2: field larger than field limit (131072)"),
 
     "bom-qty-zero": ("bom_initial.csv", _bom_cell(",1,", ",0,"),
                      "BOM line 'Wi-Fi RF Transceiver Module': qty must be >= 1"),
@@ -763,7 +783,8 @@ def test_malformed_csv_exits_1_with_one_error_line(case, tmp_path, capsysbinary)
     command, name = _CSV_USERS[csv_name]
     _copy_csvs(tmp_path)
     bad = tmp_path.resolve() / csv_name
-    bad.write_text(edit(bad.read_text()))
+    edited = edit(bad.read_text())
+    bad.write_bytes(edited if isinstance(edited, bytes) else edited.encode())
     config = shutil.copy(_CONFIGS / f"{name}.json", tmp_path)
     for fmt in FORMATS:
         assert main([*command.split(), "--config", str(config), "--format", fmt]) == 1
@@ -860,6 +881,16 @@ def _number_paths(node, keys=()):
         yield keys
 
 
+def _with(config, keys, value):
+    """A copy of ``config`` with the value at key path ``keys`` replaced."""
+    config = copy.deepcopy(config)
+    target = config
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return config
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -873,12 +904,7 @@ def test_huge_numbers_exit_cleanly_with_strict_json_reports(name, tmp_path,
     path = tmp_path / f"{name}.json"
     for value in (1e300, 1e30):
         for keys in _number_paths(config):
-            huge = copy.deepcopy(config)
-            target = huge
-            for key in keys[:-1]:
-                target = target[key]
-            target[keys[-1]] = value
-            path.write_text(json.dumps(huge))
+            path.write_text(json.dumps(_with(config, keys, value)))
             code = main([*SHIPPED[name].split(), "--config", str(path), "--format", "json"])
             out, err = capsysbinary.readouterr()
             assert code in (0, 1, 2), (keys, value, code)
@@ -889,6 +915,30 @@ def test_huge_numbers_exit_cleanly_with_strict_json_reports(name, tmp_path,
                     json.loads(out, parse_constant=_reject_constant)
                 except ValueError as exc:
                     pytest.fail(f"{keys} = {value}: {exc}")
+
+
+# the raw JSON tokens no config number may be, each with its error message
+_UNREADABLE_NUMBERS = {
+    **{token: f"non-finite number {token} is not allowed"
+       for token in ("NaN", "Infinity", "-Infinity")},
+    "9" * 5000: "integer of 5000 digits is too long",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_non_finite_and_overlong_numbers_exit_1(name, tmp_path, capsysbinary):
+    # every number of the config, one at a time, written as each raw token,
+    # which json.dumps cannot write
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    for keys in _number_paths(config):
+        text = json.dumps(_with(config, keys, "@"))
+        for token, message in _UNREADABLE_NUMBERS.items():
+            path.write_text(text.replace('"@"', token))
+            code = main([*SHIPPED[name].split(), "--config", str(path)])
+            out, err = capsysbinary.readouterr()
+            assert (code, out, err.decode()) == (
+                1, b"", f"error: {path}: {message}\n"), (keys, token[:9])
 
 
 # ------------------------------------------------------------ docs drift

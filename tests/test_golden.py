@@ -1,4 +1,4 @@
-"""Byte-for-byte report goldens: every shipped config and six branch cases
+"""Byte-for-byte report goldens: every shipped config and nine branch cases
 that no shipped config reaches, each in every ``--format``.
 
 One file per case and format lives in ``tests/golden/<case>.<format>``. The
@@ -60,6 +60,9 @@ _ZERO_BASE_MODEL = {
               "unit_cost": 0.0},
 }
 
+_RISK_HEADER = "Code,Description,Category,Probability,Impact\n"
+_RISK_CONFIG = {"register_csv": "register.csv", "threshold": 5}
+
 # case -> (command, config: shipped name or literal dict, extra flags, exit code)
 CASES = {name: (command, name, (), 0) for name, command in SHIPPED.items()}
 CASES.update({
@@ -84,13 +87,28 @@ CASES.update({
                       "assembly_seconds": 1840.0}},
         (), 0),
     "branch_bom_bare": ("cost bom", _BOM_BASE, (), 0),
+    "branch_risk_empty": ("plan risk", _RISK_CONFIG, (), 0),
+    "branch_risk_quoted": ("plan risk", _RISK_CONFIG, (), 0),
+    "branch_sensitivity_no_rows": (
+        "econ sensitivity", _variant("econ_sensitivity_grid", rows=[]), (), 0),
 })
+
+# case -> {file name: text} of the CSV tables a literal config names, written
+# next to it so that tests/golden/ holds only goldens
+TABLES = {
+    "branch_risk_empty": {"register.csv": _RISK_HEADER},
+    "branch_risk_quoted": {"register.csv": _RISK_HEADER
+                           + 'Q1,"Seal leaks, ""hiss"" at idle",Design-related,7,8\n'
+                           + "Q2,Late tooling,Schedule,2,3\n"},
+}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_golden(case, fmt, tmp_path):
     command, config, flags, expected_code = CASES[case]
+    for name, text in TABLES.get(case, {}).items():
+        (tmp_path / name).write_text(text)
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
