@@ -1,30 +1,33 @@
 """Deterministic noise-control simulation and product-economics toolkit.
 
-The business modules (``econ``, ``costing``, ``planning``) use the standard
-library only. The noise-control names, which need numpy, are imported from
-``anc`` and ``signals`` on first access (PEP 562), so importing the package
-loads no numpy.
+Every exported name is imported from its module on first access (PEP 562),
+so importing the package loads no numpy and no business module: the
+business modules (``econ``, ``costing``, ``planning``) use the standard
+library only, and the noise-control ones (``anc``, ``signals``) need numpy.
 """
 import importlib
 
-from .costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
-                      BomLine, BomSummary, Discrepancy, OverheadRates,
-                      assembly_cost, bom_rollup, check_discrepancies,
-                      cost_reduction_report, dfa_index, gross_margin,
-                      load_assembly_csv, load_bom_csv, overhead_cost,
-                      round_half_away)
-from .econ import (COST, IRR_NPV_TOL, PRICE, SALES_TARGETS, UNITS, Adjustment,
-                   EconResult, ExpenseLine, LineDelta, ModelSpec, SalesBlock,
-                   apply_adjustments, break_even, build_cash_flows,
-                   discounted_flows, evaluate, irr, irr_interpolate, npv,
-                   sensitivity, sensitivity_row)
-from .errors import ValidationError
-from .planning import (CRITICAL, DEFAULT_RISK_THRESHOLD, LOW, MONITOR, URGENT,
-                       ConceptMatrix, MarketEstimate, MarketParams, RiskItem,
-                       concept_score, load_concept_csv, load_risk_csv,
-                       market_size_estimate, risk_score_and_map)
-
+# exported name -> the module that defines it
 _LAZY = {
+    "ValidationError": "errors",
+    "round_half_away": "_tables",
+    **dict.fromkeys(("ASSEMBLY_COLUMNS", "BOM_COLUMNS", "CENT_TOL", "AssemblyOp",
+                     "BomLine", "BomSummary", "Discrepancy", "OverheadRates",
+                     "assembly_cost", "bom_rollup", "check_discrepancies",
+                     "cost_reduction_report", "dfa_index", "gross_margin",
+                     "load_assembly_csv", "load_bom_csv", "overhead_cost"),
+                    "costing"),
+    **dict.fromkeys(("COST", "IRR_NPV_TOL", "PRICE", "SALES_TARGETS", "UNITS",
+                     "Adjustment", "EconResult", "ExpenseLine", "LineDelta",
+                     "ModelSpec", "SalesBlock", "apply_adjustments", "break_even",
+                     "build_cash_flows", "discounted_flows", "evaluate", "irr",
+                     "irr_interpolate", "npv", "sensitivity", "sensitivity_row"),
+                    "econ"),
+    **dict.fromkeys(("CRITICAL", "DEFAULT_RISK_THRESHOLD", "LOW", "MONITOR",
+                     "URGENT", "ConceptMatrix", "MarketEstimate", "MarketParams",
+                     "RiskItem", "concept_score", "load_concept_csv",
+                     "load_risk_csv", "market_size_estimate", "risk_score_and_map"),
+                    "planning"),
     **dict.fromkeys(("ALGORITHMS", "ATTENUATION_WINDOW_S", "DEFAULT_STEP_SIZE",
                      "DIVERGENCE_POWER_RATIO", "EXACT", "NLMS_EPS", "AncConfig",
                      "AncResult", "anc_run"), "anc"),
@@ -40,24 +43,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS", "ATTENUATION_CAP_DB", "ATTENUATION_WINDOW_S",
-    "ASSEMBLY_COLUMNS", "BOM_COLUMNS", "CENT_TOL", "COST", "CRITICAL",
-    "DEFAULT_RISK_THRESHOLD", "DEFAULT_STEP_SIZE", "DIVERGENCE_POWER_RATIO",
-    "EXACT", "IRR_NPV_TOL", "LOW", "MONITOR", "NLMS_EPS", "PRICE",
-    "SALES_TARGETS", "UNITS", "URGENT",
-    "Adjustment", "AncConfig", "AncResult", "AssemblyOp", "BomLine",
-    "BomSummary", "ConceptMatrix", "Discrepancy", "EconResult", "ExpenseLine",
-    "FirPath", "LineDelta", "MarketEstimate", "MarketParams", "ModelSpec",
-    "OverheadRates", "RiskItem", "SalesBlock", "SampleBuffer", "ValidationError",
-    "anc_run", "apply_adjustments", "assembly_cost", "attenuation_db",
-    "bom_rollup", "break_even", "build_cash_flows", "check_discrepancies",
-    "concept_score", "convolve_path", "cost_reduction_report", "dfa_index",
-    "discounted_flows", "evaluate", "generate_broadband", "generate_tone",
-    "gross_margin", "invert_phase", "irr", "irr_interpolate", "load_assembly_csv",
-    "load_bom_csv", "load_concept_csv", "load_risk_csv",
-    "market_size_estimate", "npv", "overhead_cost", "risk_score_and_map",
-    "round_half_away", "sensitivity", "sensitivity_row",
-]
+__all__ = list(_LAZY)

@@ -1,12 +1,15 @@
-"""The CSV tables' input boundary: one row reader and one cell parser.
+"""The CSV tables' input boundary: one row reader and one cell parser; and
+the cent rounding every report's money figures go through.
 
-A table is UTF-8 text: a header row and rows as wide as it; blank lines
-after the header are skipped, and a number cell must hold a finite number.
-Each loader is wrapped by :func:`names_file`, so its errors name the file.
+A table is UTF-8 text, with or without a byte-order mark: a header row and
+rows as wide as it; blank lines after the header are skipped, and a number
+cell must hold a finite number. Each loader is wrapped by :func:`names_file`,
+so its errors name the file.
 """
 import csv
 import functools
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .errors import ValidationError
@@ -28,7 +31,7 @@ def read_rows(path, columns: tuple, more: str = None):
     """(header, rows) of the CSV file at ``path``, a Path. The header must be
     ``columns``, or ``columns`` and at least one ``more`` column."""
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             rows = [row for row in reader if row]
@@ -61,3 +64,22 @@ def number(text: str, what: str, convert=float):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{what} has non-finite value {text!r}")
     return value
+
+
+# A finite double has at most 309 integer digits, so this precision holds
+# any of them quantized to 2 (and up to 90) decimals; the default 28-digit
+# context fails from about 1e26 on.
+_ROUNDING_CONTEXT = Context(prec=400)
+
+
+def round_half_away(value: float, ndigits: int = 2) -> float:
+    """Round with ties going away from zero (display convention).
+
+    Any finite double rounds; a non-finite value is a ValidationError.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"cannot round the non-finite value {value!r}")
+    q = Decimal(1).scaleb(-ndigits)
+    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP,
+                                               context=_ROUNDING_CONTEXT))

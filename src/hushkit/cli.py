@@ -4,17 +4,21 @@ Exit codes: 0 success, 1 config validation failure, 2 numerical failure
 (divergence, or a missing IRR under --require-irr; the report is still
 emitted), 3 I/O failure.
 
-Only ``anc simulate`` needs numpy: it imports ``anc`` and ``signals`` when
-it runs, so the business commands never load them.
+Each command imports the library module it uses when it runs: ``econ``,
+``costing``, ``planning``, or ``anc`` and ``signals`` for ``anc simulate``,
+the only command that needs numpy. Importing this module loads none of them,
+so a cold process loads only its command's module.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import importlib
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from itertools import accumulate
@@ -22,15 +26,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .costing import (OverheadRates, assembly_cost, bom_rollup,
-                      check_discrepancies, cost_reduction_report, dfa_index,
-                      load_assembly_csv, load_bom_csv, round_half_away)
-from .econ import (Adjustment, ExpenseLine, ModelSpec, SalesBlock, discounted_flows,
-                   evaluate, sensitivity)
+from ._tables import round_half_away
 from .errors import ValidationError
-from .planning import (DEFAULT_RISK_THRESHOLD, MarketParams,
-                       check_risk_threshold, concept_score, load_concept_csv,
-                       load_risk_csv, market_size_estimate, risk_score_and_map)
 
 if TYPE_CHECKING:
     from .signals import FirPath
@@ -55,19 +52,23 @@ def __getattr__(name):
 # config schemas: one table of (name, kind, default) fields per JSON object
 #
 # A kind is str, int, float (any JSON number, read as a float), list, dict or
-# str | list; a table or a flat dataclass for a nested object, which errors
-# name by its field; [table or dataclass] for a list of such objects, item i
-# named `name[i]`; or {tag: table} for objects told apart by their "kind".
-# Tables read as namespaces, flat dataclasses as instances whose fields are
-# all required. A default of None marks an optional field; in `anc simulate`
-# an omitted option takes the AncConfig default.
+# str | list; a table, or a flat dataclass named "module.Class", for a nested
+# object, which errors name by its field; [table or dataclass] for a list of
+# such objects, item i named `name[i]`; or {tag: table} for objects told
+# apart by their "kind". Tables read as namespaces, flat dataclasses as
+# instances whose fields are all required. A default of None marks an
+# optional field; in `anc simulate` and `plan risk` an omitted option takes
+# the library's default. A string may hold no NUL and no lone surrogate.
 
 _REQUIRED = object()
+# JSON decoding pairs every valid surrogate pair, so any left is lone
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _ADJUSTMENT = (("target", str, _REQUIRED), ("pct", float, _REQUIRED),
                ("first", int, None), ("last", int, None))
 _MODEL = (("horizon", int, _REQUIRED), ("discount_rate", float, _REQUIRED),
-          ("expenses", [ExpenseLine], _REQUIRED), ("sales", SalesBlock, _REQUIRED))
+          ("expenses", ["econ.ExpenseLine"], _REQUIRED),
+          ("sales", "econ.SalesBlock", _REQUIRED))
 
 _SCHEMAS = {
     "anc config": (
@@ -87,7 +88,8 @@ _SCHEMAS = {
                            ("rows", [_ADJUSTMENT], _REQUIRED)),
     "cost config": (
         ("bom_csv", str, _REQUIRED), ("shipment", float, _REQUIRED),
-        ("overhead_rates", OverheadRates, _REQUIRED), ("warranty", float, _REQUIRED),
+        ("overhead_rates", "costing.OverheadRates", _REQUIRED),
+        ("warranty", float, _REQUIRED),
         ("overhead_override", float, None),
         ("assembly", (("ops_csv", str, _REQUIRED), ("hourly_rate", float, _REQUIRED)),
          None),
@@ -96,9 +98,8 @@ _SCHEMAS = {
          None),
         ("expected", dict, None)),
     "concept config": (("matrix_csv", str, _REQUIRED),),
-    "risk config": (("register_csv", str, _REQUIRED),
-                    ("threshold", int, DEFAULT_RISK_THRESHOLD)),
-    "market config": MarketParams,
+    "risk config": (("register_csv", str, _REQUIRED), ("threshold", int, None)),
+    "market config": "planning.MarketParams",
 }
 
 # Field kinds by annotation text (the model modules postpone annotations).
@@ -106,8 +107,12 @@ _KINDS = {"str": str, "int": int, "float": float}
 
 
 @functools.cache
-def _table_of(cls):
-    return tuple((f.name, _KINDS[f.type], _REQUIRED) for f in fields(cls))
+def _record(path: str):
+    """(class, field table) of the flat dataclass named ``path``, imported
+    once per process."""
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return cls, tuple((f.name, _KINDS[f.type], _REQUIRED) for f in fields(cls))
 
 
 def _read(mapping, context: str, schema):
@@ -115,13 +120,14 @@ def _read(mapping, context: str, schema):
     errors, which name the object by ``context``."""
     if not isinstance(mapping, dict):
         raise ValidationError(f"{context} must be a JSON object")
-    table = schema if isinstance(schema, tuple) else _table_of(schema)
+    make, table = ((SimpleNamespace, schema) if isinstance(schema, tuple)
+                   else _record(schema))
     values = {name: _field(mapping, context, name, kind, default)
               for name, kind, default in table}
     unknown = mapping.keys() - values.keys()
     if unknown:
         raise ValidationError(f"{context}: unknown field '{min(unknown)}'")
-    return SimpleNamespace(**values) if table is schema else schema(**values)
+    return make(**values)
 
 
 def _field(mapping, context: str, name: str, kind, default):
@@ -143,6 +149,9 @@ def _field(mapping, context: str, name: str, kind, default):
         except OverflowError:
             raise ValidationError(f"{context}: field '{name}' is out of range") from None
         return number if kind is float else value
+    if isinstance(value, str) and not _clean(value):
+        raise ValidationError(
+            f"{context}: field '{name}' holds a NUL or a lone surrogate")
     if plain:
         return value
     if isinstance(kind, list):
@@ -155,6 +164,12 @@ def _field(mapping, context: str, name: str, kind, default):
                 f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
         kind = kind[tag]
     return _read(value, name, kind)
+
+
+def _clean(text: str) -> bool:
+    """Whether ``text`` holds no NUL and no lone surrogate, which no file
+    path and no UTF-8 report can carry."""
+    return "\0" not in text and (text.isascii() or _SURROGATE.search(text) is None)
 
 
 def _load_config(path_str: str):
@@ -213,14 +228,18 @@ def _taps_from(values, field: str) -> FirPath:
         raise ValidationError(f"field '{field}' is out of range") from None
 
 
-def _adjustment(row) -> Adjustment:
-    return Adjustment(row.target, row.pct, row.first, row.last)
+def _adjustments(rows, adjustment):
+    """The schema rows as ``adjustment`` instances, each made (and checked)
+    when it is reached."""
+    return (adjustment(row.target, row.pct, row.first, row.last) for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each reads its config, calls the library and renders
-# the result as a report view, a dict for json, rows for csv or lines for
-# table, which emit_report serializes; each returns (view, exit code)
+# subcommand handlers: each imports its library module, reads its config,
+# calls the library and renders the result as a report view, a dict for json,
+# rows for csv or lines for table, which emit_report serializes; each returns
+# (view, exit code). Library names are looked up on their modules at call
+# time, so a replaced binding (a tracing wrapper, say) is the one called.
 
 
 def _money(value) -> float:
@@ -261,8 +280,6 @@ def _scalars(title: str, entries, fmt: str):
 
 
 def _cmd_anc_simulate(args):
-    # names are looked up on their modules at call time, so a replaced
-    # binding (a tracing wrapper, say) is the one called
     from . import anc, signals
 
     c = _config(args, "anc config")
@@ -312,13 +329,15 @@ def _cmd_anc_simulate(args):
 
 
 def _cmd_econ_eval(args):
+    from . import econ
+
     raw = _load_config(args.config)
     # a bare model is a config without adjustments
     c = _read(raw if "model" in raw else {"model": raw}, "econ config",
               _SCHEMAS["econ config"])
-    adjustments = tuple(map(_adjustment, c.adjustments))
-    result = evaluate(ModelSpec(**vars(c.model)), adjustments,
-                      discounted_breakeven=args.discounted_breakeven)
+    adjustments = tuple(_adjustments(c.adjustments, econ.Adjustment))
+    result = econ.evaluate(econ.ModelSpec(**vars(c.model)), adjustments,
+                           discounted_breakeven=args.discounted_breakeven)
     code = 2 if args.require_irr and result.irr is None else 0
     r = result.discount_rate
     fmt = args.format
@@ -340,7 +359,8 @@ def _cmd_econ_eval(args):
     flows = result.cash_flows
     periods = [(t, _cash(flow, fmt), _cash(pv, fmt), _cash(cumulative, fmt))
                for t, (flow, pv, cumulative) in enumerate(
-                   zip(flows, discounted_flows(flows, r), accumulate(flows)), start=1)]
+                   zip(flows, econ.discounted_flows(flows, r), accumulate(flows)),
+                   start=1)]
     if fmt == "csv":
         return [header, *periods], code
     summary = [("npv", _cash(result.npv, fmt)),
@@ -362,9 +382,12 @@ def _cmd_econ_eval(args):
 
 
 def _cmd_econ_sensitivity(args):
+    from . import econ
+
     c = _config(args, "sensitivity config")
-    # a lazy map: each row's Adjustment is checked just before it is scored
-    base, rows = sensitivity(ModelSpec(**vars(c.model)), map(_adjustment, c.rows))
+    # each row's Adjustment is checked just before it is scored
+    base, rows = econ.sensitivity(econ.ModelSpec(**vars(c.model)),
+                                  _adjustments(c.rows, econ.Adjustment))
     fmt = args.format
     header = ("parameter", "pct", "first", "last", "delta_npv", "delta_pct_of_base")
     if fmt == "json":
@@ -389,36 +412,38 @@ def _cmd_econ_sensitivity(args):
 
 
 def _cmd_cost_bom(args):
+    from . import costing
+
     c = _config(args, "cost config")
-    lines = load_bom_csv(_resolve(c.bom_csv, args.config))
-    summary = bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
-                         c.overhead_override)
+    lines = costing.load_bom_csv(_resolve(c.bom_csv, args.config))
+    summary = costing.bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
+                                 c.overhead_override)
     entries = list(vars(summary).items())
 
     seconds = None
     if c.assembly is not None:
-        ops = load_assembly_csv(_resolve(c.assembly.ops_csv, args.config))
-        seconds, cost = assembly_cost(ops, c.assembly.hourly_rate)
+        ops = costing.load_assembly_csv(_resolve(c.assembly.ops_csv, args.config))
+        seconds, cost = costing.assembly_cost(ops, c.assembly.hourly_rate)
         entries += [("assembly_seconds", seconds), ("assembly_cost", cost)]
 
     if c.dfa is not None:
         if seconds is None:
             raise ValidationError(
                 "dfa requires the 'assembly' section for the total assembly time")
-        entries.append(("dfa_index", dfa_index(c.dfa.min_parts, seconds)))
+        entries.append(("dfa_index", costing.dfa_index(c.dfa.min_parts, seconds)))
     # `expected` may audit every figure so far, not the reduction ones
     auditable = dict(entries)
 
     if c.reduction is not None:
-        savings, fraction = cost_reduction_report(c.reduction.old_total,
-                                                  c.reduction.new_total)
+        savings, fraction = costing.cost_reduction_report(c.reduction.old_total,
+                                                          c.reduction.new_total)
         entries += [("reduction_savings", savings), ("reduction_fraction", fraction)]
 
     discrepancies = ()
     if c.expected is not None:
         expected = _read(c.expected, "expected",
                          tuple((label, float, None) for label in auditable))
-        discrepancies = check_discrepancies(sorted(
+        discrepancies = costing.check_discrepancies(sorted(
             (label, auditable[label], value)
             for label, value in vars(expected).items() if value is not None))
     fmt = args.format
@@ -445,8 +470,11 @@ def _cmd_cost_bom(args):
 
 
 def _cmd_plan_concept(args):
+    from . import planning
+
     c = _config(args, "concept config")
-    scores = concept_score(load_concept_csv(_resolve(c.matrix_csv, args.config)))
+    scores = planning.concept_score(
+        planning.load_concept_csv(_resolve(c.matrix_csv, args.config)))
     header = ("concept", "total", "rank")
     if args.format == "json":
         return {"scores": [dict(zip(header, (name, _rate(total), rank)))
@@ -461,27 +489,33 @@ def _cmd_plan_concept(args):
 
 
 def _cmd_plan_risk(args):
+    from . import planning
+
     c = _config(args, "risk config")
-    check_risk_threshold(c.threshold)  # an empty register rates no item
-    items = load_risk_csv(_resolve(c.register_csv, args.config))
+    threshold = planning.DEFAULT_RISK_THRESHOLD if c.threshold is None else c.threshold
+    planning.check_risk_threshold(threshold)  # an empty register rates no item
+    items = planning.load_risk_csv(_resolve(c.register_csv, args.config))
     header = ("code", "description", "category", "probability", "impact",
               "score", "quadrant")
     rows = [(item.code, item.description, item.category, item.probability,
-             item.impact, *risk_score_and_map(item, c.threshold)) for item in items]
+             item.impact, *planning.risk_score_and_map(item, threshold))
+            for item in items]
     if args.format == "json":
-        return {"threshold": c.threshold,
+        return {"threshold": threshold,
                 "items": [dict(zip(header, row)) for row in rows]}, 0
     if args.format == "csv":
         return [header, *rows], 0
     # table columns: code, p, i, score, quadrant, category, description
-    return [f"risk register (threshold {c.threshold})",
+    return [f"risk register (threshold {threshold})",
             *_grid("  {0:<5} {3:>2} {4:>2} {5:>5}  {6:<8}  {2:<22}  {1}",
                    ("code", "description", "category", "p", "i", "score", "quadrant"),
                    rows)], 0
 
 
 def _cmd_plan_market(args):
-    estimate = market_size_estimate(_config(args, "market config"))
+    from . import planning
+
+    estimate = planning.market_size_estimate(_config(args, "market config"))
     return _scalars("market sizing", vars(estimate).items(), args.format), 0
 
 

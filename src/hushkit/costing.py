@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import List, Optional, Sequence, Tuple
 
-from ._tables import names_file, number, read_rows
+# round_half_away lives with the table readers, which every command loads;
+# it stays importable from here
+from ._tables import names_file, number, read_rows, round_half_away  # noqa: F401
 from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.
@@ -25,25 +26,6 @@ BOM_COLUMNS = ("Component", "Qty required", "Purchased Costs", "Processing",
                "Assembly (labor)", "Total Unit Variable", "Suppliers")
 
 ASSEMBLY_COLUMNS = ("Part", "Quantity", "Handling Time (s)", "Insertion Time (s)")
-
-
-# A finite double has at most 309 integer digits, so this precision holds
-# any of them quantized to 2 (and up to 90) decimals; the default 28-digit
-# context fails from about 1e26 on.
-_ROUNDING_CONTEXT = Context(prec=400)
-
-
-def round_half_away(value: float, ndigits: int = 2) -> float:
-    """Round with ties going away from zero (display convention).
-
-    Any finite double rounds; a non-finite value is a ValidationError.
-    """
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"cannot round the non-finite value {value!r}")
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP,
-                                               context=_ROUNDING_CONTEXT))
 
 
 @dataclass(frozen=True)

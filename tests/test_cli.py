@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, formats, config handling, determinism."""
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -17,7 +16,7 @@ from test_golden import SHIPPED
 
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
-from hushkit.cli import _SCHEMAS, FORMATS, emit_report, main
+from hushkit.cli import _SCHEMAS, FORMATS, _record, emit_report, main
 from hushkit.costing import BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
 
@@ -804,6 +803,74 @@ def test_blank_lines_after_the_header_are_skipped(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == golden.read_bytes()
 
 
+@pytest.mark.parametrize("command, name, csv_name, rows", [
+    ("plan risk", "plan_risk", "risk_register.csv", 1),
+    ("cost bom", "cost_initial", "bom_initial.csv", None),
+], ids=["one-row-risk-register", "bom"])
+def test_csv_with_a_byte_order_mark_gives_the_same_report(command, name, csv_name,
+                                                          rows, tmp_path, capsysbinary):
+    # as a spreadsheet's "CSV UTF-8" export saves it
+    _copy_csvs(tmp_path)
+    table = tmp_path / csv_name
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines[:1 + rows] if rows else lines))
+    config = shutil.copy(_CONFIGS / f"{name}.json", tmp_path)
+    for fmt in FORMATS:
+        argv = [*command.split(), "--config", str(config), "--format", fmt]
+        table.write_bytes(table.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+        assert main(argv) == 0
+        plain = capsysbinary.readouterr()
+        table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        assert main(argv) == 0
+        assert capsysbinary.readouterr() == plain
+        assert plain.err == b"" and plain.out.count(b"\n") > 1
+
+
+# ------------------------------------------------- strings at the boundary
+
+# a config string that holds either one is rejected: no file path can name
+# it, and no UTF-8 report can carry a lone surrogate
+_BAD_CHARS = {"nul": "a\0b.csv", "lone-surrogate": "a\ud800b.csv"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("char", sorted(_BAD_CHARS))
+@pytest.mark.parametrize("command, name, keys, context", [
+    ("cost bom", "cost_initial", ("bom_csv",), "cost config"),
+    ("cost bom", "cost_initial", ("assembly", "ops_csv"), "assembly"),
+    ("plan concept", "plan_concept", ("matrix_csv",), "concept config"),
+    ("plan risk", "plan_risk", ("register_csv",), "risk config"),
+], ids=["bom_csv", "assembly.ops_csv", "matrix_csv", "register_csv"])
+def test_csv_path_with_nul_or_lone_surrogate_exits_1(command, name, keys, context,
+                                                      char, fmt, tmp_path,
+                                                      capsysbinary):
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_with(config, keys, _BAD_CHARS[char])))
+    assert main([*command.split(), "--config", str(path), "--format", fmt]) == 1
+    out, err = capsysbinary.readouterr()
+    assert (out, err.decode()) == (
+        b"", f"error: {context}: field '{keys[-1]}' holds a NUL or a lone surrogate\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_expense_named_with_a_lone_surrogate_exits_1(fmt, tmp_path, capsysbinary):
+    # the name reached the report: table and csv ended in a UnicodeEncodeError
+    # traceback, json escaped it and exited 0
+    config = json.loads((_CONFIGS / "econ_best_case.json").read_text())
+    old = config["model"]["expenses"][0]["name"]
+    for item in (*config["model"]["expenses"], *config["adjustments"]):
+        for key in ("name", "target"):
+            if item.get(key) == old:
+                item[key] = "\ud800"
+    path = tmp_path / "econ.json"
+    path.write_text(json.dumps(config))
+    assert main(["econ", "scenario", "--config", str(path), "--format", fmt]) == 1
+    out, err = capsysbinary.readouterr()
+    assert (out, err.decode()) == (
+        b"", "error: expenses[0]: field 'name' holds a NUL or a lone surrogate\n")
+
+
 # ------------------------------------------------------------ entry points
 
 def test_python_m_runs_the_cli(configs_dir):
@@ -949,10 +1016,10 @@ def _schema_names(schema):
         return set().union(*map(_schema_names, schema.values()))
     if isinstance(schema, list):
         return _schema_names(schema[0])
+    if isinstance(schema, str):  # a flat dataclass named "module.Class"
+        schema = _record(schema)[1]
     if not isinstance(schema, tuple):
-        if not dataclasses.is_dataclass(schema):
-            return set()
-        schema = [(f.name, None, None) for f in dataclasses.fields(schema)]
+        return set()
     return {name for name, _, _ in schema}.union(
         *(_schema_names(kind) for _, kind, _ in schema))
 

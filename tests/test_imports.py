@@ -1,8 +1,10 @@
-"""Import graph: the package and the business commands load no numpy.
+"""Import graph: each command loads only the library module it uses.
 
-Only ``anc simulate`` and the signal API need numpy; their names resolve on
-first access. Each check runs in a fresh interpreter, because the test
-process itself has numpy loaded.
+``import hushkit`` and ``import hushkit.cli`` load no business module and no
+numpy; an ``econ`` command loads ``econ`` only, ``cost bom`` ``costing``
+only, a ``plan`` command ``planning`` only, and ``anc simulate`` numpy and
+none of the three. Each check runs in a fresh interpreter, because the test
+process itself has every module loaded.
 """
 import json
 import os
@@ -10,46 +12,80 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import hushkit
+import hushkit.anc
+import hushkit.cli
+import hushkit.costing
+import hushkit.signals
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
-BUSINESS = [
-    ["econ", "npv", "--config", str(CONFIGS / "econ_base.json")],
-    ["econ", "scenario", "--config",
-     str(CONFIGS / "econ_scenario_marketing_shift.json")],
-    ["econ", "sensitivity", "--config", str(CONFIGS / "econ_sensitivity_grid.json")],
-    ["cost", "bom", "--config", str(CONFIGS / "cost_revised_detail.json")],
-    ["plan", "concept", "--config", str(CONFIGS / "plan_concept.json")],
-    ["plan", "risk", "--config", str(CONFIGS / "plan_risk.json")],
-    ["plan", "market", "--config", str(CONFIGS / "plan_market.json")],
-]
 
-_PROBE = """\
+def _argv(group, command, config):
+    return [group, command, "--config", str(CONFIGS / config)]
+
+
+# command group -> (its commands, the watched modules they leave loaded)
+GROUPS = {
+    "import-only": ((), []),
+    "econ": ((_argv("econ", "npv", "econ_base.json"),
+              _argv("econ", "scenario", "econ_scenario_marketing_shift.json"),
+              _argv("econ", "sensitivity", "econ_sensitivity_grid.json")),
+             ["hushkit.econ"]),
+    "cost": ((_argv("cost", "bom", "cost_revised_detail.json"),),
+             ["hushkit.costing"]),
+    "plan": ((_argv("plan", "concept", "plan_concept.json"),
+              _argv("plan", "risk", "plan_risk.json"),
+              _argv("plan", "market", "plan_market.json")),
+             ["hushkit.planning"]),
+    "anc": ((_argv("anc", "simulate", "anc_tone_2tap.json"),), ["numpy"]),
+}
+
+_WATCHED = ("hushkit.econ", "hushkit.costing", "hushkit.planning", "numpy")
+
+# Prints the watched modules loaded by `import hushkit`, then by
+# `import hushkit.cli`, then by running every command given.
+_PROBE = f"""\
 import json, sys
+def loaded():
+    return [name for name in {_WATCHED!r} if name in sys.modules]
+seen = []
 import hushkit
-assert "numpy" not in sys.modules, "import hushkit loaded numpy"
+seen.append(loaded())
 import hushkit.cli
+seen.append(loaded())
 for argv in json.loads(sys.argv[1]):
     code = hushkit.cli.main([*argv, "--format", "json", "--output", sys.argv[2]])
     assert code == 0, (argv, code)
-    assert "numpy" not in sys.modules, argv
-for name in hushkit.__all__:
-    getattr(hushkit, name)
-import hushkit.anc, hushkit.signals
-assert hushkit.cli.anc_run is hushkit.anc.anc_run is hushkit.anc_run
-assert hushkit.cli.generate_tone is hushkit.signals.generate_tone
-assert hushkit.cli.generate_broadband is hushkit.signals.generate_broadband
-for module in (hushkit, hushkit.cli):
-    assert not hasattr(module, "no_such_name")
-print("ok")
+seen.append(loaded())
+print(json.dumps(seen))
 """
 
 
-def test_business_commands_import_no_numpy(tmp_path):
+@pytest.mark.parametrize("group", list(GROUPS))
+def test_each_command_group_loads_only_its_module(group, tmp_path):
+    argvs, expected = GROUPS[group]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(BUSINESS), str(tmp_path / "out")],
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), str(tmp_path / "out")],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    assert json.loads(done.stdout) == [[], [], expected]
+
+
+def test_every_exported_name_resolves():
+    for name in hushkit.__all__:
+        getattr(hushkit, name)
+    assert len(set(hushkit.__all__)) == len(hushkit.__all__)
+    assert set(hushkit.__all__) <= set(dir(hushkit))
+    assert hushkit.round_half_away is hushkit.costing.round_half_away
+    # `anc simulate`'s names stay readable on the CLI module
+    assert hushkit.cli.anc_run is hushkit.anc.anc_run is hushkit.anc_run
+    assert hushkit.cli.generate_tone is hushkit.signals.generate_tone
+    assert hushkit.cli.generate_broadband is hushkit.signals.generate_broadband
+    for module in (hushkit, hushkit.cli):
+        assert not hasattr(module, "no_such_name")
