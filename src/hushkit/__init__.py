@@ -14,14 +14,14 @@ _LAZY = {
     **dict.fromkeys(("ASSEMBLY_COLUMNS", "BOM_COLUMNS", "CENT_TOL", "AssemblyOp",
                      "BomLine", "BomSummary", "Discrepancy", "OverheadRates",
                      "assembly_cost", "bom_rollup", "check_discrepancies",
-                     "cost_reduction_report", "dfa_index", "gross_margin",
-                     "load_assembly_csv", "load_bom_csv", "overhead_cost"),
+                     "cost_reduction_report", "dfa_index", "load_assembly_csv",
+                     "load_bom_csv"),
                     "costing"),
     **dict.fromkeys(("COST", "IRR_NPV_TOL", "PRICE", "SALES_TARGETS", "UNITS",
                      "Adjustment", "EconResult", "ExpenseLine", "LineDelta",
                      "ModelSpec", "SalesBlock", "apply_adjustments", "break_even",
                      "build_cash_flows", "discounted_flows", "evaluate", "irr",
-                     "irr_interpolate", "npv", "sensitivity", "sensitivity_row"),
+                     "npv", "sensitivity", "sensitivity_row"),
                     "econ"),
     **dict.fromkeys(("CRITICAL", "DEFAULT_RISK_THRESHOLD", "LOW", "MONITOR",
                      "URGENT", "ConceptMatrix", "MarketEstimate", "MarketParams",
@@ -32,8 +32,8 @@ _LAZY = {
                      "DIVERGENCE_POWER_RATIO", "EXACT", "NLMS_EPS", "AncConfig",
                      "AncResult", "anc_run"), "anc"),
     **dict.fromkeys(("ATTENUATION_CAP_DB", "FirPath", "SampleBuffer",
-                     "attenuation_db", "convolve_path", "generate_broadband",
-                     "generate_tone", "invert_phase"), "signals"),
+                     "convolve_path", "generate_broadband", "generate_tone"),
+                    "signals"),
 }
 
 

@@ -3,16 +3,29 @@ the cent rounding every report's money figures go through.
 
 A table is UTF-8 text, with or without a byte-order mark: a header row and
 rows as wide as it; blank lines after the header are skipped, and a number
-cell must hold a finite number. Each loader is wrapped by :func:`names_file`,
-so its errors name the file.
+cell must hold a finite number. No cell may hold a NUL, the rule
+:func:`clean` also sets for config strings. Each loader is wrapped by
+:func:`names_file`, so its errors name the file.
 """
 import csv
 import functools
+import io
 import math
+import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .errors import ValidationError
+
+
+# JSON decoding pairs every valid surrogate pair, so any left is lone
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def clean(text: str) -> bool:
+    """Whether ``text`` holds no NUL and no lone surrogate, which no file
+    path and no UTF-8 report can carry."""
+    return "\0" not in text and (text.isascii() or _SURROGATE.search(text) is None)
 
 
 def names_file(loader):
@@ -32,9 +45,12 @@ def read_rows(path, columns: tuple, more: str = None):
     ``columns``, or ``columns`` and at least one ``more`` column."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            text = handle.read()
+        if not clean(text):
+            raise ValidationError("file holds a NUL or a lone surrogate")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        rows = [row for row in reader if row]
     except UnicodeDecodeError:
         raise ValidationError("file is not UTF-8 text") from None
     except csv.Error as exc:  # a cell longer than csv.field_size_limit()

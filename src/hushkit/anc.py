@@ -109,7 +109,8 @@ class AncResult:
 
 
 def _window_attenuation_db(dist_power: float, resid_power: float) -> float:
-    # Power-ratio form of signals.attenuation_db, tolerant of silent windows.
+    # The one attenuation figure: disturbance over residual power, in dB;
+    # a silent window gives 0 dB, a silenced one the cap.
     if dist_power <= 0.0:
         return 0.0
     if resid_power <= 0.0:

@@ -18,7 +18,6 @@ import importlib
 import io
 import json
 import math
-import re
 import sys
 from dataclasses import fields
 from itertools import accumulate
@@ -26,7 +25,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from ._tables import round_half_away
+from ._tables import clean, round_half_away
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -61,8 +60,6 @@ def __getattr__(name):
 # the library's default. A string may hold no NUL and no lone surrogate.
 
 _REQUIRED = object()
-# JSON decoding pairs every valid surrogate pair, so any left is lone
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _ADJUSTMENT = (("target", str, _REQUIRED), ("pct", float, _REQUIRED),
                ("first", int, None), ("last", int, None))
@@ -149,7 +146,7 @@ def _field(mapping, context: str, name: str, kind, default):
         except OverflowError:
             raise ValidationError(f"{context}: field '{name}' is out of range") from None
         return number if kind is float else value
-    if isinstance(value, str) and not _clean(value):
+    if isinstance(value, str) and not clean(value):
         raise ValidationError(
             f"{context}: field '{name}' holds a NUL or a lone surrogate")
     if plain:
@@ -164,12 +161,6 @@ def _field(mapping, context: str, name: str, kind, default):
                 f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
         kind = kind[tag]
     return _read(value, name, kind)
-
-
-def _clean(text: str) -> bool:
-    """Whether ``text`` holds no NUL and no lone surrogate, which no file
-    path and no UTF-8 report can carry."""
-    return "\0" not in text and (text.isascii() or _SURROGATE.search(text) is None)
 
 
 def _load_config(path_str: str):

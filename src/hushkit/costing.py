@@ -125,8 +125,8 @@ def bom_rollup(lines: Sequence[BomLine], shipment: float, rates: OverheadRates,
     materials = float(sum(line.purchased for line in lines))
     processing = float(sum(line.processing for line in lines))
     labor = float(sum(line.assembly_labor for line in lines))
-    overhead = float(overhead_override if overhead_override is not None
-                     else overhead_cost(materials, labor, rates))
+    overhead = float(overhead_override if overhead_override is not None else
+                     materials * rates.materials_rate + labor * rates.labor_rate)
     shipment, warranty = float(shipment), float(warranty)
     direct = materials + processing + labor + shipment
     return BomSummary(
@@ -150,13 +150,6 @@ def assembly_cost(ops: Sequence[AssemblyOp],
     return total_s, total_s / 3600.0 * hourly_rate
 
 
-def overhead_cost(materials: float, labor: float, rates: OverheadRates) -> float:
-    """materials*materials_rate + labor*labor_rate."""
-    if materials < 0 or labor < 0:
-        raise ValidationError("materials and labor must be >= 0")
-    return materials * rates.materials_rate + labor * rates.labor_rate
-
-
 def dfa_index(min_parts: int, total_assembly_s: float) -> float:
     """Assembly-efficiency index: (theoretical minimum parts x 3 s) / total time."""
     if int(min_parts) < 1:
@@ -175,19 +168,12 @@ def cost_reduction_report(old_total: float,
     return savings, savings / old_total
 
 
-def gross_margin(unit_price: float, unit_cost: float) -> float:
-    """(price - cost) / price."""
-    if not unit_price > 0:
-        raise ValidationError("unit_price must be > 0")
-    return (unit_price - unit_cost) / unit_price
-
-
-def check_discrepancies(pairs: Sequence[Tuple[str, float, float]],
-                        tol: float = CENT_TOL) -> List[Discrepancy]:
-    """Flag every (label, computed, expected) pair differing by more than tol."""
+def check_discrepancies(pairs: Sequence[Tuple[str, float, float]]) -> List[Discrepancy]:
+    """Flag every (label, computed, expected) pair differing by more than
+    :data:`CENT_TOL`."""
     return [Discrepancy(label, computed, expected)
             for label, computed, expected in pairs
-            if abs(computed - expected) > tol]
+            if abs(computed - expected) > CENT_TOL]
 
 
 def _money(text: str) -> float:

@@ -239,15 +239,6 @@ def irr(flows: Sequence[float]) -> Optional[float]:
     return root
 
 
-def irr_interpolate(ra: float, rb: float, npva: float, npvb: float) -> float:
-    """Linear-interpolation IRR estimate: ra + npva*(rb-ra)/(npva-npvb)."""
-    if not ra < rb:
-        raise ValidationError("ra must be strictly less than rb")
-    if npva == npvb:
-        raise ValidationError("npva and npvb must differ")
-    return ra + npva * (rb - ra) / (npva - npvb)
-
-
 def discounted_flows(flows: Sequence[float], r: float) -> Tuple[float, ...]:
     """End-of-period present value of each flow: C_t * (1+r)^-t, t=1..T.
 

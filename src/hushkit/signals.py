@@ -1,4 +1,4 @@
-"""Signal primitives: sample buffers, FIR paths, tone/noise synthesis, attenuation.
+"""Signal primitives: sample buffers, FIR paths, tone/noise synthesis.
 
 Everything here is deterministic and pure. Buffers carry float64 samples plus a
 sample rate; FIR paths are plain impulse responses applied by causal
@@ -51,11 +51,6 @@ class SampleBuffer:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def rms(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.sqrt(np.mean(self.samples**2)))
-
 
 @dataclass(frozen=True)
 class FirPath:
@@ -96,11 +91,11 @@ def generate_tone(freq_hz: float, amplitude: float, phase_rad: float, n: int,
     return SampleBuffer(samples, fs)
 
 
-def _bandpass_taps(low_hz: float, high_hz: float, fs: float,
-                   ntaps: int = BROADBAND_FIR_TAPS) -> np.ndarray:
+def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     # Windowed-sinc band-pass. The cut-offs are pulled inside the band by half
     # the Hamming transition width so the stop-band edges land on low/high and
     # out-of-band leakage stays negligible.
+    ntaps = BROADBAND_FIR_TAPS
     transition = 4.0 * fs / ntaps
     f1 = low_hz + transition / 2.0
     f2 = high_hz - transition / 2.0
@@ -112,8 +107,7 @@ def _bandpass_taps(low_hz: float, high_hz: float, fs: float,
     def lowpass(fc):
         return np.sinc(2.0 * fc / fs * m) * (2.0 * fc / fs)
 
-    taps = (lowpass(f2) - lowpass(f1)) * np.hamming(ntaps)
-    return taps
+    return (lowpass(f2) - lowpass(f1)) * np.hamming(ntaps)
 
 
 def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
@@ -148,11 +142,6 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
     return SampleBuffer(shaped, fs)
 
 
-def invert_phase(x: SampleBuffer) -> SampleBuffer:
-    """Negate every sample (a -180 degree phase shift); rate preserved."""
-    return SampleBuffer(-x.samples, x.sample_rate_hz)
-
-
 def convolve_path(path: FirPath, x: SampleBuffer) -> SampleBuffer:
     """Propagate ``x`` through ``path`` by causal FIR convolution.
 
@@ -163,22 +152,3 @@ def convolve_path(path: FirPath, x: SampleBuffer) -> SampleBuffer:
     out = np.convolve(x.samples, path.taps)[:n]
     return SampleBuffer(out, x.sample_rate_hz)
 
-
-def attenuation_db(original: SampleBuffer, residual: SampleBuffer) -> float:
-    """20*log10(RMS(original)/RMS(residual)), capped at +120 dB.
-
-    Raises:
-        ValidationError: on length mismatch, empty buffers, or zero-power
-            ``original``.
-    """
-    if len(original) != len(residual):
-        raise ValidationError("original and residual must have equal lengths")
-    if len(original) < 1:
-        raise ValidationError("original must contain at least one sample")
-    rms_orig = original.rms()
-    if rms_orig == 0.0:
-        raise ValidationError("original has zero power; attenuation is undefined")
-    rms_resid = residual.rms()
-    if rms_resid == 0.0:
-        return ATTENUATION_CAP_DB
-    return min(20.0 * np.log10(rms_orig / rms_resid), ATTENUATION_CAP_DB)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from test_golden import SHIPPED
 
+import hushkit
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
 from hushkit.cli import _SCHEMAS, FORMATS, _record, emit_report, main
@@ -760,6 +761,12 @@ _CSV_CASES = {
                   "risk 'D1': Probability and Impact must be integers"),
     "risk-duplicate": ("risk_register.csv", _replace("D2,", "D1,"),
                        "duplicate risk code 'D1'"),
+
+    # the config strings' rule: no NUL reaches a report
+    "risk-nul": ("risk_register.csv", _replace("Yield", "Yi\0eld"),
+                 "file holds a NUL or a lone surrogate"),
+    "concept-nul": ("concept_matrix.csv", _replace("Weight,A", "Weight,A\0"),
+                    "file holds a NUL or a lone surrogate"),
 }
 
 # shipped CSV -> (command, shipped config that reads it)
@@ -1031,3 +1038,13 @@ def test_readme_names_every_config_field():
     names = set().union(*map(_schema_names, _SCHEMAS.values()))
     assert len(names) > 40
     assert sorted(names - quoted) == []
+
+
+def test_readme_library_names_are_exported():
+    readme = (_CONFIGS.parent / "README.md").read_text()
+    section = readme.split("## Library usage", 1)[1].split("\n## ", 1)[0]
+    imported = re.search(r"from hushkit import \(([^)]*)\)", section)[1]
+    exposed = section.split("exposed the same way", 1)[1].split(").", 1)[0]
+    names = {*re.findall(r"\w+", imported), *re.findall(r"`(\w+)`", exposed)}
+    assert len(names) > 15
+    assert sorted(names - set(hushkit.__all__)) == []

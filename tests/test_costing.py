@@ -6,8 +6,8 @@ import pytest
 from hushkit import ValidationError
 from hushkit.costing import (CENT_TOL, AssemblyOp, BomLine, OverheadRates,
                              assembly_cost, bom_rollup, check_discrepancies,
-                             cost_reduction_report, dfa_index, gross_margin,
-                             load_assembly_csv, load_bom_csv, round_half_away)
+                             cost_reduction_report, dfa_index, load_assembly_csv,
+                             load_bom_csv, round_half_away)
 
 RATES = OverheadRates(materials_rate=0.10, labor_rate=0.80)
 
@@ -120,12 +120,6 @@ def test_cost_reduction_report():
     savings, fraction = cost_reduction_report(121.02, 92.50)
     assert savings == pytest.approx(28.52, abs=1e-9)
     assert fraction == pytest.approx(28.52 / 121.02, abs=1e-12)
-
-
-def test_gross_margin():
-    assert gross_margin(300.0, 92.5) == pytest.approx((300 - 92.5) / 300, abs=1e-12)
-    with pytest.raises(ValidationError, match="unit_price"):
-        gross_margin(0.0, 92.5)
 
 
 # -------------------------------------------------------------- discrepancies

@@ -9,8 +9,7 @@ from hushkit import ValidationError, econ
 from hushkit.econ import (COST, MAX_HORIZON, PRICE, UNITS, Adjustment,
                           ExpenseLine, ModelSpec, SalesBlock, apply_adjustments,
                           break_even, build_cash_flows, discounted_flows,
-                          evaluate, irr, irr_interpolate, npv, sensitivity,
-                          sensitivity_row)
+                          evaluate, irr, npv, sensitivity, sensitivity_row)
 
 
 def base_model():
@@ -115,17 +114,6 @@ def test_irr_scan_stops_at_the_first_bracket(monkeypatch):
     monkeypatch.setattr(econ, "npv", counting_npv)
     assert irr(flows) == pytest.approx(0.12, abs=1e-9)
     assert sum(r in grid for r in rates) < 20
-
-
-def test_irr_interpolate_midpoint():
-    assert irr_interpolate(0.0, 1.0, 100.0, -100.0) == pytest.approx(0.5, abs=0)
-
-
-def test_irr_interpolate_validates_inputs():
-    with pytest.raises(ValidationError, match="ra"):
-        irr_interpolate(1.0, 0.0, 100.0, -100.0)
-    with pytest.raises(ValidationError, match="npva"):
-        irr_interpolate(0.0, 1.0, 100.0, 100.0)
 
 
 # ----------------------------------------------------------------- break-even
