@@ -1,5 +1,5 @@
 """The CSV tables' input boundary: one row reader and one cell parser; and
-the cent rounding every report's money figures go through.
+the finite check every report figure passes, with the cent rounding of money.
 
 A table is UTF-8 text, with or without a byte-order mark: a header row and
 rows as wide as it; blank lines after the header are skipped, and a number
@@ -69,7 +69,7 @@ def read_rows(path, columns: tuple, more: str = None):
     return header, rows
 
 
-def number(text: str, what: str, convert=float):
+def number(text: str, what: str, convert):
     """``convert(text)`` if that is a finite number; otherwise a
     ValidationError says that ``what`` holds ``text`` instead."""
     try:
@@ -83,19 +83,25 @@ def number(text: str, what: str, convert=float):
 
 
 # A finite double has at most 309 integer digits, so this precision holds
-# any of them quantized to 2 (and up to 90) decimals; the default 28-digit
-# context fails from about 1e26 on.
+# any of them quantized to cents; the default 28-digit context fails from
+# about 1e26 on.
 _ROUNDING_CONTEXT = Context(prec=400)
+_CENT = Decimal("0.01")
 
 
-def round_half_away(value: float, ndigits: int = 2) -> float:
-    """Round with ties going away from zero (display convention).
-
-    Any finite double rounds; a non-finite value is a ValidationError.
-    """
+def finite(value) -> float:
+    """``value`` as a float if it is finite, the one check of every number a
+    report carries; otherwise a ValidationError."""
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"cannot round the non-finite value {value!r}")
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP,
-                                               context=_ROUNDING_CONTEXT))
+    return value
+
+
+def round_half_away(value: float) -> float:
+    """Round to cents with ties going away from zero (display convention).
+
+    Any finite double rounds; a non-finite value is a ValidationError.
+    """
+    return float(Decimal(repr(finite(value))).quantize(
+        _CENT, rounding=ROUND_HALF_UP, context=_ROUNDING_CONTEXT))

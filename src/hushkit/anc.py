@@ -95,14 +95,13 @@ class AncConfig:
 class AncResult:
     """Full simulation outcome.
 
-    ``residual`` and ``anti_noise`` are truncated at the detection point when
-    the loop diverges; they never contain non-finite samples.
+    ``residual`` is truncated at the detection point when the loop diverges;
+    it never contains non-finite samples.
     ``attenuation_trace_db`` holds one capped attenuation figure per analysis
     window, and ``steady_state_attenuation_db`` is the final window's value.
     """
 
     residual: SampleBuffer
-    anti_noise: SampleBuffer
     attenuation_trace_db: np.ndarray
     steady_state_attenuation_db: float
     diverged: bool
@@ -133,8 +132,8 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
     ``DIVERGENCE_POWER_RATIO`` times the disturbance power, or any non-finite
     sample - stops the run: the result has ``diverged=True`` and all traces
     truncated at the detection point. A path longer than
-    ``MAX_FILTER_LENGTH`` taps, or a window whose disturbance power is not
-    finite, raises ``ValidationError`` instead.
+    ``MAX_FILTER_LENGTH`` taps or whose filtered noise is not finite, or a
+    window whose disturbance power is not finite, raises ``ValidationError``.
     """
     n = len(noise)
     if n != int(cfg.duration_samples):
@@ -148,8 +147,13 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
             raise ValidationError(f"{name} must have at most {MAX_FILTER_LENGTH} taps")
 
     x = noise.samples
-    d = convolve_path(primary, noise).samples
-    xf = convolve_path(estimate, noise).samples if cfg.algorithm == "FXLMS" else x
+    name = "primary_path"
+    try:
+        d = convolve_path(primary, noise).samples
+        name = "secondary_path" if cfg.secondary_estimate is EXACT else "secondary_estimate"
+        xf = convolve_path(estimate, noise).samples if cfg.algorithm == "FXLMS" else x
+    except ValidationError:  # the noise is finite, so the path's output is not
+        raise ValidationError(f"{name} applied to the noise is not finite") from None
     normalized = cfg.algorithm == "NLMS"
 
     mu = cfg.resolved_step_size()
@@ -174,7 +178,7 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
                     f"disturbance power is not finite in the window starting at sample {start}")
             _kernels.adapt_chunk(x, xf, d, secondary.taps, w, y, e,
                                  start, stop, mu, leak, normalized, NLMS_EPS)
-            finite = np.isfinite(e[start:stop]) & np.isfinite(y[start:stop])
+            finite = np.isfinite(e[start:stop])  # e[n] holds sec[0] * y[n]
             if not finite.all():
                 diverged = True
                 end = start + int(np.argmin(finite))
@@ -189,7 +193,6 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
     steady = trace[-1] if trace else 0.0
     return AncResult(
         residual=SampleBuffer(e[:end], fs),
-        anti_noise=SampleBuffer(y[:end], fs),
         attenuation_trace_db=np.asarray(trace, dtype=np.float64),
         steady_state_attenuation_db=float(steady),
         diverged=diverged,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib
 import io
 import json
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from ._tables import clean, round_half_away
+from ._tables import clean, finite, round_half_away
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -36,13 +35,10 @@ FORMATS = ("table", "json", "csv")
 _NUM = (int, float)
 _PLAIN = (str, int, float, list, dict, str | list)
 
-# `anc simulate`'s library names stay attributes of this module (PEP 562),
-# resolved through the package, which imports their modules on first use.
-_ANC_NAMES = ("anc_run", "generate_tone", "generate_broadband")
-
-
+# `anc_run` stays an attribute of this module (PEP 562), resolved through
+# the package, which imports its module on first use.
 def __getattr__(name):
-    if name in _ANC_NAMES:
+    if name == "anc_run":
         return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -51,7 +47,7 @@ def __getattr__(name):
 # config schemas: one table of (name, kind, default) fields per JSON object
 #
 # A kind is str, int, float (any JSON number, read as a float), list, dict or
-# str | list; a table, or a flat dataclass named "module.Class", for a nested
+# str | list; a table, or the name of a flat exported dataclass, for a nested
 # object, which errors name by its field; [table or dataclass] for a list of
 # such objects, item i named `name[i]`; or {tag: table} for objects told
 # apart by their "kind". Tables read as namespaces, flat dataclasses as
@@ -64,8 +60,8 @@ _REQUIRED = object()
 _ADJUSTMENT = (("target", str, _REQUIRED), ("pct", float, _REQUIRED),
                ("first", int, None), ("last", int, None))
 _MODEL = (("horizon", int, _REQUIRED), ("discount_rate", float, _REQUIRED),
-          ("expenses", ["econ.ExpenseLine"], _REQUIRED),
-          ("sales", "econ.SalesBlock", _REQUIRED))
+          ("expenses", ["ExpenseLine"], _REQUIRED),
+          ("sales", "SalesBlock", _REQUIRED))
 
 _SCHEMAS = {
     "anc config": (
@@ -85,7 +81,7 @@ _SCHEMAS = {
                            ("rows", [_ADJUSTMENT], _REQUIRED)),
     "cost config": (
         ("bom_csv", str, _REQUIRED), ("shipment", float, _REQUIRED),
-        ("overhead_rates", "costing.OverheadRates", _REQUIRED),
+        ("overhead_rates", "OverheadRates", _REQUIRED),
         ("warranty", float, _REQUIRED),
         ("overhead_override", float, None),
         ("assembly", (("ops_csv", str, _REQUIRED), ("hourly_rate", float, _REQUIRED)),
@@ -96,7 +92,7 @@ _SCHEMAS = {
         ("expected", dict, None)),
     "concept config": (("matrix_csv", str, _REQUIRED),),
     "risk config": (("register_csv", str, _REQUIRED), ("threshold", int, None)),
-    "market config": "planning.MarketParams",
+    "market config": "MarketParams",
 }
 
 # Field kinds by annotation text (the model modules postpone annotations).
@@ -104,11 +100,10 @@ _KINDS = {"str": str, "int": int, "float": float}
 
 
 @functools.cache
-def _record(path: str):
-    """(class, field table) of the flat dataclass named ``path``, imported
-    once per process."""
-    module, name = path.split(".")
-    cls = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+def _record(name: str):
+    """(class, field table) of the flat dataclass the package exports as
+    ``name``, imported once per process."""
+    cls = getattr(sys.modules[__package__], name)
     return cls, tuple((f.name, _KINDS[f.type], _REQUIRED) for f in fields(cls))
 
 
@@ -166,7 +161,7 @@ def _field(mapping, context: str, name: str, kind, default):
 def _load_config(path_str: str):
     path = Path(path_str)
 
-    def finite(token: str) -> float:
+    def floating(token: str) -> float:
         value = float(token)
         if not math.isfinite(value):
             raise ValidationError(
@@ -182,8 +177,8 @@ def _load_config(path_str: str):
 
     try:
         # a missing or unreadable file raises OSError
-        value = json.loads(path.read_text(encoding="utf-8"), parse_float=finite,
-                           parse_int=integer, parse_constant=finite)
+        value = json.loads(path.read_text(encoding="utf-8"), parse_float=floating,
+                           parse_int=integer, parse_constant=floating)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})")
@@ -234,11 +229,11 @@ def _adjustments(rows, adjustment):
 
 
 def _money(value) -> float:
-    return round_half_away(float(value), 2) + 0.0
+    return round_half_away(value) + 0.0
 
 
 def _rate(value, ndigits: int = 9) -> float:
-    return round(float(value), ndigits) + 0.0
+    return round(finite(value), ndigits) + 0.0
 
 
 def _cash(value, fmt: str, sign: str = "") -> str:
@@ -330,7 +325,7 @@ def _cmd_econ_eval(args):
     result = econ.evaluate(econ.ModelSpec(**vars(c.model)), adjustments,
                            discounted_breakeven=args.discounted_breakeven)
     code = 2 if args.require_irr and result.irr is None else 0
-    r = result.discount_rate
+    r = c.model.discount_rate
     fmt = args.format
     if fmt == "json":
         return {
@@ -367,7 +362,7 @@ def _cmd_econ_eval(args):
                  *_grid("  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}",
                         ("name", "base", "adjusted", "pct", "delta"),
                         [(d.name, _cash(d.base, fmt), _cash(d.adjusted, fmt),
-                          f"{d.pct * 100:+.2f}%", _cash(d.delta, fmt))
+                          f"{finite(d.pct * 100):+.2f}%", _cash(d.delta, fmt))
                          for d in changed])]
     return view, code
 
@@ -391,14 +386,14 @@ def _cmd_econ_sensitivity(args):
         }, 0
     if fmt == "csv":
         return [header, *((parameter, f"{pct:g}", first, last, _cash(delta, fmt),
-                           "" if frac is None else f"{frac:.6f}")
+                           "" if frac is None else f"{finite(frac):.6f}")
                           for parameter, pct, first, last, delta, frac in rows)], 0
     return [f"sensitivity of npv (base {_cash(base, fmt)})", "",
             *_grid("  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}",
                    ("parameter", "pct", "periods", "delta_npv", "pct_of_base"),
-                   [(parameter, f"{pct * 100:+.4g}%", f"{first}-{last}",
+                   [(parameter, f"{finite(pct * 100):+.4g}%", f"{first}-{last}",
                      _cash(delta, fmt, "+"),
-                     "n/a" if frac is None else f"{frac * 100:+.2f}%")
+                     "n/a" if frac is None else f"{finite(frac * 100):+.2f}%")
                     for parameter, pct, first, last, delta, frac in rows])], 0
 
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-# round_half_away lives with the table readers, which every command loads;
-# it stays importable from here
-from ._tables import names_file, number, read_rows, round_half_away  # noqa: F401
+from ._tables import names_file, number, read_rows
 from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.

@@ -158,7 +158,6 @@ class EconResult:
     irr: Optional[float]
     break_even_period: Optional[int]
     line_deltas: Tuple[LineDelta, ...]
-    discount_rate: float
 
 
 def build_cash_flows(spec: ModelSpec) -> Tuple[float, ...]:
@@ -344,5 +343,4 @@ def evaluate(spec: ModelSpec, adjustments: Sequence[Adjustment] = (),
         break_even_period=break_even(flows, adjusted.discount_rate,
                                      discounted=discounted_breakeven),
         line_deltas=_line_deltas(spec, adjusted),
-        discount_rate=adjusted.discount_rate,
     )

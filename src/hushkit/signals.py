@@ -6,7 +6,7 @@ convolution (``y[k] = sum_j taps[j] * x[k-j]``, ``x[<0] = 0``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class SampleBuffer:
 class FirPath:
     """A finite impulse response; models an acoustic propagation path."""
 
-    taps: np.ndarray = field()
+    taps: np.ndarray
 
     def __post_init__(self):
         arr = _as_float_array(self.taps, "taps")

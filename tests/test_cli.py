@@ -12,13 +12,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_golden import SHIPPED
 
 import hushkit
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
 from hushkit.cli import _SCHEMAS, FORMATS, _record, emit_report, main
-from hushkit.costing import BOM_COLUMNS
+from hushkit.costing import ASSEMBLY_COLUMNS, BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
 
 
@@ -256,7 +257,10 @@ def test_invalid_json_exits_1_naming_file(tmp_path, capsys):
     (b'{"model": 1}\xff', "file is not UTF-8 text"),
     (b'{"horizon": ' + b"9" * 5000 + b"}", "integer of 5000 digits is too long"),
     (b"[" * 100_000, "JSON is nested too deeply"),
-], ids=["not-utf-8", "5000-digit-integer", "deep-nesting"])
+    (b"[]", "top-level JSON value must be an object"),
+    (b"12", "top-level JSON value must be an object"),
+], ids=["not-utf-8", "5000-digit-integer", "deep-nesting", "top-level-list",
+        "top-level-number"])
 def test_unparsable_config_exits_1_with_one_error_line(data, message, tmp_path,
                                                        capsysbinary):
     bad = tmp_path / "config.json"
@@ -429,6 +433,58 @@ def test_money_figure_that_overflows_exits_1(configs_dir, tmp_path, capsys):
             "error: cannot round the non-finite value inf\n")
 
 
+# case -> (command, shipped config, edit, the formats that printed the
+# non-finite figure with exit 0, that figure)
+_NON_FINITE_FIGURES = {
+    # old_total > 0, but savings / old_total overflows
+    "reduction_fraction": (
+        "cost bom", "cost_initial",
+        lambda c: c.update(reduction={"old_total": 5e-324, "new_total": 1.0}),
+        FORMATS, "-inf"),
+    # the assembly times sum to a subnormal, so min_parts * 3 / time overflows
+    "dfa_index": ("cost bom", "cost_initial",
+                  lambda c: c["assembly"].update(ops_csv="subnormal_ops.csv"),
+                  FORMATS, "inf"),
+    # the base NPV is 2**-52, so the fraction of it overflows
+    "delta_pct_of_base": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: c.update(
+            model={"horizon": 2, "discount_rate": 0.0,
+                   "expenses": [{"name": "A", "first": 1, "last": 1, "rate": 1.0},
+                                {"name": "B", "first": 1, "last": 1,
+                                 "rate": -(1 - 2**-52)}],
+                   "sales": {"first": 1, "last": 1, "units": 0.0,
+                             "unit_price": 1.0, "unit_cost": -1.0}},
+            rows=[{"target": "A", "pct": 1e300}]),
+        FORMATS, "inf"),
+    # the adjusted units are 1e307 times the base, a finite fraction whose
+    # percentage overflows; only the table shows the percentage
+    "adjusted_inputs_pct": (
+        "econ scenario", "econ_scenario_marketing_shift",
+        lambda c: (c["model"]["sales"].update(units=1e-300),
+                   c.update(adjustments=[{"target": "UNITS", "pct": 1e307}])),
+        ("table",), "inf"),
+}
+
+
+@pytest.mark.parametrize("case, fmt", [
+    (case, fmt) for case, (*_, formats, _) in _NON_FINITE_FIGURES.items()
+    for fmt in formats])
+def test_non_finite_report_figure_exits_1(case, fmt, tmp_path, capsysbinary):
+    command, name, edit, _, value = _NON_FINITE_FIGURES[case]
+    _copy_csvs(tmp_path)
+    (tmp_path / "subnormal_ops.csv").write_text(
+        ",".join(ASSEMBLY_COLUMNS) + "\nWidget,1,5e-324,0\n")
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    edit(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([*command.split(), "--config", str(path), "--format", fmt]) == 1
+    out, err = capsysbinary.readouterr()
+    assert (out, err.decode()) == (
+        b"", f"error: cannot round the non-finite value {value}\n")
+
+
 @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**20])
 def test_horizon_past_the_bound_exits_1(horizon, configs_dir, tmp_path, capsys):
     path = _edited_config(configs_dir, tmp_path, "econ_base", (),
@@ -534,6 +590,18 @@ def test_expected_value_of_the_wrong_type_exits_1(value, message, configs_dir,
     assert capsys.readouterr().err == f"error: expected: {message}\n"
 
 
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("econ npv", "econ_base", lambda c: c.update(expenses=[12]),
+     "expenses[0] must be a JSON object"),
+    ("anc simulate", "anc_tone_2tap", lambda c: c.update(secondary_estimate="Exact"),
+     "field 'secondary_estimate' must be \"exact\" or a list of taps"),
+], ids=["expense-number", "estimate-capitalised"])
+def test_value_of_the_wrong_shape_exits_1(command, name, edit, message, configs_dir,
+                                          tmp_path, capsys):
+    assert _run_edited(configs_dir, tmp_path, command, name, (), edit) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_expected_label_that_is_not_audited_exits_1(configs_dir, tmp_path, capsys):
     # the reduction figures come after the audit, so they cannot be expected
     path = _edited_config(configs_dir, tmp_path, "cost_initial", (),
@@ -591,6 +659,24 @@ def test_anc_disturbance_power_overflow_exits_1(name, tap, configs_dir, tmp_path
         assert capsys.readouterr().err == (
             "error: disturbance power is not finite in the window starting at "
             "sample 0\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("field, changes", [
+    ("primary_path", {"primary_path": [1e308, 1e308]}),
+    ("secondary_estimate", {"secondary_estimate": [1e308, 1e308]}),
+    ("secondary_path", {"secondary_path": [1e308, 1e308],
+                        "secondary_estimate": "exact"}),
+], ids=["primary", "estimate", "exact-estimate"])
+def test_path_whose_filtered_noise_overflows_names_it(field, changes, fmt,
+                                                      configs_dir, tmp_path, capsys):
+    # each tap is finite, but two of them add up past the largest double
+    path = _edited_config(configs_dir, tmp_path, "anc_tone_2tap", (),
+                          lambda c: c.update(changes))
+    assert run(["anc", "simulate", "--config", str(path), "--format", fmt],
+               tmp_path) == (1, b"")
+    assert capsys.readouterr().err == (
+        f"error: {field} applied to the noise is not finite\n")
 
 
 def test_sample_rate_defaults_to_8000(configs_dir, tmp_path):
@@ -892,7 +978,28 @@ def test_python_m_runs_the_cli(configs_dir):
     assert done.stdout == (root / "tests" / "golden" / "econ_base.json").read_bytes()
 
 
-# --------------------------------------------------- single-fault config sweep
+# ------------------------------------------------------ faulty config sweeps
+
+def _exits_cleanly(command, path, fmt, capsysbinary, note):
+    """Run ``command`` on the config at ``path`` in ``fmt`` and check the rule
+    any input keeps: exit 0-3, stderr empty or one `error:` line, and a report
+    from exit 0 or 2 that is strict JSON in json and UTF-8 in table and csv.
+    Returns the exit code."""
+    code = main([*command.split(), "--config", str(path), "--format", fmt])
+    out, err = capsysbinary.readouterr()
+    assert code in (0, 1, 2, 3), (note, code)
+    assert err == b"" or (err.startswith(b"error: ") and err.count(b"\n") == 1), \
+        (note, err)
+    if code in (0, 2):
+        try:
+            if fmt == "json":
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                out.decode("utf-8")
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            pytest.fail(f"{note}: {exc}")
+    return code
+
 
 _FAULTS = ("12", True, [], {})
 
@@ -934,11 +1041,7 @@ def test_single_fault_configs_exit_cleanly(name, tmp_path, capsysbinary):
     runs = 0
     for broken in _single_faults(json.loads((_CONFIGS / f"{name}.json").read_text())):
         path.write_text(json.dumps(broken))
-        code = main([*SHIPPED[name].split(), "--config", str(path), "--format", "json"])
-        err = capsysbinary.readouterr().err.decode()
-        assert code in (0, 1, 2, 3), (broken, code)
-        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
-            (broken, err)
+        _exits_cleanly(SHIPPED[name], path, "json", capsysbinary, broken)
         runs += 1
     assert runs > 5
 
@@ -965,10 +1068,6 @@ def _with(config, keys, value):
     return config
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_huge_numbers_exit_cleanly_with_strict_json_reports(name, tmp_path,
                                                             capsysbinary):
@@ -979,16 +1078,8 @@ def test_huge_numbers_exit_cleanly_with_strict_json_reports(name, tmp_path,
     for value in (1e300, 1e30):
         for keys in _number_paths(config):
             path.write_text(json.dumps(_with(config, keys, value)))
-            code = main([*SHIPPED[name].split(), "--config", str(path), "--format", "json"])
-            out, err = capsysbinary.readouterr()
-            assert code in (0, 1, 2), (keys, value, code)
-            assert err == b"" or (err.startswith(b"error: ") and err.count(b"\n") == 1), \
-                (keys, value, err)
-            if code != 1:
-                try:
-                    json.loads(out, parse_constant=_reject_constant)
-                except ValueError as exc:
-                    pytest.fail(f"{keys} = {value}: {exc}")
+            assert _exits_cleanly(SHIPPED[name], path, "json", capsysbinary,
+                                  (keys, value)) in (0, 1, 2)
 
 
 # the raw JSON tokens no config number may be, each with its error message
@@ -1015,6 +1106,58 @@ def test_non_finite_and_overlong_numbers_exit_1(name, tmp_path, capsysbinary):
                 1, b"", f"error: {path}: {message}\n"), (keys, token[:9])
 
 
+# ------------------------------------------------------- fuzzed config sweep
+
+def _containers(node):
+    """Every JSON object and array in ``node``, outermost first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for value in node.values() if isinstance(node, dict) else node:
+            yield from _containers(value)
+
+
+# one strategy for every value a fault writes
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(_FAULTS).map(copy.deepcopy),  # a wrong JSON type, unshared
+    st.floats(),
+    st.sampled_from([5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-(10**400 - 1), 10**400 - 1),
+    st.text(st.characters(exclude_categories=())),  # NUL and lone surrogates too
+    st.sampled_from(sorted(path.name for path in _CONFIGS.glob("*.csv"))),
+)
+
+
+@st.composite
+def _faulty_configs(draw):
+    """(command, config): a shipped config with 1-3 faults, each a field or
+    item deleted, an unknown field or an item added, or a value replaced."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(list(_containers(config))))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        fault = draw(st.sampled_from(("delete", "add", "set") if keys else ("add",)))
+        if fault == "delete":
+            target.pop(draw(st.sampled_from(keys)))
+        elif fault == "add" and isinstance(target, list):
+            target.append(draw(_FUZZ_VALUES))
+        else:
+            key = "bogus_knob" if fault == "add" else draw(st.sampled_from(keys))
+            target[key] = draw(_FUZZ_VALUES)
+    return SHIPPED[name], config
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_faulty_configs(), fmt=st.sampled_from(FORMATS))
+def test_fuzzed_configs_exit_cleanly(case, fmt, tmp_path, capsysbinary):
+    command, config = case
+    _copy_csvs(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _exits_cleanly(command, path, fmt, capsysbinary, config)
+
+
 # ------------------------------------------------------------ docs drift
 
 def _schema_names(schema):
@@ -1023,7 +1166,7 @@ def _schema_names(schema):
         return set().union(*map(_schema_names, schema.values()))
     if isinstance(schema, list):
         return _schema_names(schema[0])
-    if isinstance(schema, str):  # a flat dataclass named "module.Class"
+    if isinstance(schema, str):  # the name of a flat exported dataclass
         schema = _record(schema)[1]
     if not isinstance(schema, tuple):
         return set()

@@ -4,10 +4,11 @@ import math
 import pytest
 
 from hushkit import ValidationError
+from hushkit._tables import round_half_away
 from hushkit.costing import (CENT_TOL, AssemblyOp, BomLine, OverheadRates,
                              assembly_cost, bom_rollup, check_discrepancies,
                              cost_reduction_report, dfa_index, load_assembly_csv,
-                             load_bom_csv, round_half_away)
+                             load_bom_csv)
 
 RATES = OverheadRates(materials_rate=0.10, labor_rate=0.80)
 
@@ -22,13 +23,13 @@ RATES = OverheadRates(materials_rate=0.10, labor_rate=0.80)
     (0.004, 0.0),
 ])
 def test_round_half_away(value, expected):
-    assert round_half_away(value, 2) == expected
+    assert round_half_away(value) == expected
 
 
 @pytest.mark.parametrize("value", [1e26, -1e30, 1e300, 1.7976931348623157e308])
 def test_round_half_away_holds_any_finite_double(value):
     # the default 28-digit decimal context cannot quantize these to cents
-    assert round_half_away(value, 2) == value
+    assert round_half_away(value) == value
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -93,6 +93,15 @@ def test_irr_none_when_no_sign_change(flows):
     assert irr(flows) is None
 
 
+def test_irr_is_the_low_end_when_npv_is_exactly_zero_there():
+    assert irr([-1.0, 1.0]) == 0.0
+
+
+def test_irr_none_when_the_bisected_root_misses_the_tolerance():
+    # the root is 0.1, but 1e-12 of a 1e20 flow is far more than $0.01
+    assert irr([-1e20, 1.1e20]) is None
+
+
 def test_irr_grid_is_linspace():
     grid = list(econ._irr_grid(0.0, 10.0))
     expected = np.linspace(0, 10, 201).tolist()
@@ -174,7 +183,6 @@ def test_evaluate_base_model_goldens():
     assert result.npv == pytest.approx(4_050_145.63, abs=0.01)
     assert result.irr == pytest.approx(0.513559, abs=5e-6)
     assert result.break_even_period == 5
-    assert result.discount_rate == 0.025
     assert len(result.cash_flows) == 24
 
 

@@ -82,10 +82,7 @@ def test_every_exported_name_resolves():
         getattr(hushkit, name)
     assert len(set(hushkit.__all__)) == len(hushkit.__all__)
     assert set(hushkit.__all__) <= set(dir(hushkit))
-    assert hushkit.round_half_away is hushkit.costing.round_half_away
-    # `anc simulate`'s names stay readable on the CLI module
+    # `anc_run` stays readable on the CLI module
     assert hushkit.cli.anc_run is hushkit.anc.anc_run is hushkit.anc_run
-    assert hushkit.cli.generate_tone is hushkit.signals.generate_tone
-    assert hushkit.cli.generate_broadband is hushkit.signals.generate_broadband
     for module in (hushkit, hushkit.cli):
         assert not hasattr(module, "no_such_name")
