@@ -26,6 +26,18 @@ BLAS: numpy sums them in one sequential loop from the newest sample back.
 The C kernel sums in that same order and is built without FMA contraction
 or reassociation, so both give the same bytes. Callers look ``adapt_chunk``
 up at call time, so the reference can be swapped in.
+
+The C kernel makes one pass over ``w`` per sample: the sweep that applies
+sample n's update (leak included) also sums sample n+1's output from each
+weight it has just written and, for NLMS, sample n+1's norm as a second,
+independent sum. Only the first sample of a chunk gets a sweep of its own,
+and the last one no look-ahead, so no array is read past ``stop``. The
+bytes stay those of the reference: every sum has the same operands, in the
+same order (newest sample first, from 0.0), and the fused
+``w*decay + g*e*xf`` rounds the same two products and the same sum as the
+reference's two steps, since no FMA contracts them. The serial chain per
+sample is then the output sum and the secondary-path sum, L + M dependent
+adds; the update, norm and leak work overlaps with it.
 """
 from __future__ import annotations
 
@@ -58,31 +70,73 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
 _C_SOURCE = b"""\
 #include <stdint.h>
 
+/* normalized and leak are constants in each inlined copy, so their tests
+   leave the loops. s sums y[n] and q the NLMS norm of sample n; the sweep
+   that applies sample n's update sums both anew for sample n + 1. */
+static inline __attribute__((always_inline)) void
+run(const double *x, const double *xf, const double *d, const double *sec,
+    int64_t M, double *w, int64_t L, double *y, double *e, int64_t start,
+    int64_t stop, double mu, double decay, double eps, const int normalized,
+    const int leak)
+{
+    int64_t k = start + 1 < L ? start + 1 : L;
+    double s = 0.0, q = 0.0;
+    for (int64_t j = 0; j < k; j++) {
+        s += w[j] * x[start - j];
+        if (normalized) q += xf[start - j] * xf[start - j];
+    }
+    for (int64_t n = start; n < stop; n++) {
+        int64_t m = n + 1 < M ? n + 1 : M;
+        y[n] = s;
+        double r = 0.0;
+        for (int64_t j = 0; j < m; j++) r += sec[j] * y[n - j];
+        e[n] = d[n] - r;
+        double ge = (normalized ? mu / (q + eps) : mu) * e[n];
+        k = n + 1 < L ? n + 1 : L;
+        int64_t j = 0;
+        if (n + 1 < stop) {
+            s = 0.0;
+            q = 0.0;
+            for (; j < k; j++) {
+                double v = leak ? w[j] * decay + ge * xf[n - j]
+                                : w[j] + ge * xf[n - j];
+                w[j] = v;
+                s += v * x[n + 1 - j];
+                if (normalized) q += xf[n + 1 - j] * xf[n + 1 - j];
+            }
+            if (k < L) {  /* the history grew by one tap: w[k] meets x[0] */
+                double v = leak ? w[k] * decay : w[k];
+                w[k] = v;
+                s += v * x[0];
+                if (normalized) q += xf[0] * xf[0];
+                j++;
+            }
+        } else {
+            for (; j < k; j++)
+                w[j] = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
+        }
+        if (leak)
+            for (; j < L; j++) w[j] *= decay;
+    }
+}
+
 void adapt_chunk(const double *x, const double *xf, const double *d,
                  const double *sec, int64_t M, double *w, int64_t L,
                  double *y, double *e, int64_t start, int64_t stop,
                  double mu, double leak, int normalized, double eps)
 {
     double decay = 1.0 - mu * leak;
-    for (int64_t n = start; n < stop; n++) {
-        int64_t k = n + 1 < L ? n + 1 : L;
-        int64_t m = n + 1 < M ? n + 1 : M;
-        double s = 0.0;
-        for (int64_t j = 0; j < k; j++) s += w[j] * x[n - j];
-        y[n] = s;
-        s = 0.0;
-        for (int64_t j = 0; j < m; j++) s += sec[j] * y[n - j];
-        e[n] = d[n] - s;
-        double g = mu;
-        if (normalized) {
-            s = 0.0;
-            for (int64_t j = 0; j < k; j++) s += xf[n - j] * xf[n - j];
-            g = mu / (s + eps);
-        }
+    if (start >= stop)
+        return;
+    if (normalized) {
         if (leak != 0.0)
-            for (int64_t j = 0; j < L; j++) w[j] *= decay;
-        double ge = g * e[n];
-        for (int64_t j = 0; j < k; j++) w[j] += ge * xf[n - j];
+            run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 1, 1);
+        else
+            run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 1, 0);
+    } else if (leak != 0.0) {
+        run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 0, 1);
+    } else {
+        run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 0, 0);
     }
 }
 """

@@ -1,9 +1,11 @@
 """The adaptive kernel against its numpy reference, and how it is built.
 
 ``adapt_chunk`` must give the same bytes as ``adapt_chunk_numpy`` whichever
-backend runs; the subprocess tests pin the compile-once cache and the numpy
-fallback without a working compiler, and the build tests pin that a cache
-it cannot use is left untouched.
+backend runs, however the signal is cut into chunks, and must touch no
+memory past a chunk; the subprocess tests pin the compile-once cache and the
+numpy fallback without a working compiler, and the build tests pin that a
+cache it cannot use is left untouched and that the source builds without
+warnings.
 """
 import os
 import shutil
@@ -19,9 +21,10 @@ from hushkit import _kernels
 ROOT = Path(__file__).resolve().parent.parent
 N = 5000
 CHUNK = 2000
+WARM_UP = 600  # past the longest filter and secondary path tested
 
 
-def _run_kernel(kernel, algorithm, leak, L, M, unstable):
+def _inputs(algorithm, L, M, unstable):
     rng = np.random.default_rng(1000 * L + M)
     x = rng.standard_normal(N)
     # secondary path: unit first tap, decaying taps of random sign
@@ -33,28 +36,56 @@ def _run_kernel(kernel, algorithm, leak, L, M, unstable):
         mu = 4.0 if unstable else 0.1
     else:
         mu = (4.0 if unstable else 0.01) / L
-    w, y, e = np.zeros(L), np.zeros(N), np.zeros(N)
+    return x, xf, d, sec, mu
+
+
+def _run_kernel(kernel, algorithm, leak, L, M, unstable, bounds=(0, CHUNK, 2 * CHUNK, N),
+                w=None):
+    """Run the chunks between consecutive ``bounds``, from zero weights or a
+    copy of ``w``."""
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable)
+    w = np.zeros(L) if w is None else w.copy()
+    y, e = np.zeros(N), np.zeros(N)
     with np.errstate(all="ignore"):
-        for start in range(0, N, CHUNK):
-            kernel(x, xf, d, sec, w, y, e, start, min(start + CHUNK, N), mu, leak,
-                   algorithm == "NLMS", 1e-8)
+        for start, stop in zip(bounds, bounds[1:]):
+            kernel(x, xf, d, sec, w, y, e, start, stop, mu, leak, algorithm == "NLMS", 1e-8)
     return w, y, e
 
 
-@pytest.mark.parametrize("unstable", [False, True], ids=["stable", "diverging"])
-@pytest.mark.parametrize("L, M", [(1, 1), (8, 16), (64, 32), (256, 512)])
-@pytest.mark.parametrize("leak", [0.0, 1e-3])
-@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
-def test_kernel_matches_numpy_reference_bit_for_bit(algorithm, leak, L, M, unstable):
-    got = _run_kernel(_kernels.adapt_chunk, algorithm, leak, L, M, unstable)
-    want = _run_kernel(_kernels.adapt_chunk_numpy, algorithm, leak, L, M, unstable)
+def _assert_same_bytes(got, want):
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("unstable", [False, True], ids=["stable", "diverging"])
+@pytest.mark.parametrize("L, M", [(1, 1), (8, 16), (64, 32), (256, 512), (200, 16)])
+@pytest.mark.parametrize("leak", [0.0, 1e-3])
+@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
+def test_kernel_matches_numpy_reference_bit_for_bit(algorithm, leak, L, M, unstable):
+    want = _run_kernel(_kernels.adapt_chunk_numpy, algorithm, leak, L, M, unstable)
+    for bounds in ((0, CHUNK, 2 * CHUNK, N), (*range(0, N, 333), N)):
+        got = _run_kernel(_kernels.adapt_chunk, algorithm, leak, L, M, unstable, bounds)
+        _assert_same_bytes(got, want)
     e = want[2]
     with np.errstate(all="ignore"):
         blew_up = not np.isfinite(e).all() or np.abs(e).max() > 1e100
     assert blew_up == unstable
+    # an empty chunk, even at the end of the signal, changes nothing
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable)
+    for at in (0, L // 2, N):
+        _kernels.adapt_chunk(x, xf, d, sec, *got, at, at, mu, leak, algorithm == "NLMS", 1e-8)
+    _assert_same_bytes(got, want)
+    # While n + 1 < L the history grows by one tap per sample: within a chunk
+    # the C kernel adds the new tap's term to the next output in the sweep
+    # that updates the weights, at a chunk's start it sums the output anew.
+    # From zero weights that term is zero, so start from nonzero ones.
+    w0 = np.linspace(-1e-3, 1e-3, L)
+    want = _run_kernel(_kernels.adapt_chunk_numpy, algorithm, leak, L, M, unstable,
+                       (0, WARM_UP), w0)
+    for bounds in ((0, WARM_UP), range(WARM_UP + 1)):
+        got = _run_kernel(_kernels.adapt_chunk, algorithm, leak, L, M, unstable, bounds, w0)
+        _assert_same_bytes(got, want)
 
 
 @pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
@@ -90,11 +121,11 @@ print(_kernels.backend_name())
 """
 
 
-def _probe(cache, path_env, *argv):
+def _probe(cache, path_env, *argv, code=_PROBE):
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path_env,
                PYTHONPATH=os.pathsep.join(
                    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -154,3 +185,50 @@ def test_a_cache_it_may_not_write_gets_no_file(tmp_path, monkeypatch):
     assert list((tmp_path / "hushkit").iterdir()) == []
     # built in a private temporary directory, already removed
     assert not lib._name.startswith(str(tmp_path)) and not os.path.exists(lib._name)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run(["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-x", "c", "-", "-o", str(tmp_path / "adapt.so")],
+                          input=_kernels._C_SOURCE, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+# Every array ends where a PROT_NONE page begins, so a read or write one past
+# its last sample kills the process; the last call is an empty chunk at the end.
+_GUARDED = """\
+import ctypes, mmap
+import numpy as np
+from hushkit import _kernels
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+
+def guarded(values):
+    page = mmap.PAGESIZE
+    buf = mmap.mmap(-1, 2 * page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    assert libc.mprotect(base + page, page, 0) == 0, ctypes.get_errno()  # PROT_NONE
+    a = np.frombuffer(buf, np.float64, len(values), page - 8 * len(values))
+    a[:] = values
+    return a
+
+N = 300
+rng = np.random.default_rng(7)
+for L, M in ((8, 4), (4, 8)):
+    for normalized in (False, True):
+        for leak in (0.0, 1e-3):
+            x, xf, d = (guarded(rng.standard_normal(N)) for _ in range(3))
+            sec, w = guarded(0.5 ** np.arange(M)), guarded(np.zeros(L))
+            y, e = guarded(np.zeros(N)), guarded(np.zeros(N))
+            for start, stop in ((0, 1), (1, N // 2), (N // 2, N), (N, N)):
+                _kernels.adapt_chunk(x, xf, d, sec, w, y, e, start, stop, 0.01, leak,
+                                     normalized, 1e-8)
+print(_kernels.backend_name())
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_never_touches_memory_past_a_chunk(tmp_path):
+    assert _probe(tmp_path, os.environ.get("PATH", ""), code=_GUARDED) == "c"
