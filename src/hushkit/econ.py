@@ -160,6 +160,20 @@ class EconResult:
     line_deltas: Tuple[LineDelta, ...]
 
 
+def _flows(periods: int, blocks) -> list:
+    """Per-period sums over periods 1..``periods`` of (first, last, amount)
+    blocks, each period adding its blocks in order."""
+    flows = [0.0] * periods
+    for first, last, amount in blocks:
+        flows[first - 1 : last] = [f + amount for f in flows[first - 1 : last]]
+    return flows
+
+
+def _sales_block(s: SalesBlock) -> Tuple[int, int, float]:
+    """The sales block as (first, last, per-period amount)."""
+    return s.first, s.last, s.units * (s.unit_price + s.unit_cost)
+
+
 def build_cash_flows(spec: ModelSpec) -> Tuple[float, ...]:
     """Net flow per period: active expense rates plus
     ``units * (unit_price + unit_cost)`` inside the sales window.
@@ -167,13 +181,9 @@ def build_cash_flows(spec: ModelSpec) -> Tuple[float, ...]:
     Index 0 of the returned tuple is period 1. Each period adds its expense
     lines in order, then the sales block.
     """
-    flows = [0.0] * spec.horizon
-    s = spec.sales
     blocks = [(line.first, line.last, line.rate) for line in spec.expenses]
-    blocks.append((s.first, s.last, s.units * (s.unit_price + s.unit_cost)))
-    for first, last, amount in blocks:
-        flows[first - 1 : last] = [f + amount for f in flows[first - 1 : last]]
-    return tuple(flows)
+    blocks.append(_sales_block(spec.sales))
+    return tuple(_flows(spec.horizon, blocks))
 
 
 def npv(flows: Sequence[float], r: float) -> float:
@@ -297,20 +307,38 @@ def apply_adjustments(spec: ModelSpec,
     return replace(spec, expenses=ordered, sales=sales)
 
 
+def _target_block(spec: ModelSpec, target: str) -> Tuple[int, int, float]:
+    """(first, last, per-period amount) of the block ``target`` addresses."""
+    if target in SALES_TARGETS:
+        return _sales_block(spec.sales)
+    line = next(line for line in spec.expenses if line.name == target)
+    return line.first, line.last, line.rate
+
+
 def sensitivity(spec: ModelSpec, adjustments: Iterable[Adjustment]
                 ) -> Tuple[float, Tuple[tuple, ...]]:
     """(base NPV, rows): one row per adjustment, each applied to ``spec``
     alone: (target, pct, first, last, ΔNPV, ΔNPV / base NPV), where
     first..last are the target's periods in the adjusted spec and the
-    fraction is None when the base NPV is zero."""
-    base = npv(build_cash_flows(spec), spec.discount_rate)
+    fraction is None when the base NPV is zero.
+
+    An adjustment changes one block, so ΔNPV is the NPV of the difference
+    flow: the adjusted block minus the base one over the union of their
+    windows, zero elsewhere, summed by Horner's rule from its last period
+    back. The base flows are built once per table, for the base NPV only; a
+    row costs O(last changed period), and its ΔNPV does not cancel against
+    a huge base NPV the way a difference of two NPVs would.
+    """
+    r = spec.discount_rate
+    base = npv(build_cash_flows(spec), r)
     rows = []
     for adj in adjustments:
         adjusted = apply_adjustments(spec, [adj])
-        delta = npv(build_cash_flows(adjusted), adjusted.discount_rate) - base
-        target = next((line for line in adjusted.expenses if line.name == adj.target),
-                      adjusted.sales)
-        rows.append((adj.target, adj.pct, target.first, target.last, delta,
+        first0, last0, before = _target_block(spec, adj.target)
+        first, last, after = _target_block(adjusted, adj.target)
+        delta = npv(_flows(max(last0, last),
+                           [(first, last, after), (first0, last0, -before)]), r)
+        rows.append((adj.target, adj.pct, first, last, delta,
                      delta / base if base != 0.0 else None))
     return base, tuple(rows)
 

@@ -136,6 +136,22 @@ def test_sensitivity_windows_and_row_count(configs_dir, tmp_path):
     assert dev_minus_30["delta_npv"] == pytest.approx(42_840.35, abs=0.005)
 
 
+def test_sensitivity_delta_does_not_cancel_against_a_huge_base(configs_dir, tmp_path):
+    # at r = -0.9 the base NPV is ~3.5e29, whose float spacing (~7e13) would
+    # swallow a difference of two NPVs; the row's own ΔNPV is
+    # 15,000 * (10 + 100 + 1,000)
+    doc = json.loads((configs_dir / "econ_sensitivity_grid.json").read_text())
+    doc["model"]["discount_rate"] = -0.9
+    config = tmp_path / "grid_r_minus_0.9.json"
+    config.write_text(json.dumps(doc))
+    code, report = run_json(["econ", "sensitivity", "--config", str(config)], tmp_path)
+    assert code == 0
+    assert report["base_npv"] > 1e29
+    dev_minus_30 = next(r for r in report["rows"]
+                        if (r["parameter"], r["pct"]) == ("Development", -0.3))
+    assert dev_minus_30["delta_npv"] == 16_650_000.0
+
+
 # --------------------------------------------------------------------- anc
 
 def test_anc_simulate_json(configs_dir, tmp_path):

@@ -1,5 +1,6 @@
 """Cash-flow engine: NPV, IRR, break-even, adjustments, sensitivity."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,6 +259,44 @@ def test_apply_adjustments_scales_sales_fields():
 
 # --------------------------------------------------------------- sensitivity
 
+def _block(spec, target):
+    """(first, last, amount) of the block a row targets, as the float
+    ``build_cash_flows`` adds per period."""
+    if target in (UNITS, PRICE, COST):
+        s = spec.sales
+        return s.first, s.last, s.units * (s.unit_price + s.unit_cost)
+    line = next(line for line in spec.expenses if line.name == target)
+    return line.first, line.last, line.rate
+
+
+def assert_exact_within_horner_bound(delta, spec, adj):
+    """``delta`` is within Horner's error bound of the exact ΔNPV of ``adj``.
+
+    The oracle is rational: the adjusted block minus the base one, over the
+    float block amounts, discounted by the exact 1 + r. The bound follows
+    Higham, *Accuracy and Stability of Numerical Algorithms* (2002), ch. 3
+    and 5: the period-t difference d_t meets at most 3t + 1 roundings (its
+    own subtraction, t additions, t divisions, and the rounding of 1 + r
+    once per division), so |error| <= gamma(3T + 1) * sum |d_t| (1+r)^-t
+    over the T periods summed. Gradual underflow adds at most one
+    subnormal unit per division, grown by at most max(1, 1/(1+r))^T.
+    """
+    first0, last0, before = _block(spec, adj.target)
+    first, last, after = _block(apply_adjustments(spec, [adj]), adj.target)
+    base = 1 + Fraction(spec.discount_rate)
+    exact = magnitude = Fraction(0)
+    periods = max(last0, last)
+    for t in range(periods, 0, -1):
+        d = (Fraction(after) if first <= t <= last else 0) - (
+            Fraction(before) if first0 <= t <= last0 else 0)
+        exact = (exact + d) / base
+        magnitude = (magnitude + abs(d)) / base
+    nu = (3 * periods + 1) * Fraction(1, 2**53)
+    underflow = periods * Fraction(1, 2**1074) * max(1, 1 / base) ** periods
+    assert math.isfinite(delta)
+    assert abs(Fraction(delta) - exact) <= nu / (1 - nu) * magnitude + underflow, adj
+
+
 def test_sensitivity_development_minus_thirty():
     delta, frac = sensitivity_row(base_model(),
                                   Adjustment("Development", -0.30))
@@ -318,18 +357,50 @@ def test_sensitivity_scores_every_row_against_one_base_npv(monkeypatch):
     spec = base_model()
     adjustments = [Adjustment("Development", -0.30), Adjustment(PRICE, 0.1),
                    Adjustment("Testing", 0.2, first_override=3, last_override=9)]
-    base, rows = sensitivity(spec, adjustments)
-    assert base == npv(build_cash_flows(spec), spec.discount_rate)
-    for adj, row in zip(adjustments, rows, strict=True):
-        adjusted = apply_adjustments(spec, [adj])
-        delta = npv(build_cash_flows(adjusted), spec.discount_rate) - base
-        assert row[4:] == (delta, delta / base) == sensitivity_row(spec, adj)
-    # the base flows are built once per table, plus once per row
     calls = []
     monkeypatch.setattr(econ, "build_cash_flows",
                         lambda s: calls.append(s) or build_cash_flows(s))
-    sensitivity(spec, adjustments)
-    assert len(calls) == 1 + len(adjustments)
+    base, rows = sensitivity(spec, adjustments)
+    assert calls == [spec]  # once per table, for the base NPV only
+    assert base == npv(build_cash_flows(spec), spec.discount_rate)
+    for adj, row in zip(adjustments, rows, strict=True):
+        assert_exact_within_horner_bound(row[4], spec, adj)
+        assert row[4:] == (row[4], row[4] / base) == sensitivity_row(spec, adj)
+
+
+@st.composite
+def models_with_rows(draw):
+    """A model of at most 240 periods and rows of every kind against it."""
+    horizon = draw(st.integers(1, 240))
+
+    def window():
+        first = draw(st.integers(1, horizon))
+        return first, draw(st.integers(first, horizon))
+
+    names = [f"L{i}" for i in range(draw(st.integers(0, 5)))]
+    expenses = tuple(ExpenseLine(name, *window(), draw(st.floats(-1e7, 1e7)))
+                     for name in names)
+    sales = SalesBlock(*window(), draw(st.floats(0, 1e5)), draw(st.floats(0, 1e4)),
+                       draw(st.floats(-1e4, 0)))
+    spec = ModelSpec(horizon, draw(st.floats(-0.5, 1.0, exclude_min=True,
+                                             exclude_max=True)), expenses, sales)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        target = draw(st.sampled_from([*names, UNITS, PRICE, COST]))
+        pct = draw(st.floats(-1.0, 2.0))
+        overrides = window() if target in names and draw(st.booleans()) else (None, None)
+        rows.append(Adjustment(target, pct, *overrides))
+    return spec, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_with_rows())
+def test_sensitivity_rows_agree_with_the_exact_delta_npv(model):
+    spec, adjustments = model
+    base, rows = sensitivity(spec, adjustments)
+    for adj, row in zip(adjustments, rows, strict=True):
+        assert_exact_within_horner_bound(row[4], spec, adj)
+        assert row[5] == (row[4] / base if base != 0.0 else None)
 
 
 @pytest.mark.parametrize("name", [UNITS, PRICE, COST])
