@@ -101,7 +101,9 @@ def finite(value) -> float:
 def round_half_away(value: float) -> float:
     """Round to cents with ties going away from zero (display convention).
 
-    Any finite double rounds; a non-finite value is a ValidationError.
+    A figure that rounds to zero is ``+0.0``, never ``-0.0``, so no report
+    prints a signed zero. Any finite double rounds; a non-finite value is a
+    ValidationError.
     """
     return float(Decimal(repr(finite(value))).quantize(
-        _CENT, rounding=ROUND_HALF_UP, context=_ROUNDING_CONTEXT))
+        _CENT, rounding=ROUND_HALF_UP, context=_ROUNDING_CONTEXT)) + 0.0

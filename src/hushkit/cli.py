@@ -228,10 +228,6 @@ def _adjustments(rows, adjustment):
 # time, so a replaced binding (a tracing wrapper, say) is the one called.
 
 
-def _money(value) -> float:
-    return round_half_away(value) + 0.0
-
-
 def _rate(value, ndigits: int = 9) -> float:
     return round(finite(value), ndigits) + 0.0
 
@@ -239,7 +235,7 @@ def _rate(value, ndigits: int = 9) -> float:
 def _cash(value, fmt: str, sign: str = "") -> str:
     """A money cell: cents, grouped by thousands in table only; ``sign`` "+"
     signs a change."""
-    return format(_money(value), sign + ("," if fmt == "table" else "") + ".2f")
+    return format(round_half_away(value), sign + ("," if fmt == "table" else "") + ".2f")
 
 
 def _block(title: str, pairs, width: int):
@@ -256,7 +252,7 @@ def _scalars(title: str, entries, fmt: str):
     """View of a `label: value` block of (label, value) entries."""
     rates = ("dfa_index", "reduction_fraction")  # six decimals; the rest are money
     if fmt == "json":
-        return {label: _rate(v, 6) if label in rates else _money(v)
+        return {label: _rate(v, 6) if label in rates else round_half_away(v)
                 for label, v in entries}
     cells = [(label, f"{_rate(v, 6):.6f}" if label in rates else _cash(v, fmt))
              for label, v in entries]
@@ -308,9 +304,9 @@ def _cmd_anc_simulate(args):
         return [header, *((i, f"{value:.4f}") for i, value in windows)], code
     summary = [("samples", len(result.residual)), ("windows", len(trace)),
                ("diverged", "yes" if result.diverged else "no"),
-               ("steady_state_attenuation_db", f"{steady:.1f}")]
+               ("steady_state_attenuation_db", f"{_rate(steady, 1):.1f}")]
     grid = _grid("  {:>8}  {:>14}", header,
-                 [(i, f"{value:.1f}") for i, value in windows])
+                 [(i, f"{_rate(value, 1):.1f}") for i, value in windows])
     return [*_block("noise-control simulation", summary, 9), "", *grid], code
 
 
@@ -330,16 +326,16 @@ def _cmd_econ_eval(args):
     if fmt == "json":
         return {
             "break_even_period": result.break_even_period,
-            "cash_flows": [_money(v) for v in result.cash_flows],
+            "cash_flows": [round_half_away(v) for v in result.cash_flows],
             "discount_rate": _rate(r),
             "irr": None if result.irr is None else _rate(result.irr, 6),
             "line_deltas": [
-                {"name": d.name, "base": _money(d.base),
-                 "adjusted": _money(d.adjusted), "pct": _rate(d.pct),
-                 "delta": _money(d.delta)}
+                {"name": d.name, "base": round_half_away(d.base),
+                 "adjusted": round_half_away(d.adjusted), "pct": _rate(d.pct),
+                 "delta": round_half_away(d.delta)}
                 for d in result.line_deltas
             ],
-            "npv": _money(result.npv),
+            "npv": round_half_away(result.npv),
         }, code
     header = ("period", "cash_flow", "discounted", "cumulative")
     flows = result.cash_flows
@@ -351,9 +347,9 @@ def _cmd_econ_eval(args):
         return [header, *periods], code
     summary = [("npv", _cash(result.npv, fmt)),
                ("irr_per_period", "undefined" if result.irr is None
-                else f"{result.irr:.6f}"),
+                else f"{_rate(result.irr, 6):.6f}"),
                ("break_even_period", result.break_even_period or "none"),
-               ("discount_rate", f"{r:g}")]
+               ("discount_rate", f"{r + 0.0:g}")]
     view = [*_block("cash-flow evaluation", summary, 18), "",
             *_grid("  {:>6}  {:>13}  {:>13}  {:>13}", header, periods)]
     changed = [d for d in result.line_deltas if d.delta != 0.0]
@@ -362,7 +358,7 @@ def _cmd_econ_eval(args):
                  *_grid("  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}",
                         ("name", "base", "adjusted", "pct", "delta"),
                         [(d.name, _cash(d.base, fmt), _cash(d.adjusted, fmt),
-                          f"{finite(d.pct * 100):+.2f}%", _cash(d.delta, fmt))
+                          f"{_rate(d.pct * 100, 2):+.2f}%", _cash(d.delta, fmt))
                          for d in changed])]
     return view, code
 
@@ -378,22 +374,22 @@ def _cmd_econ_sensitivity(args):
     header = ("parameter", "pct", "first", "last", "delta_npv", "delta_pct_of_base")
     if fmt == "json":
         return {
-            "base_npv": _money(base),
+            "base_npv": round_half_away(base),
             "rows": [dict(zip(header, (parameter, _rate(pct), first, last,
-                                       _money(delta),
+                                       round_half_away(delta),
                                        None if frac is None else _rate(frac))))
                      for parameter, pct, first, last, delta, frac in rows],
         }, 0
     if fmt == "csv":
-        return [header, *((parameter, f"{pct:g}", first, last, _cash(delta, fmt),
-                           "" if frac is None else f"{finite(frac):.6f}")
+        return [header, *((parameter, f"{pct + 0.0:g}", first, last, _cash(delta, fmt),
+                           "" if frac is None else f"{_rate(frac, 6):.6f}")
                           for parameter, pct, first, last, delta, frac in rows)], 0
     return [f"sensitivity of npv (base {_cash(base, fmt)})", "",
             *_grid("  {:<24}  {:>8}  {:>9}  {:>14}  {:>11}",
                    ("parameter", "pct", "periods", "delta_npv", "pct_of_base"),
-                   [(parameter, f"{finite(pct * 100):+.4g}%", f"{first}-{last}",
+                   [(parameter, f"{finite(pct * 100) + 0.0:+.4g}%", f"{first}-{last}",
                      _cash(delta, fmt, "+"),
-                     "n/a" if frac is None else f"{finite(frac * 100):+.2f}%")
+                     "n/a" if frac is None else f"{_rate(frac * 100, 2):+.2f}%")
                     for parameter, pct, first, last, delta, frac in rows])], 0
 
 
@@ -439,8 +435,8 @@ def _cmd_cost_bom(args):
     view = _scalars("manufacturing cost summary", entries, fmt)
     if fmt == "json":
         view["discrepancies"] = [
-            {"label": d.label, "computed": _money(d.computed),
-             "expected": _money(d.expected), "delta": _money(d.delta)}
+            {"label": d.label, "computed": round_half_away(d.computed),
+             "expected": round_half_away(d.expected), "delta": round_half_away(d.delta)}
             for d in discrepancies
         ]
     elif fmt == "table" and c.expected is not None:
@@ -465,7 +461,7 @@ def _cmd_plan_concept(args):
     if args.format == "json":
         return {"scores": [dict(zip(header, (name, _rate(total), rank)))
                            for name, total, rank in scores]}, 0
-    rows = [(name, f"{total:.4f}", rank) for name, total, rank in scores]
+    rows = [(name, f"{_rate(total, 4):.4f}", rank) for name, total, rank in scores]
     if args.format == "csv":
         return [header, *rows], 0
     # table columns: rank, concept, total

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Attenuation values are capped here to keep reports finite.
+#: Largest attenuation a window reports, in dB; ``anc._window_attenuation_db``
+#: caps every figure here, so a silenced window still reports a finite one.
 ATTENUATION_CAP_DB = 120.0
 
 #: Tap count of the band-pass used by :func:`generate_broadband` (order 255).

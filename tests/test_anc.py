@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from hushkit import ValidationError
-from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE, EXACT,
-                         MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH, AncConfig,
-                         anc_run)
+from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE,
+                         DIVERGENCE_POWER_RATIO, EXACT, MAX_DURATION_SAMPLES,
+                         MAX_FILTER_LENGTH, AncConfig, anc_run)
 from hushkit.signals import (ATTENUATION_CAP_DB, FirPath, SampleBuffer,
                              convolve_path, generate_broadband, generate_tone)
 
@@ -83,6 +83,15 @@ def test_config_rejects_negative_seed():
     with pytest.raises(ValidationError, match="rng_seed"):
         AncConfig(algorithm="LMS", duration_samples=64, rng_seed=-1,
                   filter_length=4)
+
+
+@pytest.mark.parametrize("estimate", ["exact", [1.0], np.array([1.0])],
+                         ids=["string", "list", "array"])
+def test_config_rejects_an_estimate_that_is_not_a_path(estimate):
+    with pytest.raises(ValidationError) as info:
+        AncConfig(algorithm="FXLMS", duration_samples=64, rng_seed=0,
+                  filter_length=4, secondary_estimate=estimate)
+    assert str(info.value) == "secondary_estimate must be a FirPath or EXACT"
 
 
 @pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
@@ -183,6 +192,25 @@ def test_divergence_detected_without_non_finite_output():
     assert np.all(np.isfinite(result.residual.samples))
     assert np.all(np.isfinite(result.attenuation_trace_db))
     assert len(result.residual) <= 40000
+
+
+def test_power_ratio_divergence_stops_at_the_end_of_its_window():
+    # NLMS is stable for steps below 2; at 2.001 the residual power passes
+    # DIVERGENCE_POWER_RATIO times the disturbance's in the second window,
+    # while every sample is still finite
+    cfg = AncConfig(algorithm="NLMS", duration_samples=16000, rng_seed=0,
+                    filter_length=8, step_size=2.001)
+    noise = generate_tone(440.0, 1.0, 0.0, 16000, FS)
+    result = anc_run(cfg, noise, FirPath(np.array([0.0, 0.8, 0.3])), UNIT)
+    window = int(round(ATTENUATION_WINDOW_S * FS))
+    trace = result.attenuation_trace_db
+    assert result.diverged
+    assert len(result.residual) == window * len(trace) < 16000
+    assert np.all(np.isfinite(result.residual.samples))
+    assert np.all(np.isfinite(trace))
+    assert result.steady_state_attenuation_db == trace[-1]
+    assert trace[-1] < -10.0 * np.log10(DIVERGENCE_POWER_RATIO)
+    assert np.all(trace[:-1] >= -10.0 * np.log10(DIVERGENCE_POWER_RATIO))
 
 
 def test_trace_has_one_entry_per_window():

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from test_golden import SHIPPED
+from test_golden import SHIPPED, SIGNED_ZERO
 
 import hushkit
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
-from hushkit.cli import _SCHEMAS, FORMATS, _record, emit_report, main
+from hushkit.cli import _SCHEMAS, FORMATS, _rate, _record, emit_report, main
 from hushkit.costing import ASSEMBLY_COLUMNS, BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
 
@@ -152,6 +152,126 @@ def test_sensitivity_delta_does_not_cancel_against_a_huge_base(configs_dir, tmp_
     assert dev_minus_30["delta_npv"] == 16_650_000.0
 
 
+# ------------------------------------------------------------ signed zero
+
+_GRID_EXPENSES = ("Development", "Testing", "Tooling and Ramp-Up Costs",
+                  "Market Introduction", "Ongoing Marketing Costs")
+
+
+def _rows(lines, *first):
+    """The cells of every table line whose first cell is in ``first``."""
+    return [cells for cells in (re.split(r"\s{2,}", line.strip()) for line in lines)
+            if cells[0] in first]
+
+
+def _one_row(target, pct):
+    return lambda config: config.update(rows=[{"target": target, "pct": pct}])
+
+
+# case -> (command, shipped config, edit, the figures in the json report,
+# {format: (the cells it prints for them, the one text they all read)});
+# every figure reads as zero
+_SIGNED_ZERO_CASES = {
+    # a fraction of about -2.5e-14 of the base NPV
+    "sensitivity_tiny_fraction": (
+        "econ sensitivity", "econ_sensitivity_grid", _one_row("Development", 1e-9),
+        lambda doc: [doc["rows"][0]["delta_pct_of_base"]], {
+            "csv": (lambda rows: [rows[1][5]], "0.000000"),
+            "table": (lambda lines: [_rows(lines, "Development")[0][4]], "+0.00%")}),
+    "sensitivity_negative_zero_pct": (
+        "econ sensitivity", "econ_sensitivity_grid", _one_row("Development", -0.0),
+        lambda doc: [doc["rows"][0]["pct"]], {
+            "csv": (lambda rows: [rows[1][1]], "0"),
+            "table": (lambda lines: [_rows(lines, "Development")[0][1]], "+0%")}),
+    # the base NPV is ~3.5e29, so every expense row is a fraction ~1e-23
+    "sensitivity_huge_base": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: c["model"].update(discount_rate=-0.9),
+        lambda doc: [row["delta_pct_of_base"] for row in doc["rows"]
+                     if row["parameter"] in _GRID_EXPENSES], {
+            "csv": (lambda rows: [row[5] for row in rows if row[0] in _GRID_EXPENSES],
+                    "0.000000"),
+            "table": (lambda lines: [cells[4] for cells in _rows(lines, *_GRID_EXPENSES)],
+                      "+0.00%")}),
+    "scenario_tiny_pct": (
+        "econ scenario", "econ_scenario_marketing_shift",
+        lambda c: c.update(adjustments=[{"target": "Development", "pct": -1e-9}]),
+        lambda doc: [next(d["pct"] for d in doc["line_deltas"]
+                          if d["name"] == "Development")], {
+            "table": (lambda lines: [_rows(lines, "Development")[0][3]], "+0.00%")}),
+    "npv_negative_zero_rate": (
+        "econ npv", "econ_base", lambda c: c.update(discount_rate=-0.0),
+        lambda doc: [doc["discount_rate"]], {
+            "table": (lambda lines: [_rows(lines, "discount_rate:")[0][1]], "0")}),
+}
+
+
+def _figure(text: str) -> tuple:
+    """(value, half a unit of its last digit) of a printed cell; a
+    percentage is read as a fraction."""
+    digits = text.rstrip("%").replace(",", "")
+    scale = 100.0 if text.endswith("%") else 1.0
+    return float(digits) / scale, 0.5 * 10.0 ** -len(digits.partition(".")[2]) / scale
+
+
+@pytest.mark.parametrize("case", sorted(_SIGNED_ZERO_CASES))
+def test_a_figure_that_reads_as_zero_prints_no_sign(case, tmp_path):
+    command, name, edit, in_json, printed = _SIGNED_ZERO_CASES[case]
+    path = _edited_config(_CONFIGS, tmp_path, name, (), edit)
+    reports = {}
+    for fmt in FORMATS:
+        code, payload = run([*command.split(), "--config", str(path), "--format", fmt],
+                            tmp_path, fmt)
+        assert code == 0
+        text = payload.decode()
+        assert SIGNED_ZERO.search(text) is None, fmt
+        reports[fmt] = (json.loads(text) if fmt == "json"
+                        else list(csv.reader(io.StringIO(text))) if fmt == "csv"
+                        else text.splitlines())
+    figures = in_json(reports["json"])
+    assert all(math.copysign(1.0, f) == 1.0 for f in figures if f == 0.0)
+    for fmt, (locate, cell) in printed.items():
+        cells = locate(reports[fmt])
+        assert cells == [cell] * len(figures)
+        # each format prints the figure the json carries
+        for text, figure in zip(cells, figures):
+            value, half_unit = _figure(text)
+            assert abs(value - figure) <= half_unit
+
+
+@st.composite
+def _fixed_point_cells(draw):
+    """(value, decimals) of a fixed-point cell: any double, or one near a
+    tie or a zero at that many decimals."""
+    n = draw(st.sampled_from((1, 2, 4, 6)))
+    x = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-10.0 ** -n, max_value=10.0 ** -n),
+        st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10),
+                  st.integers(-12, 20)),
+        st.builds(lambda k, ulps: _nudge((k + 0.5) / 10 ** n, ulps),
+                  st.integers(-10**12, 10**12), st.integers(-3, 3))))
+    return x, n
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(cell=_fixed_point_cells(), sign=st.sampled_from(("", "+")))
+def test_rounding_at_the_printed_precision_changes_only_a_signed_zero(cell, sign):
+    # a report formats _rate(value, n) where it prints n decimals, so it
+    # rounds once and prints the bytes format(value) would, bar the sign
+    x, n = cell
+    spec = f"{sign}.{n}f"
+    direct = format(x, spec)
+    unsigned = direct.replace("-", sign, 1) if float(direct) == 0 else direct
+    assert format(_rate(x, n), spec) == unsigned
+
+
 # --------------------------------------------------------------------- anc
 
 def test_anc_simulate_json(configs_dir, tmp_path):
@@ -173,6 +293,23 @@ def test_anc_divergence_exits_2_with_report(configs_dir, tmp_path):
     code, doc = run_json(["anc", "simulate", "--config", str(bad)], tmp_path)
     assert code == 2
     assert doc["diverged"] is True
+
+
+def test_anc_power_ratio_divergence_exits_2_with_a_finite_report(tmp_path):
+    # NLMS past its step bound of 2: the residual outgrows the disturbance by
+    # the power ratio in the second window, while every sample stays finite
+    config = tmp_path / "nlms_past_the_bound.json"
+    config.write_text(json.dumps({
+        "algorithm": "NLMS", "duration_samples": 16000, "rng_seed": 0,
+        "filter_length": 8, "step_size": 2.001,
+        "noise": {"kind": "tone", "freq_hz": 440.0},
+        "primary_path": [0.0, 0.8, 0.3], "secondary_path": [1.0]}))
+    code, doc = run_json(["anc", "simulate", "--config", str(config)], tmp_path)
+    assert code == 2
+    assert doc["diverged"] is True
+    trace = doc["attenuation_trace_db"]
+    assert doc["n_samples"] == 2000 * len(trace) < 16000
+    assert doc["steady_state_attenuation_db"] == trace[-1] < -10.0 <= min(trace[:-1])
 
 
 # -------------------------------------------------------------------- cost
@@ -449,8 +586,8 @@ def test_money_figure_that_overflows_exits_1(configs_dir, tmp_path, capsys):
             "error: cannot round the non-finite value inf\n")
 
 
-# case -> (command, shipped config, edit, the formats that printed the
-# non-finite figure with exit 0, that figure)
+# case -> (command, shipped config, edit, the formats whose report carries
+# the non-finite figure, that figure)
 _NON_FINITE_FIGURES = {
     # old_total > 0, but savings / old_total overflows
     "reduction_fraction": (
@@ -479,6 +616,12 @@ _NON_FINITE_FIGURES = {
         "econ scenario", "econ_scenario_marketing_shift",
         lambda c: (c["model"]["sales"].update(units=1e-300),
                    c.update(adjustments=[{"target": "UNITS", "pct": 1e307}])),
+        ("table",), "inf"),
+    # a pct of 1e307 is finite, but the table prints it as a percentage
+    "sensitivity_pct": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: (c["model"]["expenses"][0].update(rate=-1e-5),
+                   c.update(rows=[{"target": "Development", "pct": 1e307}])),
         ("table",), "inf"),
 }
 
@@ -625,6 +768,66 @@ def test_expected_label_that_is_not_audited_exits_1(configs_dir, tmp_path, capsy
     assert main(["cost", "bom", "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: expected: unknown field 'reduction_savings'\n")
+
+
+def _set(**changes):
+    return lambda c: c.update(changes)
+
+
+def _in_sales(**changes):
+    return lambda c: c["sales"].update(changes)
+
+
+# rule -> (command, shipped config, edit, the one error line's message)
+_RANGE_RULES = {
+    "warranty": ("cost bom", "cost_initial", _in_cost(-1.0, "warranty"),
+                 "warranty must be >= 0"),
+    "overhead_override": ("cost bom", "cost_initial", _in_cost(-1.0, "overhead_override"),
+                          "overhead_override must be >= 0"),
+    "hourly_rate": ("cost bom", "cost_initial", _in_cost(-1.0, "assembly", "hourly_rate"),
+                    "hourly_rate must be >= 0"),
+    "old_total": ("cost bom", "cost_initial",
+                  _in_cost({"old_total": 0.0, "new_total": 1.0}, "reduction"),
+                  "old_total must be > 0"),
+    "world_pop": ("plan market", "plan_market", _set(world_pop=0.0),
+                  "world_pop must be > 0"),
+    "ref_affected": ("plan market", "plan_market", _set(ref_affected=-1.0),
+                     "ref_affected must be >= 0"),
+    "market_unit_price": ("plan market", "plan_market", _set(unit_price=-1.0),
+                          "unit_price and unit_cost must be >= 0"),
+    "expense_name": ("econ npv", "econ_base",
+                     lambda c: c["expenses"][0].update(name=""),
+                     "expense line name must be non-empty"),
+    "sales_window": ("econ npv", "econ_base", _in_sales(first=6, last=5),
+                     "sales window must satisfy 1 <= first <= last"),
+    "units": ("econ npv", "econ_base", _in_sales(units=-1.0), "units must be >= 0"),
+    "unit_price": ("econ npv", "econ_base", _in_sales(unit_price=-1.0),
+                   "unit_price must be >= 0"),
+    "horizon": ("econ npv", "econ_base", _set(horizon=0), "horizon must be >= 1"),
+    "discount_rate": ("econ npv", "econ_base", _set(discount_rate=-1.0),
+                      "discount_rate must be > -1"),
+    "sales_past_horizon": ("econ npv", "econ_base", _in_sales(last=25),
+                           "sales window: last period exceeds the horizon"),
+    "duration_samples": ("anc simulate", "anc_tone", _set(duration_samples=0),
+                         "duration_samples must be >= 1"),
+    "filter_length": ("anc simulate", "anc_tone", _set(filter_length=0),
+                      "filter_length must be >= 1"),
+    "tone_sample_rate": ("anc simulate", "anc_tone", _set(sample_rate_hz=0.0),
+                         "fs must be > 0"),
+    "broadband_sample_rate": ("anc simulate", "anc_broadband",
+                              _set(sample_rate_hz=-8000.0),
+                              "fs must be a finite value > 0"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_RANGE_RULES))
+def test_value_out_of_range_exits_1_with_one_error_line(rule, tmp_path, capsys):
+    command, name, edit, message = _RANGE_RULES[rule]
+    path = _edited_config(_CONFIGS, tmp_path, name, (), edit)
+    for fmt in FORMATS:
+        assert run([*command.split(), "--config", str(path), "--format", fmt],
+                   tmp_path) == (1, b"")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field, value, bound", [

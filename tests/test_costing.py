@@ -26,6 +26,12 @@ def test_round_half_away(value, expected):
     assert round_half_away(value) == expected
 
 
+@pytest.mark.parametrize("value", [-0.0, -0.004, -0.0049, -1e-300])
+def test_round_half_away_gives_an_unsigned_zero(value):
+    assert math.copysign(1.0, round_half_away(value)) == 1.0
+    assert round_half_away(value) == 0.0
+
+
 @pytest.mark.parametrize("value", [1e26, -1e30, 1e300, 1.7976931348623157e308])
 def test_round_half_away_holds_any_finite_double(value):
     # the default 28-digit decimal context cannot quantize these to cents

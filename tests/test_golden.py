@@ -7,6 +7,7 @@ benchmark verifies (``perfbench/golden.json``), so both agree on the bytes.
 """
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,11 @@ SHIPPED = {
     "plan_risk": "plan risk",
     "plan_market": "plan market",
 }
+
+
+# A number that reads as zero but carries a minus sign: `-0`, `-0.0`, `-0%`,
+# `-0.00%`; not a negative number (`-0.05`), a range (`1-3`) or a date.
+SIGNED_ZERO = re.compile(r"(?<![\w.])-0+(?:\.0+)?(?![\w.])")
 
 
 def _variant(name, **changes):
@@ -132,3 +138,21 @@ def test_shipped_goldens_match_benchmark_hashes():
 def test_golden_dir_holds_exactly_one_file_per_case_and_format():
     expected = {f"{case}.{fmt}" for case in CASES for fmt in FORMATS}
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize("text, signed", [
+    ("-0", True), ("-0%", True), ("-0.00%", True), ("Development,-0,1,3", True),
+    ("  discount_rate:     -0", True), ('"pct": -0.0,', True), ("[-0.000000]", True),
+    ("-0.05", False), ("-0.5%", False), ("-10", False), ("-100.00", False),
+    ("1-3", False), ("10-0", False), ("2026-01-05", False), ("1e-05", False),
+    ("0.000000", False), ("+0.00%", False), ("-1,000.00", False),
+])
+def test_signed_zero_pattern(text, signed):
+    assert bool(SIGNED_ZERO.search(text)) is signed
+
+
+def test_no_golden_prints_a_signed_zero():
+    found = [f"{path.name}: {match.group()!r}"
+             for path in sorted(GOLDEN_DIR.iterdir())
+             for match in SIGNED_ZERO.finditer(path.read_text(encoding="utf-8"))]
+    assert found == []

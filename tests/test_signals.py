@@ -50,6 +50,34 @@ def test_broadband_energy_concentrated_in_band():
     assert in_band / spectrum.sum() >= 0.95
 
 
+@pytest.mark.parametrize("generate, message", [
+    (lambda: generate_tone(200.0, 1.0, 0.0, -1, FS), "n must be >= 0"),
+    (lambda: generate_broadband(0, 50.0, 500.0, -1, FS), "n must be >= 0"),
+    (lambda: generate_broadband(-1, 50.0, 500.0, 16, FS),
+     "seed must be an unsigned integer"),
+], ids=["tone-n", "broadband-n", "broadband-seed"])
+def test_generators_reject_a_negative_count_or_seed(generate, message):
+    with pytest.raises(ValidationError) as info:
+        generate()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("low, high", [(np.nan, 500.0), (50.0, np.inf),
+                                       (-np.inf, 500.0)])
+def test_broadband_rejects_non_finite_band_edges(low, high):
+    with pytest.raises(ValidationError) as info:
+        generate_broadband(0, low, high, 128, FS)
+    assert str(info.value) == "low_hz and high_hz must be finite"
+
+
+@pytest.mark.parametrize("samples", [np.zeros((2, 8)), np.float64(1.0)],
+                         ids=["2-d", "0-d"])
+def test_sample_buffer_rejects_a_buffer_that_is_not_one_dimensional(samples):
+    with pytest.raises(ValidationError) as info:
+        SampleBuffer(samples, FS)
+    assert str(info.value) == "samples must be one-dimensional"
+
+
 def test_broadband_rejects_inverted_band():
     with pytest.raises(ValidationError, match="band"):
         generate_broadband(0, 500.0, 50.0, 128, FS)
