@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
 from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,10 +46,10 @@ def __getattr__(name):
 # config schemas: one table of (name, kind, default) fields per JSON object
 #
 # A kind is str, int, float (any JSON number, read as a float), list, dict or
-# str | list; a table, or the name of a flat exported dataclass, for a nested
-# object, which errors name by its field; [table or dataclass] for a list of
+# str | list; a table, or the name of a flat exported record, for a nested
+# object, which errors name by its field; [table or record] for a list of
 # such objects, item i named `name[i]`; or {tag: table} for objects told
-# apart by their "kind". Tables read as namespaces, flat dataclasses as
+# apart by their "kind". Tables read as namespaces, flat records as
 # instances whose fields are all required. A default of None marks an
 # optional field; in `anc simulate` and `plan risk` an omitted option takes
 # the library's default. A string may hold no NUL and no lone surrogate.
@@ -101,10 +100,12 @@ _KINDS = {"str": str, "int": int, "float": float}
 
 @functools.cache
 def _record(name: str):
-    """(class, field table) of the flat dataclass the package exports as
-    ``name``, imported once per process."""
+    """(class, field table) of the flat record (a named tuple) the package
+    exports as ``name``, imported once per process: its fields in order, each
+    of the kind its annotation names."""
     cls = getattr(sys.modules[__package__], name)
-    return cls, tuple((f.name, _KINDS[f.type], _REQUIRED) for f in fields(cls))
+    kinds = cls.__annotations__
+    return cls, tuple((field, _KINDS[kinds[field]], _REQUIRED) for field in cls._fields)
 
 
 def _read(mapping, context: str, schema):
@@ -281,6 +282,8 @@ def _cmd_anc_simulate(args):
                            rng_seed=c.rng_seed, secondary_estimate=estimate, **options)
 
     n, fs = c.duration_samples, c.sample_rate_hz
+    if not fs > 0:
+        raise ValidationError("sample_rate_hz must be > 0")
     if c.noise.kind == "tone":
         noise = signals.generate_tone(c.noise.freq_hz, c.noise.amplitude,
                                       c.noise.phase_rad, n, fs)
@@ -400,7 +403,7 @@ def _cmd_cost_bom(args):
     lines = costing.load_bom_csv(_resolve(c.bom_csv, args.config))
     summary = costing.bom_rollup(lines, c.shipment, c.overhead_rates, c.warranty,
                                  c.overhead_override)
-    entries = list(vars(summary).items())
+    entries = list(summary._asdict().items())
 
     seconds = None
     if c.assembly is not None:
@@ -498,7 +501,7 @@ def _cmd_plan_market(args):
     from . import planning
 
     estimate = planning.market_size_estimate(_config(args, "market config"))
-    return _scalars("market sizing", vars(estimate).items(), args.format), 0
+    return _scalars("market sizing", estimate._asdict().items(), args.format), 0
 
 
 def _check_format(fmt: str) -> None:

@@ -10,9 +10,9 @@ warranty. Reported currency is rounded half-away-from-zero at cent precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ._records import record
 from ._tables import names_file, number, read_rows
 from .errors import ValidationError
 
@@ -26,16 +26,19 @@ BOM_COLUMNS = ("Component", "Qty required", "Purchased Costs", "Processing",
 ASSEMBLY_COLUMNS = ("Part", "Quantity", "Handling Time (s)", "Insertion Time (s)")
 
 
-@dataclass(frozen=True)
-class BomLine:
+class BomLine(record("BomLine", "component qty purchased processing assembly_labor "
+                     "supplier", defaults=("",))):
+    """One BOM row; ``supplier`` defaults to ""."""
+
+    __slots__ = ()
     component: str
     qty: int
     purchased: float
     processing: float
     assembly_labor: float
-    supplier: str = ""
+    supplier: str
 
-    def __post_init__(self):
+    def _check(self):
         if int(self.qty) < 1:
             raise ValidationError(f"BOM line {self.component!r}: qty must be >= 1")
         for name in ("purchased", "processing", "assembly_labor"):
@@ -49,8 +52,9 @@ class BomLine:
         return self.purchased + self.processing + self.assembly_labor
 
 
-@dataclass(frozen=True)
-class BomSummary:
+class BomSummary(record("BomSummary", "direct_materials direct_processing direct_labor "
+                        "shipment direct_total overhead warranty total_manufacturing")):
+    __slots__ = ()
     direct_materials: float
     direct_processing: float
     direct_labor: float
@@ -62,14 +66,14 @@ class BomSummary:
     total_manufacturing: float
 
 
-@dataclass(frozen=True)
-class AssemblyOp:
+class AssemblyOp(record("AssemblyOp", "part qty handling_s insertion_s")):
+    __slots__ = ()
     part: str
     qty: int
     handling_s: float
     insertion_s: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.handling_s) and math.isfinite(self.insertion_s)):
             raise ValidationError(f"assembly op {self.part!r}: times must be finite")
         if self.handling_s < 0 or self.insertion_s < 0:
@@ -80,22 +84,21 @@ class AssemblyOp:
         return self.handling_s + self.insertion_s
 
 
-@dataclass(frozen=True)
-class OverheadRates:
+class OverheadRates(record("OverheadRates", "materials_rate labor_rate")):
+    __slots__ = ()
     materials_rate: float
     labor_rate: float
 
-    def __post_init__(self):
-        for name in ("materials_rate", "labor_rate"):
-            value = getattr(self, name)
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if not 0 <= value <= 10:
                 raise ValidationError(f"{name} must lie in [0, 10]")
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(record("Discrepancy", "label computed expected")):
     """A computed value that disagrees with a stated expectation."""
 
+    __slots__ = ()
     label: str
     computed: float
     expected: float

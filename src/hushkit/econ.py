@@ -14,10 +14,10 @@ optional period overrides replace an expense line's active window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
+from ._records import record
 from .errors import ValidationError
 
 #: Adjustment targets addressing the sales block rather than an expense line.
@@ -36,19 +36,19 @@ _IRR_LO, _IRR_HI = 0.0, 10.0
 _IRR_GRID_CELLS = 200  # bracket scan step: (hi - lo) / 200
 
 
-@dataclass(frozen=True)
-class ExpenseLine:
+class ExpenseLine(record("ExpenseLine", "name first last rate")):
     """A constant per-period cash flow active over [first, last] (inclusive).
 
     ``rate`` is currency per period; outflows are negative.
     """
 
+    __slots__ = ()
     name: str
     first: int
     last: int
     rate: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.name:
             raise ValidationError("expense line name must be non-empty")
         if self.name in SALES_TARGETS:
@@ -61,18 +61,18 @@ class ExpenseLine:
                 f"expense line {self.name!r}: periods must satisfy 1 <= first <= last")
 
 
-@dataclass(frozen=True)
-class SalesBlock:
+class SalesBlock(record("SalesBlock", "first last units unit_price unit_cost")):
     """Unit sales over [first, last]: ``units`` per period at ``unit_price``
     plus ``unit_cost`` (a negative per-unit outflow)."""
 
+    __slots__ = ()
     first: int
     last: int
     units: float
     unit_price: float
     unit_cost: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.first < 1 or self.last < self.first:
             raise ValidationError("sales window must satisfy 1 <= first <= last")
         for name in ("units", "unit_price", "unit_cost"):
@@ -86,17 +86,19 @@ class SalesBlock:
             raise ValidationError("unit_cost must be <= 0 (an outflow)")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(record("ModelSpec", "horizon discount_rate expenses sales")):
     """A complete cash-flow model over ``horizon`` periods."""
 
+    __slots__ = ()
     horizon: int
     discount_rate: float
     expenses: Tuple[ExpenseLine, ...]
     sales: SalesBlock
 
-    def __post_init__(self):
-        object.__setattr__(self, "expenses", tuple(self.expenses))
+    def __new__(cls, horizon, discount_rate, expenses, sales):
+        return super().__new__(cls, horizon, discount_rate, tuple(expenses), sales)
+
+    def _check(self):
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
         if self.horizon > MAX_HORIZON:
@@ -114,17 +116,19 @@ class ModelSpec:
             raise ValidationError("sales window: last period exceeds the horizon")
 
 
-@dataclass(frozen=True)
-class Adjustment:
+class Adjustment(record("Adjustment", "target pct first_override last_override",
+                        defaults=(None, None))):
     """One scenario row: scale ``target`` by (1 + pct), optionally moving an
-    expense line's window to [first_override, last_override]."""
+    expense line's window to [first_override, last_override] (both default
+    to None)."""
 
+    __slots__ = ()
     target: str
     pct: float
-    first_override: Optional[int] = None
-    last_override: Optional[int] = None
+    first_override: Optional[int]
+    last_override: Optional[int]
 
-    def __post_init__(self):
+    def _check(self):
         if not math.isfinite(self.pct):
             raise ValidationError(f"adjustment {self.target!r}: pct must be finite")
         has_first = self.first_override is not None
@@ -138,10 +142,10 @@ class Adjustment:
                 f"adjustment {self.target!r}: overrides must satisfy 1 <= first <= last")
 
 
-@dataclass(frozen=True)
-class LineDelta:
+class LineDelta(record("LineDelta", "name base adjusted pct delta")):
     """Base-versus-adjusted comparison for one model input."""
 
+    __slots__ = ()
     name: str
     base: float
     adjusted: float
@@ -149,10 +153,11 @@ class LineDelta:
     delta: float
 
 
-@dataclass(frozen=True)
-class EconResult:
+class EconResult(record("EconResult",
+                        "cash_flows npv irr break_even_period line_deltas")):
     """Evaluated model: per-period flows and the headline figures."""
 
+    __slots__ = ()
     cash_flows: Tuple[float, ...]
     npv: float
     irr: Optional[float]
@@ -291,20 +296,20 @@ def apply_adjustments(spec: ModelSpec,
             # overrides are given together or not at all
             first, last = ((line.first, line.last) if adj.first_override is None
                            else (adj.first_override, adj.last_override))
-            lines[adj.target] = replace(line, rate=line.rate * (1.0 + adj.pct),
-                                        first=first, last=last)
+            lines[adj.target] = ExpenseLine(line.name, first, last,
+                                            line.rate * (1.0 + adj.pct))
         elif adj.target in SALES_TARGETS:
             if adj.first_override is not None:
                 raise ValidationError(
                     f"adjustment {adj.target!r}: period overrides apply only to expense lines")
             field = _SALES_FIELDS[adj.target]
-            sales = replace(sales, **{field: getattr(sales, field) * (1.0 + adj.pct)})
+            sales = sales._replace(**{field: getattr(sales, field) * (1.0 + adj.pct)})
         else:
             raise ValidationError(
                 f"adjustment target {adj.target!r} matches no expense line "
                 f"and none of {'/'.join(SALES_TARGETS)}")
     ordered = tuple(lines[line.name] for line in spec.expenses)
-    return replace(spec, expenses=ordered, sales=sales)
+    return ModelSpec(spec.horizon, spec.discount_rate, ordered, sales)
 
 
 def _target_block(spec: ModelSpec, target: str) -> Tuple[int, int, float]:

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import List, Tuple
 
+from ._records import record
 from ._tables import names_file, number, read_rows
 from .errors import ValidationError
 
@@ -24,8 +24,7 @@ AFFECTED_ROUNDING_UNIT = 100_000
 RISK_COLUMNS = ("Code", "Description", "Category", "Probability", "Impact")
 
 
-@dataclass(frozen=True)
-class ConceptMatrix:
+class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
     """Weighted-criteria scoring table.
 
     ``criteria`` is a sequence of (name, weight) with weights summing to one;
@@ -33,14 +32,15 @@ class ConceptMatrix:
     [1, 3] per criterion.
     """
 
+    __slots__ = ()
     criteria: Tuple[Tuple[str, float], ...]
     concepts: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "criteria",
-                           tuple((n, float(w)) for n, w in self.criteria))
-        object.__setattr__(self, "concepts",
-                           tuple((n, tuple(r)) for n, r in self.concepts))
+    def __new__(cls, criteria, concepts):
+        return super().__new__(cls, tuple((n, float(w)) for n, w in criteria),
+                               tuple((n, tuple(r)) for n, r in concepts))
+
+    def _check(self):
         if not all(math.isfinite(w) for _, w in self.criteria):
             raise ValidationError("criterion weights must be finite")
         total = sum(w for _, w in self.criteria)
@@ -58,8 +58,9 @@ class ConceptMatrix:
                         f"[{RATING_MIN}, {RATING_MAX}], got {value!r}")
 
 
-@dataclass(frozen=True)
-class MarketParams:
+class MarketParams(record("MarketParams", "world_pop ref_pop ref_affected tolerance "
+                          "adoption_share unit_price unit_cost")):
+    __slots__ = ()
     world_pop: float
     ref_pop: float
     ref_affected: float
@@ -68,10 +69,10 @@ class MarketParams:
     unit_price: float
     unit_cost: float
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValidationError(f"{f.name} must be finite")
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if not self.world_pop > 0:
             raise ValidationError("world_pop must be > 0")
         if not self.ref_pop > 0:
@@ -85,15 +86,15 @@ class MarketParams:
             raise ValidationError("unit_price and unit_cost must be >= 0")
 
 
-@dataclass(frozen=True)
-class RiskItem:
+class RiskItem(record("RiskItem", "code description category probability impact")):
+    __slots__ = ()
     code: str
     description: str
     category: str
     probability: int
     impact: int
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("probability", "impact"):
             _check_risk_scale(getattr(self, name), f"risk {self.code!r}: {name}")
 
@@ -127,10 +128,11 @@ def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     return [(name, total, ranks[i]) for i, (name, total) in enumerate(totals)]
 
 
-@dataclass(frozen=True)
-class MarketEstimate:
+class MarketEstimate(record("MarketEstimate", "affected_population rounded_basis "
+                              "profit_exact_basis profit_rounded_basis")):
     """The market-sizing figures, in report order."""
 
+    __slots__ = ()
     affected_population: float
     rounded_basis: float
     profit_exact_basis: float

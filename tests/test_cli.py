@@ -813,10 +813,13 @@ _RANGE_RULES = {
     "filter_length": ("anc simulate", "anc_tone", _set(filter_length=0),
                       "filter_length must be >= 1"),
     "tone_sample_rate": ("anc simulate", "anc_tone", _set(sample_rate_hz=0.0),
-                         "fs must be > 0"),
+                         "sample_rate_hz must be > 0"),
     "broadband_sample_rate": ("anc simulate", "anc_broadband",
                               _set(sample_rate_hz=-8000.0),
-                              "fs must be a finite value > 0"),
+                              "sample_rate_hz must be > 0"),
+    "broadband_zero_sample_rate": ("anc simulate", "anc_broadband",
+                                   _set(sample_rate_hz=0.0),
+                                   "sample_rate_hz must be > 0"),
 }
 
 
@@ -1385,7 +1388,7 @@ def _schema_names(schema):
         return set().union(*map(_schema_names, schema.values()))
     if isinstance(schema, list):
         return _schema_names(schema[0])
-    if isinstance(schema, str):  # the name of a flat exported dataclass
+    if isinstance(schema, str):  # the name of a flat exported record
         schema = _record(schema)[1]
     if not isinstance(schema, tuple):
         return set()

@@ -7,7 +7,11 @@ benchmark verifies (``perfbench/golden.json``), so both agree on the bytes.
 """
 import hashlib
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +160,46 @@ def test_no_golden_prints_a_signed_zero():
              for path in sorted(GOLDEN_DIR.iterdir())
              for match in SIGNED_ZERO.finditer(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# Writes the shipped ANC reports in every format into argv[1], then prints
+# the sha256 of one np.convolve result, which OpenBLAS computes.
+_ANC_PROBE = """\
+import hashlib, json, sys
+import numpy as np
+from hushkit.cli import FORMATS, main
+for case in json.loads(sys.argv[2]):
+    for fmt in FORMATS:
+        code = main(["anc", "simulate", "--config", f"{sys.argv[3]}/{case}.json",
+                     "--format", fmt, "--output", f"{sys.argv[1]}/{case}.{fmt}"])
+        assert code == 0, (case, fmt, code)
+probe = np.convolve(np.sin(np.arange(4096.0)), np.cos(np.arange(64.0)))
+print(hashlib.sha256(probe.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_anc_goldens_hold_under_other_openblas_kernels(tmp_path):
+    # np.convolve, which makes the broadband stimulus and both path
+    # convolutions, runs on the OpenBLAS kernel chosen for the CPU; the
+    # variable forces another one in a fresh process
+    anc = sorted(name for name, command in SHIPPED.items() if command == "anc simulate")
+    src = str(CONFIG_DIR.parent / "src")
+    digests = []
+    for coretype in ("Haswell", "Prescott"):
+        out = tmp_path / coretype
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-c", _ANC_PROBE, str(out), json.dumps(anc), str(CONFIG_DIR)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+        for case in anc:
+            for fmt in FORMATS:
+                assert (out / f"{case}.{fmt}").read_bytes() == \
+                    (GOLDEN_DIR / f"{case}.{fmt}").read_bytes(), (coretype, case, fmt)
+    if digests[0] == digests[1]:
+        pytest.skip("OPENBLAS_CORETYPE chose no other kernel in this numpy build")

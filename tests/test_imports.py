@@ -1,10 +1,11 @@
 """Import graph: each command loads only the library module it uses.
 
-``import hushkit`` and ``import hushkit.cli`` load no business module and no
-numpy; an ``econ`` command loads ``econ`` only, ``cost bom`` ``costing``
-only, a ``plan`` command ``planning`` only, and ``anc simulate`` numpy and
-none of the three. Each check runs in a fresh interpreter, because the test
-process itself has every module loaded.
+``import hushkit`` and ``import hushkit.cli`` load no business module, no
+numpy and no ``dataclasses`` (which loads ``inspect``); an ``econ`` command
+loads ``econ`` only, ``cost bom`` ``costing`` only, a ``plan`` command
+``planning`` only, and ``anc simulate`` numpy, ``dataclasses`` and
+``inspect`` and none of the three. Each check runs in a fresh interpreter,
+because the test process itself has every module loaded.
 """
 import json
 import os
@@ -41,10 +42,12 @@ GROUPS = {
               _argv("plan", "risk", "plan_risk.json"),
               _argv("plan", "market", "plan_market.json")),
              ["hushkit.planning"]),
-    "anc": ((_argv("anc", "simulate", "anc_tone_2tap.json"),), ["numpy"]),
+    "anc": ((_argv("anc", "simulate", "anc_tone_2tap.json"),),
+            ["numpy", "dataclasses", "inspect"]),
 }
 
-_WATCHED = ("hushkit.econ", "hushkit.costing", "hushkit.planning", "numpy")
+_WATCHED = ("hushkit.econ", "hushkit.costing", "hushkit.planning", "numpy",
+            "dataclasses", "inspect")
 
 # Prints the watched modules loaded by `import hushkit`, then by
 # `import hushkit.cli`, then by running every command given.

@@ -1,5 +1,4 @@
 """Concept scoring, market sizing, and risk-register mapping."""
-import dataclasses
 import math
 
 import pytest
@@ -127,15 +126,15 @@ def test_market_goldens():
 
 def test_market_rounded_basis():
     # the four reported figures, in report order
-    affected, rounded, profit_exact, profit_rounded = dataclasses.astuple(
+    affected, rounded, profit_exact, profit_rounded = tuple(
         market_size_estimate(market_params()))
     assert affected == pytest.approx(2_107_243.65, abs=0.01)
     assert rounded == 2_100_000.0
     assert profit_exact == (300.0 - 150.0) * affected * 0.55
     assert profit_rounded == pytest.approx(173_250_000.0, abs=1e-6)
-    assert [f.name for f in dataclasses.fields(MarketEstimate)] == [
+    assert MarketEstimate._fields == (
         "affected_population", "rounded_basis", "profit_exact_basis",
-        "profit_rounded_basis"]
+        "profit_rounded_basis")
 
 
 @pytest.mark.parametrize("affected, rounded", [

@@ -1,0 +1,82 @@
+"""The business records are validated named tuples: the constructor,
+``_make`` and ``_replace`` all run a record's checks, and no field can be
+assigned."""
+import math
+
+import pytest
+
+import hushkit
+from hushkit import ValidationError
+from hushkit.costing import AssemblyOp, BomLine, OverheadRates
+from hushkit.econ import Adjustment, ExpenseLine, ModelSpec, SalesBlock
+from hushkit.planning import ConceptMatrix, MarketParams, RiskItem
+
+_LINE = ExpenseLine("Development", 1, 3, -50_000.0)
+_SALES = SalesBlock(5, 24, 1500.0, 300.0, -92.5)
+
+# record -> (a valid instance, one field's invalid value, the error it gives)
+CHECKED = {
+    "ExpenseLine": (_LINE, {"rate": math.inf},
+                    "rate of expense line 'Development' must be finite"),
+    "SalesBlock": (_SALES, {"unit_cost": 1.0}, "unit_cost must be <= 0 (an outflow)"),
+    "ModelSpec": (ModelSpec(24, 0.025, [_LINE], _SALES), {"horizon": 12},
+                  "sales window: last period exceeds the horizon"),
+    "Adjustment": (Adjustment("Development", 0.1), {"first_override": 3},
+                   "adjustment 'Development': first_override and last_override "
+                   "must be given together"),
+    "BomLine": (BomLine("Housing", 1, 2.0, 0.5, 0.25), {"qty": 0},
+                "BOM line 'Housing': qty must be >= 1"),
+    "AssemblyOp": (AssemblyOp("Housing", 1, 1.5, 2.0), {"handling_s": -1.0},
+                   "assembly op 'Housing': times must be >= 0"),
+    "OverheadRates": (OverheadRates(0.1, 0.8), {"labor_rate": 11.0},
+                      "labor_rate must lie in [0, 10]"),
+    "ConceptMatrix": (ConceptMatrix([("cost", 0.6), ("size", 0.4)], [("A", [3, 1])]),
+                      {"concepts": (("A", (3, 4)),)},
+                      "concept 'A': ratings must be integers in [1, 3], got 4"),
+    "MarketParams": (MarketParams(7.0e9, 318.9e6, 48.0e4, 0.2, 0.55, 300.0, 150.0),
+                     {"tolerance": 1.5}, "tolerance must lie in [0, 1]"),
+    "RiskItem": (RiskItem("R1", "Seal leaks", "Design-related", 4, 6), {"impact": 11},
+                 "risk 'R1': impact must be an integer in [1, 10]"),
+}
+
+RECORDS = ("AssemblyOp", "BomLine", "BomSummary", "Discrepancy", "OverheadRates",
+           "Adjustment", "EconResult", "ExpenseLine", "LineDelta", "ModelSpec",
+           "SalesBlock", "ConceptMatrix", "MarketEstimate", "MarketParams",
+           "RiskItem")
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_no_record_is_made_invalid(name):
+    record, bad, message = CHECKED[name]
+    cls = type(record)
+    assert cls is getattr(hushkit, name)
+    with pytest.raises(ValidationError) as err:
+        record._replace(**bad)
+    assert str(err.value) == message
+    invalid = [bad.get(field, value) for field, value in zip(cls._fields, record)]
+    with pytest.raises(ValidationError) as err:
+        cls._make(invalid)
+    assert str(err.value) == message
+    # a valid replacement is a new record of the same class
+    same = record._replace(**{field: getattr(record, field) for field in bad})
+    assert type(same) is cls and same == record
+    for field in (cls._fields[0], *bad):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_annotations_name_its_fields_in_order(name):
+    cls = getattr(hushkit, name)
+    assert isinstance(cls._fields, tuple) and cls.__slots__ == ()
+    assert tuple(cls.__annotations__) == cls._fields
+
+
+def test_records_normalise_their_sequences():
+    spec = CHECKED["ModelSpec"][0]
+    assert spec.expenses == (_LINE,) and spec == (24, 0.025, (_LINE,), _SALES)
+    matrix = CHECKED["ConceptMatrix"][0]
+    assert matrix.criteria == (("cost", 0.6), ("size", 0.4))
+    assert matrix.concepts == (("A", (3, 1)),)
+    assert matrix._asdict() == {"criteria": matrix.criteria, "concepts": matrix.concepts}
