@@ -2,10 +2,11 @@
 the finite check every report figure passes, with the cent rounding of money.
 
 A table is UTF-8 text, with or without a byte-order mark: a header row and
-rows as wide as it; blank lines after the header are skipped, and a number
-cell must hold a finite number. No cell may hold a NUL, the rule
-:func:`clean` also sets for config strings. Each loader is wrapped by
-:func:`names_file`, so its errors name the file.
+rows as wide as it; blank lines after the header are skipped. No cell may
+hold a NUL, the rule :func:`clean` also sets for config strings. Every cell
+is typed by its column's kind (see :func:`read_rows`), and a number cell
+must hold a finite number. Each loader is wrapped by :func:`names_file`, so
+its errors name the file.
 """
 import csv
 import functools
@@ -40,9 +41,14 @@ def names_file(loader):
     return load
 
 
-def read_rows(path, columns: tuple, more: str = None):
+def read_rows(path, columns: tuple, kinds: tuple, more: str = None):
     """(header, rows) of the CSV file at ``path``, a Path. The header must be
-    ``columns``, or ``columns`` and at least one ``more`` column."""
+    ``columns``, or ``columns`` and at least one ``more`` column. ``kinds``
+    holds a kind per column of ``columns``, and with ``more`` one for all the
+    rest; each cell is typed by its column's: ``str.strip`` for text, else a
+    converter such as ``int`` that :func:`numbers` applies. The first bad cell
+    in reading order raises ``column '<name>' has non-<kind> value '<text>'``.
+    """
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -66,20 +72,36 @@ def read_rows(path, columns: tuple, more: str = None):
     for row in rows:
         if len(row) != len(header):
             raise ValidationError(f"row {row!r} has the wrong column count")
-    return header, rows
+    kinds = kinds + kinds[-1:] * (len(header) - len(kinds))
+    try:  # a column at a time: one map() per column, not a call per cell
+        typed = [list(map(kind, cells)) if kind is str.strip else numbers(cells, kind)
+                 for cells, kind in zip(zip(*rows), kinds)]
+    except ValueError:  # find the first bad cell in reading order
+        for row in rows:
+            for text, name, kind in zip(row, header, kinds):
+                if kind is not str.strip:
+                    try:
+                        numbers([text], kind)
+                    except ValueError as exc:
+                        raise ValidationError(
+                            f"column {name!r} has non-{exc} value {text!r}") from None
+        raise
+    return header, list(zip(*typed))
 
 
-def number(text: str, what: str, convert):
-    """``convert(text)`` if that is a finite number; otherwise a
-    ValidationError says that ``what`` holds ``text`` instead."""
+def numbers(cells, kind) -> list:
+    """``kind`` of each of ``cells`` if each gives a finite number and none
+    holds ``_``, which ``int`` and ``float`` take as a digit separator; else
+    a ValueError names what one is not: "integer", "numeric" or "finite"."""
     try:
-        value = convert(text)
+        values = list(map(kind, cells))
+        if "_" in "".join(cells):
+            raise ValueError
     except ValueError:
-        kind = "integer" if convert is int else "numeric"
-        raise ValidationError(f"{what} has non-{kind} value {text!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{what} has non-finite value {text!r}")
-    return value
+        raise ValueError("integer" if kind is int else "numeric") from None
+    if kind is not int and not all(map(math.isfinite, values)):
+        raise ValueError("finite")
+    return values
 
 
 # A finite double has at most 309 integer digits, so this precision holds

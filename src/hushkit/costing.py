@@ -10,10 +10,11 @@ warranty. Reported currency is rounded half-away-from-zero at cent precision.
 from __future__ import annotations
 
 import math
+import re
 from typing import List, Optional, Sequence, Tuple
 
 from ._records import record
-from ._tables import names_file, number, read_rows
+from ._tables import names_file, read_rows
 from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.
@@ -177,8 +178,15 @@ def check_discrepancies(pairs: Sequence[Tuple[str, float, float]]) -> List[Discr
             if abs(computed - expected) > CENT_TOL]
 
 
+# One leading $, and commas only between groups of three digits before any
+# decimal point; float() rejects any other $ or comma
+_GROUPED = re.compile(r"\s*[-+]?\$?([0-9]{1,3}(,[0-9]{3})*|[0-9]*)(\.[0-9]*)?\s*")
+
+
 def _money(text: str) -> float:
-    return float(text.strip().replace("$", "").replace(",", ""))
+    if ("$" in text or "," in text) and _GROUPED.fullmatch(text):
+        text = text.replace("$", "").replace(",", "")
+    return float(text)
 
 
 @names_file
@@ -188,19 +196,10 @@ def load_bom_csv(path) -> List[BomLine]:
     Each row's Total Unit Variable column must equal purchased + processing +
     labor within half a cent.
     """
-    _, rows = read_rows(path, BOM_COLUMNS)
-    cell = {column: f"column {column!r}" for column in BOM_COLUMNS}
+    _, rows = read_rows(path, BOM_COLUMNS, (str.strip, int, *[_money] * 4, str.strip))
     lines = []
-    for component, qty, purchased, processing, labor, total, supplier in rows:
-        line = BomLine(
-            component=component.strip(),
-            qty=number(qty, cell["Qty required"], int),
-            purchased=number(purchased, cell["Purchased Costs"], _money),
-            processing=number(processing, cell["Processing"], _money),
-            assembly_labor=number(labor, cell["Assembly (labor)"], _money),
-            supplier=supplier.strip(),
-        )
-        stated = number(total, cell["Total Unit Variable"], _money)
+    for *cells, stated, supplier in rows:
+        line = BomLine(*cells, supplier)
         if abs(stated - line.line_total) > CENT_TOL:
             raise ValidationError(
                 f"line {line.component!r}: Total Unit Variable {stated} "
@@ -212,11 +211,5 @@ def load_bom_csv(path) -> List[BomLine]:
 @names_file
 def load_assembly_csv(path) -> List[AssemblyOp]:
     """Read an assembly-operation file with the :data:`ASSEMBLY_COLUMNS` header."""
-    _, rows = read_rows(path, ASSEMBLY_COLUMNS)
-    cell = {column: f"column {column!r}" for column in ASSEMBLY_COLUMNS}
-    return [AssemblyOp(
-        part=part.strip(),
-        qty=number(qty, cell["Quantity"], int),
-        handling_s=number(handling, cell["Handling Time (s)"], _money),
-        insertion_s=number(insertion, cell["Insertion Time (s)"], _money),
-    ) for part, qty, handling, insertion in rows]
+    _, rows = read_rows(path, ASSEMBLY_COLUMNS, (str.strip, int, _money, _money))
+    return [AssemblyOp(*row) for row in rows]

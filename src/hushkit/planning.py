@@ -5,7 +5,7 @@ import math
 from typing import List, Tuple
 
 from ._records import record
-from ._tables import names_file, number, read_rows
+from ._tables import names_file, read_rows
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -180,40 +180,23 @@ def load_concept_csv(path) -> ConceptMatrix:
 
     Weights may be written as fractions (`0.08`) or percentages (`8%`).
     """
-    header, rows = read_rows(path, ("Criterion", "Weight"), more="concept")
-    concept_names = [name.strip() for name in header[2:]]
-    weight = "weights column"
-    rating = [f"rating column {name!r}" for name in concept_names]
-    criteria, rated = [], []
-    for row in rows:
-        criteria.append((row[0].strip(), number(row[1], weight, _weight)))
-        rated.append([number(cell, what, int) for cell, what in zip(row[2:], rating)])
+    header, rows = read_rows(path, ("Criterion", "Weight"), (str.strip, _weight, int),
+                             more="concept")
     # a matrix without rows fails the weight sum before its concepts are read
-    return ConceptMatrix(criteria=tuple(criteria),
-                         concepts=tuple(zip(concept_names, zip(*rated))))
+    return ConceptMatrix(criteria=[row[:2] for row in rows],
+                         concepts=zip([name.strip() for name in header[2:]],
+                                      zip(*[row[2:] for row in rows])))
 
 
 @names_file
 def load_risk_csv(path) -> List[RiskItem]:
     """Read a risk register with the :data:`RISK_COLUMNS` header; codes unique."""
-    _, rows = read_rows(path, RISK_COLUMNS)
+    _, rows = read_rows(path, RISK_COLUMNS, (str.strip,) * 3 + (int, int))
     items = []
     seen = set()
-    for code, description, category, probability, impact in rows:
-        code = code.strip()
-        if code in seen:
-            raise ValidationError(f"duplicate risk code {code!r}")
-        seen.add(code)
-        try:
-            probability, impact = int(probability), int(impact)
-        except ValueError:
-            raise ValidationError(
-                f"risk {code!r}: Probability and Impact must be integers")
-        items.append(RiskItem(
-            code=code,
-            description=description.strip(),
-            category=category.strip(),
-            probability=probability,
-            impact=impact,
-        ))
+    for row in rows:
+        if row[0] in seen:
+            raise ValidationError(f"duplicate risk code {row[0]!r}")
+        seen.add(row[0])
+        items.append(RiskItem(*row))
     return items

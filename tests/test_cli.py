@@ -1008,8 +1008,9 @@ def _bom_cell(old, new):
 # case -> (shipped CSV, edit of its text to text or bytes, the error after
 # "<csv path>: ").
 # The first block used to end in a traceback, a NaN report or a misleading
-# error; the second used to leave out the file's path; the third keeps the
-# message it always had.
+# error; the second used to leave out the file's path; the third was always
+# rejected; the fourth used to read a cell as another number. A bad cell of
+# any table gives the one message "column '<name>' has non-<kind> value".
 _CSV_CASES = {
     "bom-qty-word": ("bom_initial.csv", _bom_cell(",1,", ",two,"),
                      "column 'Qty required' has non-integer value 'two'"),
@@ -1027,10 +1028,10 @@ _CSV_CASES = {
                               _replace(_ASSEMBLY_ROW, "LED display panel,1,nan,25"),
                               "column 'Handling Time (s)' has non-finite value 'nan'"),
     "concept-weight-nan": ("concept_matrix.csv", _replace("8%", "nan"),
-                           "weights column has non-finite value 'nan'"),
+                           "column 'Weight' has non-finite value 'nan'"),
     "concept-weights-inf": ("concept_matrix.csv",
                             lambda t: t.replace("8%", "inf").replace("7%", "-inf"),
-                            "weights column has non-finite value 'inf'"),
+                            "column 'Weight' has non-finite value 'inf'"),
     "risk-short-row": ("risk_register.csv", _append("Z9,desc"),
                        "row ['Z9', 'desc'] has the wrong column count"),
     "risk-latin-1": ("risk_register.csv",
@@ -1056,9 +1057,9 @@ _CSV_CASES = {
     "bom-empty": ("bom_initial.csv", lambda t: "",
                   "header must be exactly " + ",".join(BOM_COLUMNS)),
     "concept-weight-word": ("concept_matrix.csv", _replace("8%", "x%"),
-                            "weights column has non-numeric value 'x%'"),
+                            "column 'Weight' has non-numeric value 'x%'"),
     "concept-rating-word": ("concept_matrix.csv", _replace("8%,3,", "8%,three,"),
-                            "rating column 'A' has non-integer value 'three'"),
+                            "column 'A' has non-integer value 'three'"),
     "concept-short-row": ("concept_matrix.csv", _append("Extra,0,1"),
                           "row ['Extra', '0', '1'] has the wrong column count"),
     "concept-header": ("concept_matrix.csv", _replace("Criterion", "Crit"),
@@ -1066,9 +1067,25 @@ _CSV_CASES = {
                        "one concept column"),
     "concept-empty": ("concept_matrix.csv", lambda t: "", "file is empty"),
     "risk-word": ("risk_register.csv", _replace(_RISK_ROW, "Design-related,four,6"),
-                  "risk 'D1': Probability and Impact must be integers"),
+                  "column 'Probability' has non-integer value 'four'"),
     "risk-duplicate": ("risk_register.csv", _replace("D2,", "D1,"),
                        "duplicate risk code 'D1'"),
+    "risk-impact-word": ("risk_register.csv", _replace(_RISK_ROW, "Design-related,4,six"),
+                         "column 'Impact' has non-integer value 'six'"),
+
+    # a cell float() refuses is money only in the $ and thousands-comma
+    # grammar, and int() and float() both take _ as a digit separator
+    "bom-decimal-comma": ("bom_initial.csv",
+                          _replace(_BOM_ROW, 'Wi-Fi RF Transceiver Module,1,'
+                                   '"3,0","0,3","0,2","3,5",'),
+                          "column 'Purchased Costs' has non-numeric value '3,0'"),
+    "bom-dollar-inside": ("bom_initial.csv", _bom_cell("3.5", "3$5"),
+                          "column 'Total Unit Variable' has non-numeric value '3$5'"),
+    "assembly-underscore": ("assembly_ops.csv",
+                            _replace(_ASSEMBLY_ROW, "LED display panel,1,1_0,25"),
+                            "column 'Handling Time (s)' has non-numeric value '1_0'"),
+    "concept-weight-underscore": ("concept_matrix.csv", _replace("10%", "1_0%"),
+                                  "column 'Weight' has non-numeric value '1_0%'"),
 
     # the config strings' rule: no NUL reaches a report
     "risk-nul": ("risk_register.csv", _replace("Yield", "Yi\0eld"),

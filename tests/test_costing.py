@@ -1,14 +1,15 @@
 """Manufacturing-cost roll-up, assembly timing, DFA index, discrepancies."""
 import math
+import re
 
 import pytest
 
 from hushkit import ValidationError
 from hushkit._tables import round_half_away
-from hushkit.costing import (CENT_TOL, AssemblyOp, BomLine, OverheadRates,
-                             assembly_cost, bom_rollup, check_discrepancies,
-                             cost_reduction_report, dfa_index, load_assembly_csv,
-                             load_bom_csv)
+from hushkit.costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
+                             BomLine, OverheadRates, assembly_cost, bom_rollup,
+                             check_discrepancies, cost_reduction_report, dfa_index,
+                             load_assembly_csv, load_bom_csv)
 
 RATES = OverheadRates(materials_rate=0.10, labor_rate=0.80)
 
@@ -160,6 +161,39 @@ def test_load_bom_rejects_inconsistent_row_total(tmp_path):
         "Widget,1,1.00,0.50,0.25,9.99,Acme\n")
     with pytest.raises(ValidationError, match="Widget"):
         load_bom_csv(bad)
+
+
+def test_money_and_time_cells_take_a_leading_dollar_and_thousands_commas(tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_text(",".join(BOM_COLUMNS) + "\n"
+                   'Widget,2,"$1,234.50","1,234",$0.5,"$2,469.00",Acme\n')
+    assert load_bom_csv(bom) == [BomLine("Widget", 2, 1234.5, 1234.0, 0.5, "Acme")]
+    ops = tmp_path / "ops.csv"
+    ops.write_text(",".join(ASSEMBLY_COLUMNS) + '\nCasing,1,"1,234",$5\n')
+    assert load_assembly_csv(ops) == [AssemblyOp("Casing", 1, 1234.0, 5.0)]
+
+
+@pytest.mark.parametrize("text", ["3,5", "1234,567", "1,23", "1,234,56", ",5", "5,",
+                                  "3$5", "5$", "$$5", "$1_000", "1_0"])
+def test_a_money_cell_takes_commas_only_between_groups_of_three_digits(text, tmp_path):
+    ops = tmp_path / "ops.csv"
+    ops.write_text(",".join(ASSEMBLY_COLUMNS) + f'\nCasing,1,"{text}",5\n')
+    with pytest.raises(ValidationError, match=re.escape(
+            f"column 'Handling Time (s)' has non-numeric value {text!r}")):
+        load_assembly_csv(ops)
+
+
+def test_the_first_bad_cell_is_named_before_any_row_is_checked(tmp_path):
+    # a bad cell comes before an earlier row's audit, and in reading order
+    # before a bad cell further left in a later row
+    bom = tmp_path / "bom.csv"
+    bom.write_text(",".join(BOM_COLUMNS) + "\n"
+                   "Widget,1,1,1,1,9,Acme\n"
+                   "Gadget,1,1,1,1,x,Acme\n"
+                   "Gizmo,y,1,1,1,3,Acme\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            "column 'Total Unit Variable' has non-numeric value 'x'")):
+        load_bom_csv(bom)
 
 
 def test_load_revised_detail_bom(configs_dir):

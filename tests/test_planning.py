@@ -264,6 +264,17 @@ def test_load_risk_rejects_duplicate_codes(tmp_path):
         load_risk_csv(path)
 
 
+def test_load_risk_names_a_bad_cell_before_a_duplicate_code(tmp_path):
+    path = tmp_path / "risks.csv"
+    path.write_text("Code,Description,Category,Probability,Impact\n"
+                    "D1,first,Technical,5,5\n"
+                    "D1,second,Technical,3,3\n"
+                    "D2,third,Technical,3,1_0\n")
+    with pytest.raises(ValidationError,
+                       match="column 'Impact' has non-integer value '1_0'"):
+        load_risk_csv(path)
+
+
 def test_load_risk_rejects_wrong_header(tmp_path):
     path = tmp_path / "risks.csv"
     path.write_text("code,descr\nD1,x\n")
