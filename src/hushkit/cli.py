@@ -46,21 +46,17 @@ def __getattr__(name):
 # config schemas: one table of (name, kind, default) fields per JSON object
 #
 # A kind is str, int, float (any JSON number, read as a float), list, dict or
-# str | list; a table, or the name of a flat exported record, for a nested
+# str | list; a table, or the name of an exported record, for a nested
 # object, which errors name by its field; [table or record] for a list of
 # such objects, item i named `name[i]`; or {tag: table} for objects told
-# apart by their "kind". Tables read as namespaces, flat records as
-# instances whose fields are all required. A default of None marks an
-# optional field; in `anc simulate` and `plan risk` an omitted option takes
-# the library's default. A string may hold no NUL and no lone surrogate.
+# apart by their "kind". Tables read as namespaces, records as instances,
+# made (and checked) as soon as they are read. A record's fields may nest
+# records, and its defaults are the schema's: a field without one is
+# required. A default of None marks an optional field; in `anc simulate`
+# and `plan risk` an omitted option takes the library's default. A string
+# may hold no NUL and no lone surrogate.
 
 _REQUIRED = object()
-
-_ADJUSTMENT = (("target", str, _REQUIRED), ("pct", float, _REQUIRED),
-               ("first", int, None), ("last", int, None))
-_MODEL = (("horizon", int, _REQUIRED), ("discount_rate", float, _REQUIRED),
-          ("expenses", ["ExpenseLine"], _REQUIRED),
-          ("sales", "SalesBlock", _REQUIRED))
 
 _SCHEMAS = {
     "anc config": (
@@ -75,9 +71,10 @@ _SCHEMAS = {
                           ("high_hz", float, _REQUIRED)),
         }, _REQUIRED),
         ("primary_path", list, _REQUIRED), ("secondary_path", list, _REQUIRED)),
-    "econ config": (("model", _MODEL, _REQUIRED), ("adjustments", [_ADJUSTMENT], ())),
-    "sensitivity config": (("model", _MODEL, _REQUIRED),
-                           ("rows", [_ADJUSTMENT], _REQUIRED)),
+    "econ config": (("model", "ModelSpec", _REQUIRED),
+                    ("adjustments", ["Adjustment"], ())),
+    "sensitivity config": (("model", "ModelSpec", _REQUIRED),
+                           ("rows", ["Adjustment"], _REQUIRED)),
     "cost config": (
         ("bom_csv", str, _REQUIRED), ("shipment", float, _REQUIRED),
         ("overhead_rates", "OverheadRates", _REQUIRED),
@@ -95,17 +92,19 @@ _SCHEMAS = {
 }
 
 # Field kinds by annotation text (the model modules postpone annotations).
-_KINDS = {"str": str, "int": int, "float": float}
+_KINDS = {"str": str, "int": int, "float": float, "Optional[int]": int,
+          "SalesBlock": "SalesBlock", "Tuple[ExpenseLine, ...]": ["ExpenseLine"]}
 
 
 @functools.cache
 def _record(name: str):
-    """(class, field table) of the flat record (a named tuple) the package
-    exports as ``name``, imported once per process: its fields in order, each
-    of the kind its annotation names."""
+    """(class, field table) of the record (a named tuple) the package exports
+    as ``name``, imported once per process: its fields in order, each of the
+    kind its annotation names and with its default, if the record gives one."""
     cls = getattr(sys.modules[__package__], name)
-    kinds = cls.__annotations__
-    return cls, tuple((field, _KINDS[kinds[field]], _REQUIRED) for field in cls._fields)
+    kinds, defaults = cls.__annotations__, cls._field_defaults
+    return cls, tuple((field, _KINDS[kinds[field]], defaults.get(field, _REQUIRED))
+                      for field in cls._fields)
 
 
 def _read(mapping, context: str, schema):
@@ -215,12 +214,6 @@ def _taps_from(values, field: str) -> FirPath:
         raise ValidationError(f"field '{field}' is out of range") from None
 
 
-def _adjustments(rows, adjustment):
-    """The schema rows as ``adjustment`` instances, each made (and checked)
-    when it is reached."""
-    return (adjustment(row.target, row.pct, row.first, row.last) for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each imports its library module, reads its config,
 # calls the library and renders the result as a report view, a dict for json,
@@ -320,8 +313,7 @@ def _cmd_econ_eval(args):
     # a bare model is a config without adjustments
     c = _read(raw if "model" in raw else {"model": raw}, "econ config",
               _SCHEMAS["econ config"])
-    adjustments = tuple(_adjustments(c.adjustments, econ.Adjustment))
-    result = econ.evaluate(econ.ModelSpec(**vars(c.model)), adjustments,
+    result = econ.evaluate(c.model, c.adjustments,
                            discounted_breakeven=args.discounted_breakeven)
     code = 2 if args.require_irr and result.irr is None else 0
     r = c.model.discount_rate
@@ -370,9 +362,7 @@ def _cmd_econ_sensitivity(args):
     from . import econ
 
     c = _config(args, "sensitivity config")
-    # each row's Adjustment is checked just before it is scored
-    base, rows = econ.sensitivity(econ.ModelSpec(**vars(c.model)),
-                                  _adjustments(c.rows, econ.Adjustment))
+    base, rows = econ.sensitivity(c.model, c.rows)
     fmt = args.format
     header = ("parameter", "pct", "first", "last", "delta_npv", "delta_pct_of_base")
     if fmt == "json":

@@ -116,28 +116,24 @@ class ModelSpec(record("ModelSpec", "horizon discount_rate expenses sales")):
             raise ValidationError("sales window: last period exceeds the horizon")
 
 
-class Adjustment(record("Adjustment", "target pct first_override last_override",
-                        defaults=(None, None))):
-    """One scenario row: scale ``target`` by (1 + pct), optionally moving an
-    expense line's window to [first_override, last_override] (both default
-    to None)."""
+class Adjustment(record("Adjustment", "target pct first last", defaults=(None, None))):
+    """One scenario row: scale ``target`` by (1 + pct), and, when ``first``
+    and ``last`` are given (together; both default to None), move an
+    expense line's window to [first, last]."""
 
     __slots__ = ()
     target: str
     pct: float
-    first_override: Optional[int]
-    last_override: Optional[int]
+    first: Optional[int]
+    last: Optional[int]
 
     def _check(self):
         if not math.isfinite(self.pct):
             raise ValidationError(f"adjustment {self.target!r}: pct must be finite")
-        has_first = self.first_override is not None
-        has_last = self.last_override is not None
-        if has_first != has_last:
+        if (self.first is None) != (self.last is None):
             raise ValidationError(
-                f"adjustment {self.target!r}: first_override and last_override "
-                "must be given together")
-        if has_first and not 1 <= self.first_override <= self.last_override:
+                f"adjustment {self.target!r}: first and last must be given together")
+        if self.first is not None and not 1 <= self.first <= self.last:
             raise ValidationError(
                 f"adjustment {self.target!r}: overrides must satisfy 1 <= first <= last")
 
@@ -294,12 +290,12 @@ def apply_adjustments(spec: ModelSpec,
         if adj.target in lines:
             line = lines[adj.target]
             # overrides are given together or not at all
-            first, last = ((line.first, line.last) if adj.first_override is None
-                           else (adj.first_override, adj.last_override))
+            first, last = ((line.first, line.last) if adj.first is None
+                           else (adj.first, adj.last))
             lines[adj.target] = ExpenseLine(line.name, first, last,
                                             line.rate * (1.0 + adj.pct))
         elif adj.target in SALES_TARGETS:
-            if adj.first_override is not None:
+            if adj.first is not None:
                 raise ValidationError(
                     f"adjustment {adj.target!r}: period overrides apply only to expense lines")
             field = _SALES_FIELDS[adj.target]

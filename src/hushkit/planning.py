@@ -29,7 +29,7 @@ class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
 
     ``criteria`` is a sequence of (name, weight) with weights summing to one;
     ``concepts`` is a sequence of (name, ratings), one integer rating in
-    [1, 3] per criterion.
+    [1, 3] per criterion. Within each, names are non-empty and unique.
     """
 
     __slots__ = ()
@@ -41,6 +41,12 @@ class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
                                tuple((n, tuple(r)) for n, r in concepts))
 
     def _check(self):
+        for what, pairs in (("criterion", self.criteria), ("concept", self.concepts)):
+            names = [name for name, _ in pairs]
+            if not all(names):
+                raise ValidationError(f"{what} name must be non-empty")
+            if len(set(names)) != len(names):
+                raise ValidationError(f"{what} names must be unique")
         if not all(math.isfinite(w) for _, w in self.criteria):
             raise ValidationError("criterion weights must be finite")
         total = sum(w for _, w in self.criteria)
@@ -95,6 +101,8 @@ class RiskItem(record("RiskItem", "code description category probability impact"
     impact: int
 
     def _check(self):
+        if not self.code:
+            raise ValidationError("risk code must be non-empty")
         for name in ("probability", "impact"):
             _check_risk_scale(getattr(self, name), f"risk {self.code!r}: {name}")
 

@@ -808,6 +808,34 @@ _RANGE_RULES = {
                       "discount_rate must be > -1"),
     "sales_past_horizon": ("econ npv", "econ_base", _in_sales(last=25),
                            "sales window: last period exceeds the horizon"),
+    "scenario_lone_first": ("econ scenario", "econ_scenario_marketing_shift",
+                            lambda c: c["adjustments"][1].pop("last"),
+                            "adjustment 'Market Introduction': first and last "
+                            "must be given together"),
+    "sensitivity_lone_first": ("econ sensitivity", "econ_sensitivity_grid",
+                               lambda c: c["rows"][0].update(first=3),
+                               "adjustment 'Development': first and last "
+                               "must be given together"),
+    # of two faults, the first read is named: the model is checked as soon
+    # as it is read, and every row as soon as it is read, before any is scored
+    "scenario_horizon_then_pct": (
+        "econ scenario", "econ_scenario_marketing_shift",
+        lambda c: (c["model"].update(horizon=0),
+                   c["adjustments"][0].update(pct="x")),
+        "horizon must be >= 1"),
+    "sensitivity_horizon_then_pct": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: (c["model"].update(horizon=0), c["rows"][0].update(pct="x")),
+        "horizon must be >= 1"),
+    "sensitivity_horizon_then_unknown_field": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: (c["model"].update(horizon=0), c.update(bogus=1)),
+        "horizon must be >= 1"),
+    "sensitivity_target_then_lone_first": (
+        "econ sensitivity", "econ_sensitivity_grid",
+        lambda c: (c["rows"][0].update(target="No Such Line"),
+                   c["rows"][1].update(first=3)),
+        "adjustment 'Development': first and last must be given together"),
     "duration_samples": ("anc simulate", "anc_tone", _set(duration_samples=0),
                          "duration_samples must be >= 1"),
     "filter_length": ("anc simulate", "anc_tone", _set(filter_length=0),
@@ -1092,6 +1120,22 @@ _CSV_CASES = {
                  "file holds a NUL or a lone surrogate"),
     "concept-nul": ("concept_matrix.csv", _replace("Weight,A", "Weight,A\0"),
                     "file holds a NUL or a lone surrogate"),
+
+    # a report row no one can tell apart used to be printed; an empty name
+    # is named before a repeated one
+    "concept-name-empty": ("concept_matrix.csv",
+                           _replace("Weight,A,B,C", "Weight,A,A,"),
+                           "concept name must be non-empty"),
+    "concept-name-repeated": ("concept_matrix.csv",
+                              _replace("Weight,A,B,C", "Weight,A,B,A"),
+                              "concept names must be unique"),
+    "criterion-name-empty": ("concept_matrix.csv", _replace("\nMaintenance,", "\n ,"),
+                             "criterion name must be non-empty"),
+    "criterion-name-repeated": ("concept_matrix.csv",
+                                _replace("\nMaintenance,", "\nUser Friendly,"),
+                                "criterion names must be unique"),
+    "risk-code-empty": ("risk_register.csv", _append(",empty code,X,3,3"),
+                        "risk code must be non-empty"),
 }
 
 # shipped CSV -> (command, shipped config that reads it)
@@ -1405,7 +1449,7 @@ def _schema_names(schema):
         return set().union(*map(_schema_names, schema.values()))
     if isinstance(schema, list):
         return _schema_names(schema[0])
-    if isinstance(schema, str):  # the name of a flat exported record
+    if isinstance(schema, str):  # the name of an exported record
         schema = _record(schema)[1]
     if not isinstance(schema, tuple):
         return set()

@@ -218,17 +218,17 @@ def test_sales_targets_reject_period_overrides():
     with pytest.raises(ValidationError, match="UNITS"):
         apply_adjustments(
             base_model(),
-            [Adjustment(UNITS, 0.1, first_override=1, last_override=2)])
+            [Adjustment(UNITS, 0.1, first=1, last=2)])
 
 
 def test_adjustment_overrides_must_come_together():
     with pytest.raises(ValidationError, match="together"):
-        Adjustment("Development", 0.1, first_override=1)
+        Adjustment("Development", 0.1, first=1)
 
 
 def test_adjustment_overrides_must_be_ordered():
     with pytest.raises(ValidationError, match="first"):
-        Adjustment("Development", 0.1, first_override=3, last_override=2)
+        Adjustment("Development", 0.1, first=3, last=2)
 
 
 def test_adjustment_pct_must_be_finite():
@@ -240,7 +240,7 @@ def test_apply_adjustments_moves_expense_window():
     adjusted = apply_adjustments(
         base_model(),
         [Adjustment("Market Introduction", 0.0,
-                    first_override=1, last_override=4)])
+                    first=1, last=4)])
     line = next(l for l in adjusted.expenses if l.name == "Market Introduction")
     assert (line.first, line.last) == (1, 4)
     assert line.rate == -20_000.0
@@ -327,7 +327,7 @@ def test_sensitivity_fraction_is_none_for_zero_base():
 
 def test_sensitivity_window_follows_target_and_overrides():
     spec = base_model()
-    moved = Adjustment("Testing", 0.1, first_override=2, last_override=6)
+    moved = Adjustment("Testing", 0.1, first=2, last=6)
     _, rows = sensitivity(spec, [Adjustment(UNITS, 0.1),
                                  Adjustment("Testing", 0.1), moved])
     assert [row[:4] for row in rows] == [(UNITS, 0.1, 5, 24), ("Testing", 0.1, 1, 4),
@@ -356,7 +356,7 @@ def test_model_rejects_horizon_past_the_bound(horizon):
 def test_sensitivity_scores_every_row_against_one_base_npv(monkeypatch):
     spec = base_model()
     adjustments = [Adjustment("Development", -0.30), Adjustment(PRICE, 0.1),
-                   Adjustment("Testing", 0.2, first_override=3, last_override=9)]
+                   Adjustment("Testing", 0.2, first=3, last=9)]
     calls = []
     monkeypatch.setattr(econ, "build_cash_flows",
                         lambda s: calls.append(s) or build_cash_flows(s))

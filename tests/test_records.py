@@ -21,9 +21,8 @@ CHECKED = {
     "SalesBlock": (_SALES, {"unit_cost": 1.0}, "unit_cost must be <= 0 (an outflow)"),
     "ModelSpec": (ModelSpec(24, 0.025, [_LINE], _SALES), {"horizon": 12},
                   "sales window: last period exceeds the horizon"),
-    "Adjustment": (Adjustment("Development", 0.1), {"first_override": 3},
-                   "adjustment 'Development': first_override and last_override "
-                   "must be given together"),
+    "Adjustment": (Adjustment("Development", 0.1), {"first": 3},
+                   "adjustment 'Development': first and last must be given together"),
     "BomLine": (BomLine("Housing", 1, 2.0, 0.5, 0.25), {"qty": 0},
                 "BOM line 'Housing': qty must be >= 1"),
     "AssemblyOp": (AssemblyOp("Housing", 1, 1.5, 2.0), {"handling_s": -1.0},

@@ -55,7 +55,10 @@ def test_broadband_energy_concentrated_in_band():
     (lambda: generate_broadband(0, 50.0, 500.0, -1, FS), "n must be >= 0"),
     (lambda: generate_broadband(-1, 50.0, 500.0, 16, FS),
      "seed must be an unsigned integer"),
-], ids=["tone-n", "broadband-n", "broadband-seed"])
+    (lambda: generate_tone(200.0, 1.0, 0.0, 16, 0.0), "fs must be > 0"),
+    (lambda: generate_broadband(0, 50.0, 500.0, 16, -8000.0),
+     "fs must be a finite value > 0"),
+], ids=["tone-n", "broadband-n", "broadband-seed", "tone-fs-0", "broadband-fs-negative"])
 def test_generators_reject_a_negative_count_or_seed(generate, message):
     with pytest.raises(ValidationError) as info:
         generate()
