@@ -1,5 +1,5 @@
-"""The immutable records of the business modules: named tuples that check
-their fields whenever one is made.
+"""The library's immutable records, business and ANC alike: named tuples
+that check their fields whenever one is made.
 
 A record class subclasses ``record(typename, field_names)``, annotates its
 fields in order (the CLI reads their kinds from the annotations) and states

@@ -9,12 +9,12 @@ reported as attenuation in dB per analysis window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
+from ._records import record
 from .errors import ValidationError
 from .signals import ATTENUATION_CAP_DB, FirPath, SampleBuffer, convolve_path
 
@@ -43,24 +43,24 @@ MAX_FILTER_LENGTH = 4_096
 EXACT = None
 
 
-@dataclass(frozen=True)
-class AncConfig:
+class AncConfig(record("AncConfig", "algorithm duration_samples filter_length step_size "
+                        "leak_factor secondary_estimate", defaults=(128, None, 0.0, EXACT))):
     """Adaptive-controller parameters.
 
-    ``step_size=None`` selects the per-algorithm default. ``rng_seed`` is
-    carried for reproducibility of seeded stimuli; the simulation itself is
-    deterministic.
+    ``step_size=None`` selects the per-algorithm default. The simulation is
+    deterministic; only a seeded stimulus (``generate_broadband``) takes a
+    seed.
     """
 
+    __slots__ = ()
     algorithm: str
     duration_samples: int
-    rng_seed: int
-    filter_length: int = 128
-    step_size: Optional[float] = None
-    leak_factor: float = 0.0
-    secondary_estimate: Optional[FirPath] = EXACT
+    filter_length: int
+    step_size: Optional[float]
+    leak_factor: float
+    secondary_estimate: Optional[FirPath]
 
-    def __post_init__(self):
+    def _check(self):
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"algorithm must be one of {'/'.join(ALGORITHMS)}, got {self.algorithm!r}")
@@ -74,8 +74,6 @@ class AncConfig:
             raise ValidationError(f"filter_length must be <= {MAX_FILTER_LENGTH}")
         if int(self.filter_length) > int(self.duration_samples):
             raise ValidationError("filter_length must not exceed duration_samples")
-        if int(self.rng_seed) < 0:
-            raise ValidationError("rng_seed must be an unsigned integer")
         mu = self.resolved_step_size()
         if not np.isfinite(mu) or mu < 0:
             raise ValidationError("step_size must be finite and >= 0")
@@ -91,8 +89,8 @@ class AncConfig:
         return float(self.step_size)
 
 
-@dataclass(frozen=True)
-class AncResult:
+class AncResult(record("AncResult", "residual attenuation_trace_db "
+                       "steady_state_attenuation_db diverged")):
     """Full simulation outcome.
 
     ``residual`` is truncated at the detection point when the loop diverges;
@@ -101,6 +99,7 @@ class AncResult:
     window, and ``steady_state_attenuation_db`` is the final window's value.
     """
 
+    __slots__ = ()
     residual: SampleBuffer
     attenuation_trace_db: np.ndarray
     steady_state_attenuation_db: float

@@ -52,18 +52,16 @@ def __getattr__(name):
 # apart by their "kind". Tables read as namespaces, records as instances,
 # made (and checked) as soon as they are read. A record's fields may nest
 # records, and its defaults are the schema's: a field without one is
-# required. A default of None marks an optional field; in `anc simulate`
-# and `plan risk` an omitted option takes the library's default. A string
-# may hold no NUL and no lone surrogate.
+# required. A record's name in place of a field spreads its fields, kinds
+# and defaults into the table, read as plain values. A default of None
+# marks an optional field; in `plan risk` an omitted option takes the
+# library's default. A string may hold no NUL and no lone surrogate.
 
 _REQUIRED = object()
 
 _SCHEMAS = {
     "anc config": (
-        ("algorithm", str, _REQUIRED), ("duration_samples", int, _REQUIRED),
-        ("rng_seed", int, _REQUIRED), ("sample_rate_hz", float, 8000.0),
-        ("filter_length", int, None), ("step_size", float, None),
-        ("leak_factor", float, None), ("secondary_estimate", str | list, "exact"),
+        "AncConfig", ("rng_seed", int, _REQUIRED), ("sample_rate_hz", float, 8000.0),
         ("noise", {
             "tone": (("kind", str, _REQUIRED), ("freq_hz", float, _REQUIRED),
                      ("amplitude", float, 1.0), ("phase_rad", float, 0.0)),
@@ -93,6 +91,7 @@ _SCHEMAS = {
 
 # Field kinds by annotation text (the model modules postpone annotations).
 _KINDS = {"str": str, "int": int, "float": float, "Optional[int]": int,
+          "Optional[float]": float, "Optional[FirPath]": str | list,
           "SalesBlock": "SalesBlock", "Tuple[ExpenseLine, ...]": ["ExpenseLine"]}
 
 
@@ -115,7 +114,9 @@ def _read(mapping, context: str, schema):
     make, table = ((SimpleNamespace, schema) if isinstance(schema, tuple)
                    else _record(schema))
     values = {name: _field(mapping, context, name, kind, default)
-              for name, kind, default in table}
+              for entry in table
+              for name, kind, default in (
+                  _record(entry)[1] if isinstance(entry, str) else (entry,))}
     unknown = mapping.keys() - values.keys()
     if unknown:
         raise ValidationError(f"{context}: unknown field '{min(unknown)}'")
@@ -262,21 +263,18 @@ def _cmd_anc_simulate(args):
     primary = _taps_from(c.primary_path, "primary_path")
     secondary = _taps_from(c.secondary_path, "secondary_path")
     if isinstance(c.secondary_estimate, list):
-        estimate = _taps_from(c.secondary_estimate, "secondary_estimate")
-    elif c.secondary_estimate == "exact":
-        estimate = anc.EXACT
+        c.secondary_estimate = _taps_from(c.secondary_estimate, "secondary_estimate")
+    elif c.secondary_estimate in (anc.EXACT, "exact"):
+        c.secondary_estimate = anc.EXACT
     else:
         raise ValidationError(
             "field 'secondary_estimate' must be \"exact\" or a list of taps")
-    options = {name: getattr(c, name)
-               for name in ("filter_length", "step_size", "leak_factor")
-               if getattr(c, name) is not None}
-    config = anc.AncConfig(algorithm=c.algorithm, duration_samples=c.duration_samples,
-                           rng_seed=c.rng_seed, secondary_estimate=estimate, **options)
+    config = anc.AncConfig._make(getattr(c, name) for name in anc.AncConfig._fields)
+    # tone noise takes no seed, but a config's seed is checked for either kind
+    if c.rng_seed < 0:
+        raise ValidationError("rng_seed must be an unsigned integer")
 
     n, fs = c.duration_samples, c.sample_rate_hz
-    if not fs > 0:
-        raise ValidationError("sample_rate_hz must be > 0")
     if c.noise.kind == "tone":
         noise = signals.generate_tone(c.noise.freq_hz, c.noise.amplitude,
                                       c.noise.phase_rad, n, fs)

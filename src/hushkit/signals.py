@@ -29,6 +29,14 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _sample_rate(fs) -> float:
+    """``fs`` as a float: the one sample-rate rule of buffers and generators."""
+    rate = float(fs)
+    if not 0.0 < rate < np.inf:  # NaN fails too
+        raise ValidationError("sample_rate_hz must be a finite value > 0")
+    return rate
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """A uniformly sampled real-valued signal.
@@ -44,10 +52,7 @@ class SampleBuffer:
     def __post_init__(self):
         arr = _as_float_array(self.samples, "samples")
         object.__setattr__(self, "samples", arr)
-        rate = float(self.sample_rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValidationError("sample_rate_hz must be a finite value > 0")
-        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "sample_rate_hz", _sample_rate(self.sample_rate_hz))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -78,11 +83,10 @@ def generate_tone(freq_hz: float, amplitude: float, phase_rad: float, n: int,
             parameter is non-finite.
     """
     for name, value in (("freq_hz", freq_hz), ("amplitude", amplitude),
-                        ("phase_rad", phase_rad), ("fs", fs)):
+                        ("phase_rad", phase_rad)):
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite")
-    if fs <= 0:
-        raise ValidationError("fs must be > 0")
+    fs = _sample_rate(fs)
     if not 0 < freq_hz < fs / 2:
         raise ValidationError("freq_hz must lie strictly between 0 and the Nyquist rate fs/2")
     if n < 0:
@@ -120,8 +124,7 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
     satisfy ``0 < low_hz < high_hz < fs/2`` and be wide enough for the
     filter's transition bands.
     """
-    if fs <= 0 or not np.isfinite(fs):
-        raise ValidationError("fs must be a finite value > 0")
+    fs = _sample_rate(fs)
     if not (np.isfinite(low_hz) and np.isfinite(high_hz)):
         raise ValidationError("low_hz and high_hz must be finite")
     if not 0 < low_hz < high_hz < fs / 2:

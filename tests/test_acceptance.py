@@ -202,24 +202,24 @@ def test_criterion_10():
     secondary = room_path(32, 3, 5.0, 900.0)
 
     # a) tonal cancellation reaches the attenuation cap (>= 40 dB required)
-    cap_run = anc_run(AncConfig("FXLMS", 40_000, 0, filter_length=2,
+    cap_run = anc_run(AncConfig("FXLMS", 40_000, filter_length=2,
                                 step_size=0.05), tone, UNIT, UNIT)
     assert not cap_run.diverged
     assert cap_run.steady_state_attenuation_db >= 40.0
     assert cap_run.steady_state_attenuation_db == ATTENUATION_CAP_DB
 
     # b) zero step size leaves the disturbance untouched: exactly 0 dB
-    frozen = anc_run(AncConfig("FXLMS", 40_000, 0, filter_length=2,
+    frozen = anc_run(AncConfig("FXLMS", 40_000, filter_length=2,
                                step_size=0.0), tone, UNIT, UNIT)
     assert frozen.steady_state_attenuation_db == 0.0
     assert np.array_equal(frozen.residual.samples,
                           convolve_path(UNIT, tone).samples)
 
     # c) with a unit secondary path the filtered-reference update is plain LMS
-    fx = anc_run(AncConfig("FXLMS", 20_000, 0, filter_length=32,
+    fx = anc_run(AncConfig("FXLMS", 20_000, filter_length=32,
                            step_size=1e-3, secondary_estimate=EXACT),
                  generate_tone(200.0, 1.0, 0.0, 20_000, FS), primary, UNIT)
-    lms = anc_run(AncConfig("LMS", 20_000, 0, filter_length=32,
+    lms = anc_run(AncConfig("LMS", 20_000, filter_length=32,
                             step_size=1e-3), generate_tone(200.0, 1.0, 0.0,
                                                            20_000, FS),
                   primary, UNIT)
@@ -228,7 +228,7 @@ def test_criterion_10():
     # d) the normalized update is invariant to input scale
     def nlms(scale):
         noise = generate_tone(200.0, 50.0 * scale, 0.0, 20_000, FS)
-        return anc_run(AncConfig("NLMS", 20_000, 0, filter_length=16),
+        return anc_run(AncConfig("NLMS", 20_000, filter_length=16),
                        noise, primary, secondary)
     reference = nlms(1.0)
     mask = np.abs(reference.residual.samples) > 1e-6 * 50.0
@@ -238,14 +238,14 @@ def test_criterion_10():
                                    rtol=5e-9, atol=0)
 
     # e) realistic 32-tap paths: at least 15 dB within five simulated seconds
-    room = anc_run(AncConfig("FXLMS", 40_000, 0, filter_length=128),
+    room = anc_run(AncConfig("FXLMS", 40_000, filter_length=128),
                    tone, primary, secondary)
     assert not room.diverged
     assert room.steady_state_attenuation_db >= 15.0
 
     # f) a thousandfold step size diverges but yields only finite outputs
     runaway = anc_run(
-        AncConfig("FXLMS", 40_000, 0, filter_length=128,
+        AncConfig("FXLMS", 40_000, filter_length=128,
                   step_size=1e3 * DEFAULT_STEP_SIZE["FXLMS"]),
         tone, primary, secondary)
     assert runaway.diverged

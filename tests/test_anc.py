@@ -27,7 +27,7 @@ SECONDARY_32 = room_path(32, 3, 5.0, 900.0)
 
 
 def tonal_config(**overrides):
-    base = dict(algorithm="FXLMS", duration_samples=40000, rng_seed=0,
+    base = dict(algorithm="FXLMS", duration_samples=40000,
                 filter_length=2, step_size=0.05)
     base.update(overrides)
     return AncConfig(**base)
@@ -35,24 +35,24 @@ def tonal_config(**overrides):
 
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValidationError, match="algorithm"):
-        AncConfig(algorithm="RLS", duration_samples=100, rng_seed=0)
+        AncConfig(algorithm="RLS", duration_samples=100)
 
 
 def test_config_rejects_negative_step():
     with pytest.raises(ValidationError, match="step_size"):
-        AncConfig(algorithm="LMS", duration_samples=100, rng_seed=0,
+        AncConfig(algorithm="LMS", duration_samples=100,
                   filter_length=4, step_size=-0.1)
 
 
 def test_config_rejects_leak_of_one():
     with pytest.raises(ValidationError, match="leak_factor"):
-        AncConfig(algorithm="LMS", duration_samples=100, rng_seed=0,
+        AncConfig(algorithm="LMS", duration_samples=100,
                   filter_length=4, leak_factor=1.0)
 
 
 def test_config_rejects_filter_longer_than_run():
     with pytest.raises(ValidationError, match="filter_length"):
-        AncConfig(algorithm="LMS", duration_samples=64, rng_seed=0,
+        AncConfig(algorithm="LMS", duration_samples=64,
                   filter_length=65)
 
 
@@ -61,7 +61,7 @@ def test_config_rejects_duration_past_the_bound(duration):
     # AncConfig allocates nothing, so no size here is ever allocated
     with pytest.raises(ValidationError,
                        match=f"duration_samples must be <= {MAX_DURATION_SAMPLES}"):
-        AncConfig(algorithm="LMS", duration_samples=duration, rng_seed=0)
+        AncConfig(algorithm="LMS", duration_samples=duration)
 
 
 @pytest.mark.parametrize("taps", [MAX_FILTER_LENGTH + 1, 10**12])
@@ -69,34 +69,28 @@ def test_config_rejects_filter_length_past_the_bound(taps):
     with pytest.raises(ValidationError,
                        match=f"filter_length must be <= {MAX_FILTER_LENGTH}"):
         AncConfig(algorithm="LMS", duration_samples=MAX_DURATION_SAMPLES,
-                  rng_seed=0, filter_length=taps)
+                  filter_length=taps)
 
 
 def test_config_accepts_sizes_at_the_bounds():
     config = AncConfig(algorithm="LMS", duration_samples=MAX_DURATION_SAMPLES,
-                       rng_seed=0, filter_length=MAX_FILTER_LENGTH)
+                       filter_length=MAX_FILTER_LENGTH)
     assert (config.duration_samples, config.filter_length) == (
         MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH)
-
-
-def test_config_rejects_negative_seed():
-    with pytest.raises(ValidationError, match="rng_seed"):
-        AncConfig(algorithm="LMS", duration_samples=64, rng_seed=-1,
-                  filter_length=4)
 
 
 @pytest.mark.parametrize("estimate", ["exact", [1.0], np.array([1.0])],
                          ids=["string", "list", "array"])
 def test_config_rejects_an_estimate_that_is_not_a_path(estimate):
     with pytest.raises(ValidationError) as info:
-        AncConfig(algorithm="FXLMS", duration_samples=64, rng_seed=0,
+        AncConfig(algorithm="FXLMS", duration_samples=64,
                   filter_length=4, secondary_estimate=estimate)
     assert str(info.value) == "secondary_estimate must be a FirPath or EXACT"
 
 
 @pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
 def test_default_step_size_per_algorithm(algorithm):
-    cfg = AncConfig(algorithm=algorithm, duration_samples=64, rng_seed=0,
+    cfg = AncConfig(algorithm=algorithm, duration_samples=64,
                     filter_length=4)
     assert cfg.resolved_step_size() == DEFAULT_STEP_SIZE[algorithm]
 
@@ -115,7 +109,7 @@ def test_fxlms_equals_lms_under_unit_secondary():
     noise = generate_broadband(5, 50.0, 500.0, 20000, FS)
     results = []
     for algorithm in ("FXLMS", "LMS"):
-        cfg = AncConfig(algorithm=algorithm, duration_samples=20000, rng_seed=5,
+        cfg = AncConfig(algorithm=algorithm, duration_samples=20000,
                         filter_length=32, step_size=1e-3,
                         secondary_estimate=EXACT)
         results.append(anc_run(cfg, noise, PRIMARY_32, UNIT))
@@ -129,7 +123,7 @@ def test_nlms_is_scale_invariant():
     # a large amplitude keeps the fixed eps term far below the signal power
     def run(scale):
         noise = generate_tone(200.0, 50.0 * scale, 0.0, 20000, FS)
-        cfg = AncConfig(algorithm="NLMS", duration_samples=20000, rng_seed=0,
+        cfg = AncConfig(algorithm="NLMS", duration_samples=20000,
                         filter_length=16)
         return anc_run(cfg, noise, PRIMARY_32, SECONDARY_32)
 
@@ -155,7 +149,7 @@ def test_tonal_two_tap_reaches_forty_db():
 
 
 def test_tonal_through_32_tap_paths_reaches_fifteen_db():
-    cfg = AncConfig(algorithm="FXLMS", duration_samples=40000, rng_seed=0,
+    cfg = AncConfig(algorithm="FXLMS", duration_samples=40000,
                     filter_length=128)  # default step size
     noise = generate_tone(200.0, 1.0, 0.0, 40000, FS)
     result = anc_run(cfg, noise, PRIMARY_32, SECONDARY_32)
@@ -175,7 +169,7 @@ def test_windowed_residual_power_non_increasing_after_settling():
 
 def test_broadband_fxlms_converges():
     noise = generate_broadband(7, 50.0, 500.0, 40000, FS)
-    cfg = AncConfig(algorithm="NLMS", duration_samples=40000, rng_seed=7,
+    cfg = AncConfig(algorithm="NLMS", duration_samples=40000,
                     filter_length=128)
     result = anc_run(cfg, noise, PRIMARY_32, SECONDARY_32)
     assert not result.diverged
@@ -183,7 +177,7 @@ def test_broadband_fxlms_converges():
 
 
 def test_divergence_detected_without_non_finite_output():
-    cfg = AncConfig(algorithm="FXLMS", duration_samples=40000, rng_seed=0,
+    cfg = AncConfig(algorithm="FXLMS", duration_samples=40000,
                     filter_length=128,
                     step_size=1e3 * DEFAULT_STEP_SIZE["FXLMS"])
     noise = generate_tone(200.0, 1.0, 0.0, 40000, FS)
@@ -198,7 +192,7 @@ def test_power_ratio_divergence_stops_at_the_end_of_its_window():
     # NLMS is stable for steps below 2; at 2.001 the residual power passes
     # DIVERGENCE_POWER_RATIO times the disturbance's in the second window,
     # while every sample is still finite
-    cfg = AncConfig(algorithm="NLMS", duration_samples=16000, rng_seed=0,
+    cfg = AncConfig(algorithm="NLMS", duration_samples=16000,
                     filter_length=8, step_size=2.001)
     noise = generate_tone(440.0, 1.0, 0.0, 16000, FS)
     result = anc_run(cfg, noise, FirPath(np.array([0.0, 0.8, 0.3])), UNIT)
@@ -263,10 +257,10 @@ def test_paths_past_the_tap_bound_are_rejected(field, taps):
 def test_estimate_path_used_for_fxlms_reference():
     # a deliberately wrong estimate must change the trajectory
     noise = generate_tone(200.0, 1.0, 0.0, 20000, FS)
-    exact_cfg = AncConfig(algorithm="FXLMS", duration_samples=20000, rng_seed=0,
+    exact_cfg = AncConfig(algorithm="FXLMS", duration_samples=20000,
                           filter_length=32, secondary_estimate=EXACT)
     skew = FirPath(np.array([0.0, 0.0, 1.0]))
-    skew_cfg = AncConfig(algorithm="FXLMS", duration_samples=20000, rng_seed=0,
+    skew_cfg = AncConfig(algorithm="FXLMS", duration_samples=20000,
                          filter_length=32, secondary_estimate=skew)
     a = anc_run(exact_cfg, noise, PRIMARY_32, SECONDARY_32)
     b = anc_run(skew_cfg, noise, PRIMARY_32, SECONDARY_32)

@@ -841,13 +841,22 @@ _RANGE_RULES = {
     "filter_length": ("anc simulate", "anc_tone", _set(filter_length=0),
                       "filter_length must be >= 1"),
     "tone_sample_rate": ("anc simulate", "anc_tone", _set(sample_rate_hz=0.0),
-                         "sample_rate_hz must be > 0"),
+                         "sample_rate_hz must be a finite value > 0"),
     "broadband_sample_rate": ("anc simulate", "anc_broadband",
                               _set(sample_rate_hz=-8000.0),
-                              "sample_rate_hz must be > 0"),
+                              "sample_rate_hz must be a finite value > 0"),
     "broadband_zero_sample_rate": ("anc simulate", "anc_broadband",
                                    _set(sample_rate_hz=0.0),
-                                   "sample_rate_hz must be > 0"),
+                                   "sample_rate_hz must be a finite value > 0"),
+    # tone noise takes no seed, yet its config's seed is checked all the same
+    "tone_negative_seed": ("anc simulate", "anc_tone", _set(rng_seed=-1),
+                           "rng_seed must be an unsigned integer"),
+    "broadband_negative_seed": ("anc simulate", "anc_broadband", _set(rng_seed=-1),
+                                "rng_seed must be an unsigned integer"),
+    # the controller's fields are checked when AncConfig is made, before the seed
+    "anc_step_size_then_seed": ("anc simulate", "anc_broadband",
+                                _set(rng_seed=-1, step_size=-0.1),
+                                "step_size must be finite and >= 0"),
 }
 
 
@@ -1453,8 +1462,13 @@ def _schema_names(schema):
         schema = _record(schema)[1]
     if not isinstance(schema, tuple):
         return set()
-    return {name for name, _, _ in schema}.union(
-        *(_schema_names(kind) for _, kind, _ in schema))
+    names = set()
+    for entry in schema:
+        if isinstance(entry, str):  # a record spread into the table
+            names |= _schema_names(entry)
+        else:
+            names |= {entry[0], *_schema_names(entry[1])}
+    return names
 
 
 def test_readme_names_every_config_field():

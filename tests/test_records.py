@@ -1,4 +1,4 @@
-"""The business records are validated named tuples: the constructor,
+"""The library's records are validated named tuples: the constructor,
 ``_make`` and ``_replace`` all run a record's checks, and no field can be
 assigned."""
 import math
@@ -7,6 +7,7 @@ import pytest
 
 import hushkit
 from hushkit import ValidationError
+from hushkit.anc import AncConfig
 from hushkit.costing import AssemblyOp, BomLine, OverheadRates
 from hushkit.econ import Adjustment, ExpenseLine, ModelSpec, SalesBlock
 from hushkit.planning import ConceptMatrix, MarketParams, RiskItem
@@ -36,12 +37,14 @@ CHECKED = {
                      {"tolerance": 1.5}, "tolerance must lie in [0, 1]"),
     "RiskItem": (RiskItem("R1", "Seal leaks", "Design-related", 4, 6), {"impact": 11},
                  "risk 'R1': impact must be an integer in [1, 10]"),
+    "AncConfig": (AncConfig("FXLMS", 8000), {"leak_factor": 1.0},
+                  "leak_factor must lie in [0, 1)"),
 }
 
 RECORDS = ("AssemblyOp", "BomLine", "BomSummary", "Discrepancy", "OverheadRates",
            "Adjustment", "EconResult", "ExpenseLine", "LineDelta", "ModelSpec",
            "SalesBlock", "ConceptMatrix", "MarketEstimate", "MarketParams",
-           "RiskItem")
+           "RiskItem", "AncConfig", "AncResult")
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED))

@@ -50,15 +50,21 @@ def test_broadband_energy_concentrated_in_band():
     assert in_band / spectrum.sum() >= 0.95
 
 
+# every buffer and generator checks a sample rate by one rule
+_FS_MESSAGE = "sample_rate_hz must be a finite value > 0"
+
+
 @pytest.mark.parametrize("generate, message", [
     (lambda: generate_tone(200.0, 1.0, 0.0, -1, FS), "n must be >= 0"),
     (lambda: generate_broadband(0, 50.0, 500.0, -1, FS), "n must be >= 0"),
     (lambda: generate_broadband(-1, 50.0, 500.0, 16, FS),
      "seed must be an unsigned integer"),
-    (lambda: generate_tone(200.0, 1.0, 0.0, 16, 0.0), "fs must be > 0"),
-    (lambda: generate_broadband(0, 50.0, 500.0, 16, -8000.0),
-     "fs must be a finite value > 0"),
-], ids=["tone-n", "broadband-n", "broadband-seed", "tone-fs-0", "broadband-fs-negative"])
+    (lambda: generate_tone(200.0, 1.0, 0.0, 16, 0.0), _FS_MESSAGE),
+    (lambda: generate_broadband(0, 50.0, 500.0, 16, -8000.0), _FS_MESSAGE),
+    (lambda: generate_tone(200.0, 1.0, 0.0, 16, np.inf), _FS_MESSAGE),
+    (lambda: SampleBuffer([0.0], 0.0), _FS_MESSAGE),
+], ids=["tone-n", "broadband-n", "broadband-seed", "tone-fs-0", "broadband-fs-negative",
+        "tone-fs-inf", "buffer-fs-0"])
 def test_generators_reject_a_negative_count_or_seed(generate, message):
     with pytest.raises(ValidationError) as info:
         generate()
