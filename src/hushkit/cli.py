@@ -1,8 +1,8 @@
 """Command-line front end: JSON configs in, deterministic reports out.
 
-Exit codes: 0 success, 1 config validation failure, 2 numerical failure
-(divergence, or a missing IRR under --require-irr; the report is still
-emitted), 3 I/O failure.
+Exit codes: 0 success, 1 validation failure (of the command line or the
+config), 2 numerical failure (divergence, or a missing IRR under
+--require-irr; the report is still emitted), 3 I/O failure.
 
 Each command imports the library module it uses when it runs: ``econ``,
 ``costing``, ``planning``, or ``anc`` and ``signals`` for ``anc simulate``,
@@ -11,7 +11,6 @@ so a cold process loads only its command's module.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -270,9 +269,7 @@ def _cmd_anc_simulate(args):
         raise ValidationError(
             "field 'secondary_estimate' must be \"exact\" or a list of taps")
     config = anc.AncConfig._make(getattr(c, name) for name in anc.AncConfig._fields)
-    # tone noise takes no seed, but a config's seed is checked for either kind
-    if c.rng_seed < 0:
-        raise ValidationError("rng_seed must be an unsigned integer")
+    signals._seed(c.rng_seed)  # tone noise takes no seed, but it is checked all the same
 
     n, fs = c.duration_samples, c.sample_rate_hz
     if c.noise.kind == "tone":
@@ -514,65 +511,81 @@ def emit_report(view, fmt: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# parser and entry point
+# command line and entry point
 
-# group -> (help, ((command, help, handler), ...)); argparse lists them in order
+_ABOUT = "Noise-control simulation and product-economics toolkit."
+# option -> help, shown as `--name NAME`; then the flags of econ npv and scenario
+_OPTIONS = {"config": "path to the JSON config file (required)",
+            "format": "report format: table, json, or csv (default: table)",
+            "output": "write the report to this file instead of stdout"}
+_EVAL_FLAGS = {"require-irr": "treat an undefined IRR as a numerical failure",
+               "discounted-breakeven": "report the discounted break-even period"}
+
+# group -> (help, {command: (help, handler, flags)}); help lists them in order
 _COMMANDS = {
-    "anc": ("adaptive noise cancellation", (
-        ("simulate", "run an adaptive cancellation simulation", _cmd_anc_simulate),
-    )),
-    "econ": ("cash-flow economics", (
-        ("npv", "evaluate a cash-flow model", _cmd_econ_eval),
-        ("scenario", "evaluate a model with scenario adjustments", _cmd_econ_eval),
-        ("sensitivity", "one-at-a-time NPV sensitivity rows", _cmd_econ_sensitivity),
-    )),
-    "cost": ("bill-of-materials costing", (
-        ("bom", "roll up a BOM into a manufacturing cost summary", _cmd_cost_bom),
-    )),
-    "plan": ("concept scoring, risk, market sizing", (
-        ("concept", "score concepts against weighted criteria", _cmd_plan_concept),
-        ("risk", "score and map a risk register", _cmd_plan_risk),
-        ("market", "top-down market size and profit estimate", _cmd_plan_market),
-    )),
+    "anc": ("adaptive noise cancellation", {
+        "simulate": ("run an adaptive cancellation simulation", _cmd_anc_simulate, {}),
+    }),
+    "econ": ("cash-flow economics", {
+        "npv": ("evaluate a cash-flow model", _cmd_econ_eval, _EVAL_FLAGS),
+        "scenario": ("evaluate a model with scenario adjustments", _cmd_econ_eval,
+                     _EVAL_FLAGS),
+        "sensitivity": ("one-at-a-time NPV sensitivity rows", _cmd_econ_sensitivity, {}),
+    }),
+    "cost": ("bill-of-materials costing", {
+        "bom": ("roll up a BOM into a manufacturing cost summary", _cmd_cost_bom, {}),
+    }),
+    "plan": ("concept scoring, risk, market sizing", {
+        "concept": ("score concepts against weighted criteria", _cmd_plan_concept, {}),
+        "risk": ("score and map a risk register", _cmd_plan_risk, {}),
+        "market": ("top-down market size and profit estimate", _cmd_plan_market, {}),
+    }),
 }
 
 
-# Built once per process: building takes longer than parsing and running
-# most business commands, and the fixed ``prog`` keeps every output the same.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hushkit",
-        description="Noise-control simulation and product-economics toolkit.")
-    groups = parser.add_subparsers(dest="group", required=True,
-                                   metavar="{" + ",".join(_COMMANDS) + "}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
-                        help="path to the JSON config file")
-    common.add_argument("--format", default="table",
-                        help="report format: table, json, or csv (default: table)")
-    common.add_argument("--output", default=None,
-                        help="write the report to this file instead of stdout")
-
-    for group, (group_help, commands) in _COMMANDS.items():
-        subs = groups.add_parser(group, help=group_help).add_subparsers(
-            dest="command", required=True,
-            metavar="{" + ",".join(name for name, _, _ in commands) + "}")
-        for name, text, handler in commands:
-            sub = subs.add_parser(name, parents=[common], help=text)
-            if handler is _cmd_econ_eval:
-                sub.add_argument("--require-irr", action="store_true",
-                                 help="treat an undefined IRR as a numerical failure")
-                sub.add_argument("--discounted-breakeven", action="store_true",
-                                 help="report the discounted break-even period")
-            sub.set_defaults(handler=handler)
-    return parser
+# Not argparse: importing it (and gettext) and building its parsers slow a process.
+def _read_argv(argv):
+    """The args of ``hushkit <group> <command> [--name value | --name=value ...]``,
+    the last of a repeated option kept; for -h or --help anywhere, the args of
+    the help of the deepest level named, a table view written to stdout."""
+    words = [word for word in argv if word not in ("-h", "--help")]
+    group, command = (*words, "", "")[:2]
+    group_help, commands = _COMMANDS.get(group, ("", {}))
+    row = commands.get(command)
+    if len(words) < len(argv):
+        usage = f"{group if commands else '<group>'} {command if row else '<command>'}"
+        entries = ([*((f"--{o} {o.upper()}", text) for o, text in _OPTIONS.items()),
+                    *((f"--{flag}", text) for flag, text in row[2].items())] if row else
+                   [(name, v[0]) for name, v in (commands or _COMMANDS).items()])
+        view = [f"usage: hushkit {usage} [option ...]", "", row[0] if row else group_help
+                or _ABOUT, "", *(f"  {name:<24}{text}" for name, text in entries)]
+        return SimpleNamespace(handler=lambda _: (view, 0), format="table", output=None)
+    if row is None:
+        kind, given = (f"{group} command", command) if commands else ("group", group)
+        raise ValidationError(f"{kind} must be one of {', '.join(commands or _COMMANDS)}"
+                              + (f", not {given!r}" if given else ""))
+    opts = dict(config=None, format="table", output=None, **dict.fromkeys(row[2], False))
+    for token in (tokens := iter(words[2:])):
+        option, eq, value = token.partition("=")
+        name = option[2:] if option.startswith("--") else ""
+        if name in row[2] and not eq:
+            value = True
+        elif name not in _OPTIONS:
+            raise ValidationError(f"{group} {command}: unrecognized argument {token!r}")
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                raise ValidationError(f"option --{name} needs a value")
+        opts[name] = value
+    if opts["config"] is None:
+        raise ValidationError("option --config is required")
+    return SimpleNamespace(handler=row[1],
+                           **{name.replace("-", "_"): v for name, v in opts.items()})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
         _check_format(args.format)
         view, code = args.handler(args)
         payload = emit_report(view, args.format)
@@ -581,12 +594,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, ValidationError) else 3
     return code
 
 

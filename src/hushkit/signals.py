@@ -37,6 +37,14 @@ def _sample_rate(fs) -> float:
     return rate
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int: the one seed rule of the broadband generator and a
+    config's ``rng_seed``."""
+    if seed < 0:
+        raise ValidationError("rng_seed must be an unsigned integer")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """A uniformly sampled real-valued signal.
@@ -131,11 +139,10 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
         raise ValidationError("band must satisfy 0 < low_hz < high_hz < fs/2")
     if n < 0:
         raise ValidationError("n must be >= 0")
-    if seed < 0:
-        raise ValidationError("seed must be an unsigned integer")
+    seed = _seed(seed)
     n = int(n)
     taps = _bandpass_taps(low_hz, high_hz, fs)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     # Extra warm-up samples make 'valid' convolution return exactly n
     # stationary samples (no start-up transient).
     white = rng.standard_normal(n + taps.shape[0] - 1)

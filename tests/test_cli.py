@@ -18,7 +18,8 @@ from test_golden import SHIPPED, SIGNED_ZERO
 import hushkit
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
-from hushkit.cli import _SCHEMAS, FORMATS, _rate, _record, emit_report, main
+from hushkit.cli import (_COMMANDS, _OPTIONS, _SCHEMAS, FORMATS, _rate, _record,
+                         emit_report, main)
 from hushkit.costing import ASSEMBLY_COLUMNS, BOM_COLUMNS
 from hushkit.econ import MAX_HORIZON
 
@@ -1020,6 +1021,124 @@ def test_table_format_is_default(configs_dir, capsysbinary):
     text = capsysbinary.readouterr().out.decode()
     assert text.startswith("market sizing")
     assert "173,250,000.00" in text
+
+
+# ------------------------------------------------------------ command line
+
+_BASE = str(_CONFIGS / "econ_base.json")
+_WORST = str(_CONFIGS / "econ_worst_case.json")
+_GROUPS = "group must be one of anc, econ, cost, plan"
+_ECON_COMMANDS = "econ command must be one of npv, scenario, sensitivity"
+
+# usage error -> (argv after `hushkit`, the one error line's message)
+_USAGE_ERRORS = {
+    "no_group": ([], _GROUPS),
+    "unknown_group": (["bogus", "npv", "--config", _BASE], f"{_GROUPS}, not 'bogus'"),
+    "option_before_group": (["--config", _BASE, "econ", "npv"],
+                            f"{_GROUPS}, not '--config'"),
+    "no_command": (["econ"], _ECON_COMMANDS),
+    "unknown_command": (["econ", "irr", "--config", _BASE], f"{_ECON_COMMANDS}, not 'irr'"),
+    "command_of_another_group": (["econ", "bom", "--config", _BASE],
+                                 f"{_ECON_COMMANDS}, not 'bom'"),
+    "no_config": (["econ", "npv"], "option --config is required"),
+    "no_config_but_a_format": (["econ", "npv", "--format", "json"],
+                               "option --config is required"),
+    "config_without_value": (["econ", "npv", "--config"], "option --config needs a value"),
+    "format_without_value": (["econ", "npv", "--config", _BASE, "--format"],
+                             "option --format needs a value"),
+    "option_as_value": (["econ", "npv", "--output", "--config", _BASE],
+                        "option --output needs a value"),
+    "unknown_option": (["econ", "npv", "--config", _BASE, "--verbose"],
+                       "econ npv: unrecognized argument '--verbose'"),
+    "abbreviated_option": (["econ", "npv", "--conf", _BASE],
+                           "econ npv: unrecognized argument '--conf'"),
+    "abbreviated_flag": (["econ", "npv", "--config", _BASE, "--require"],
+                         "econ npv: unrecognized argument '--require'"),
+    "flag_of_another_command": (
+        ["econ", "sensitivity", "--config", _BASE, "--require-irr"],
+        "econ sensitivity: unrecognized argument '--require-irr'"),
+    "flag_with_a_value": (["econ", "npv", "--config", _BASE, "--require-irr=yes"],
+                          "econ npv: unrecognized argument '--require-irr=yes'"),
+    "short_option": (["econ", "npv", "-c", _BASE], "econ npv: unrecognized argument '-c'"),
+    "stray_word": (["econ", "npv", "--config", _BASE, "extra"],
+                   "econ npv: unrecognized argument 'extra'"),
+    "end_of_options": (["econ", "npv", "--", "--config", _BASE],
+                       "econ npv: unrecognized argument '--'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_usage_error_exits_1_with_one_error_line(case, capsysbinary):
+    argv, message = _USAGE_ERRORS[case]
+    assert main(argv) == 1
+    out, err = capsysbinary.readouterr()
+    assert (out, err.decode()) == (b"", f"error: {message}\n")
+
+
+def test_usage_error_of_a_fresh_process_exits_1_without_a_traceback():
+    done = subprocess.run([sys.executable, "-m", "hushkit.cli", "econ", "npv"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              p for p in (str(_CONFIGS.parent / "src"),
+                                          os.environ.get("PYTHONPATH")) if p)))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: option --config is required\n")
+
+
+# accepted form -> (its argv after `hushkit`, the canonical argv it must match)
+_ACCEPTED_FORMS = {
+    "name_equals_value": (["econ", "npv", f"--config={_BASE}", "--format=json"],
+                          ["econ", "npv", "--config", _BASE, "--format", "json"]),
+    "options_in_any_order": (["econ", "npv", "--format", "json", "--config", _BASE],
+                             ["econ", "npv", "--config", _BASE, "--format", "json"]),
+    "repeated_option_last_wins": (
+        ["econ", "npv", "--config", _WORST, "--format", "csv", "--config", _BASE,
+         "--format", "json"],
+        ["econ", "npv", "--config", _BASE, "--format", "json"]),
+    "flags_anywhere": (
+        ["econ", "scenario", "--discounted-breakeven", "--config", _WORST,
+         "--require-irr", "--format", "json", "--require-irr"],
+        ["econ", "scenario", "--config", _WORST, "--format", "json", "--require-irr",
+         "--discounted-breakeven"]),
+}
+
+
+@pytest.mark.parametrize("form", list(_ACCEPTED_FORMS))
+def test_accepted_form_gives_the_bytes_of_the_canonical_argv(form, capsysbinary):
+    outcomes = []
+    for argv in _ACCEPTED_FORMS[form]:
+        code = main(argv)
+        outcomes.append((code, *capsysbinary.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] and not outcomes[0][2]
+    # the worst case has no IRR: with --require-irr it exits 2
+    assert outcomes[0][0] == (2 if form == "flags_anywhere" else 0)
+
+
+def _help_levels():
+    """(argv after `hushkit`, the names its help must list, in order)."""
+    yield [], list(_COMMANDS)
+    for group, (_, commands) in _COMMANDS.items():
+        yield [group], list(commands)
+        for command, (_, _, flags) in commands.items():
+            yield [group, command], [*(f"--{name}" for name in _OPTIONS),
+                                     *(f"--{flag}" for flag in flags)]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_every_level_exits_0_listing_its_names(flag, tmp_path, capsysbinary):
+    levels = list(_help_levels())
+    assert len(levels) == 1 + len(_COMMANDS) + 8
+    for words, names in levels:
+        # help wins wherever the flag is, over any other word or option
+        for argv in ([*words, flag], [flag, *words],
+                     [*words, "--output", str(tmp_path / "out"), flag, "--bogus"]):
+            assert main(argv) == 0
+            out, err = capsysbinary.readouterr()
+            lines = out.decode().splitlines()
+            assert err == b"" and lines[0].startswith("usage: hushkit ")
+            assert [line.split()[0] for line in lines[4:]] == names
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------ malformed CSV tables

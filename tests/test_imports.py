@@ -4,8 +4,10 @@
 numpy and no ``dataclasses`` (which loads ``inspect``); an ``econ`` command
 loads ``econ`` only, ``cost bom`` ``costing`` only, a ``plan`` command
 ``planning`` only, and ``anc simulate`` numpy, ``dataclasses`` and
-``inspect`` and none of the three. Each check runs in a fresh interpreter,
-because the test process itself has every module loaded.
+``inspect`` and none of the three. No command loads ``argparse`` or the
+``gettext`` it imports: the command line is read from ``cli._COMMANDS``.
+Each check runs in a fresh interpreter, because the test process itself has
+every module loaded.
 """
 import json
 import os
@@ -47,7 +49,7 @@ GROUPS = {
 }
 
 _WATCHED = ("hushkit.econ", "hushkit.costing", "hushkit.planning", "numpy",
-            "dataclasses", "inspect")
+            "dataclasses", "inspect", "argparse", "gettext")
 
 # Prints the watched modules loaded by `import hushkit`, then by
 # `import hushkit.cli`, then by running every command given.

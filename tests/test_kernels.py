@@ -7,6 +7,7 @@ numpy fallback without a working compiler, and the build tests pin that a
 cache it cannot use is left untouched and that the source builds without
 warnings.
 """
+import functools
 import os
 import shutil
 import subprocess
@@ -24,12 +25,16 @@ CHUNK = 2000
 WARM_UP = 600  # past the longest filter and secondary path tested
 
 
-def _inputs(algorithm, L, M, unstable):
+def _inputs(algorithm, L, M, unstable, delay=0):
     rng = np.random.default_rng(1000 * L + M)
     x = rng.standard_normal(N)
-    # secondary path: unit first tap, decaying taps of random sign
+    # secondary path: ``delay`` zero taps (a bulk delay), then a unit tap and
+    # decaying taps of random sign, one of them -0.0
     sec = 0.5 ** np.arange(M) * rng.choice((-1.0, 1.0), M)
     sec[0] = 1.0
+    if M > 2:
+        sec[M // 2] = -0.0
+    sec = np.concatenate((np.zeros(delay), sec))
     d = np.convolve(x, 0.7 ** np.arange(24))[:N]
     xf = np.convolve(x, sec)[:N] if algorithm == "FXLMS" else x
     if algorithm == "NLMS":
@@ -40,10 +45,10 @@ def _inputs(algorithm, L, M, unstable):
 
 
 def _run_kernel(kernel, algorithm, leak, L, M, unstable, bounds=(0, CHUNK, 2 * CHUNK, N),
-                w=None):
+                w=None, delay=0):
     """Run the chunks between consecutive ``bounds``, from zero weights or a
     copy of ``w``."""
-    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable)
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay)
     w = np.zeros(L) if w is None else w.copy()
     y, e = np.zeros(N), np.zeros(N)
     with np.errstate(all="ignore"):
@@ -58,21 +63,30 @@ def _assert_same_bytes(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("unstable", [False, True], ids=["stable", "diverging"])
-@pytest.mark.parametrize("L, M", [(1, 1), (8, 16), (64, 32), (256, 512), (200, 16)])
-@pytest.mark.parametrize("leak", [0.0, 1e-3])
-@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
-def test_kernel_matches_numpy_reference_bit_for_bit(algorithm, leak, L, M, unstable):
-    want = _run_kernel(_kernels.adapt_chunk_numpy, algorithm, leak, L, M, unstable)
+def _kernel_cases(test):
+    for mark in (pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"]),
+                 pytest.mark.parametrize("leak", [0.0, 1e-3]),
+                 pytest.mark.parametrize("L, M", [(1, 1), (8, 16), (64, 32), (256, 512),
+                                                  (200, 16)]),
+                 pytest.mark.parametrize("unstable", [False, True],
+                                         ids=["stable", "diverging"])):
+        test = mark(test)
+    return test
+
+
+def _matches_reference(algorithm, leak, L, M, unstable, delay):
+    run = functools.partial(_run_kernel, algorithm=algorithm, leak=leak, L=L, M=M,
+                            unstable=unstable, delay=delay)
+    want = run(_kernels.adapt_chunk_numpy)
     for bounds in ((0, CHUNK, 2 * CHUNK, N), (*range(0, N, 333), N)):
-        got = _run_kernel(_kernels.adapt_chunk, algorithm, leak, L, M, unstable, bounds)
+        got = run(_kernels.adapt_chunk, bounds=bounds)
         _assert_same_bytes(got, want)
     e = want[2]
     with np.errstate(all="ignore"):
         blew_up = not np.isfinite(e).all() or np.abs(e).max() > 1e100
     assert blew_up == unstable
     # an empty chunk, even at the end of the signal, changes nothing
-    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable)
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay)
     for at in (0, L // 2, N):
         _kernels.adapt_chunk(x, xf, d, sec, *got, at, at, mu, leak, algorithm == "NLMS", 1e-8)
     _assert_same_bytes(got, want)
@@ -81,11 +95,33 @@ def test_kernel_matches_numpy_reference_bit_for_bit(algorithm, leak, L, M, unsta
     # that updates the weights, at a chunk's start it sums the output anew.
     # From zero weights that term is zero, so start from nonzero ones.
     w0 = np.linspace(-1e-3, 1e-3, L)
-    want = _run_kernel(_kernels.adapt_chunk_numpy, algorithm, leak, L, M, unstable,
-                       (0, WARM_UP), w0)
+    want = run(_kernels.adapt_chunk_numpy, bounds=(0, WARM_UP), w=w0)
     for bounds in ((0, WARM_UP), range(WARM_UP + 1)):
-        got = _run_kernel(_kernels.adapt_chunk, algorithm, leak, L, M, unstable, bounds, w0)
+        got = run(_kernels.adapt_chunk, bounds=bounds, w=w0)
         _assert_same_bytes(got, want)
+
+
+@_kernel_cases
+def test_kernel_matches_numpy_reference_bit_for_bit(algorithm, leak, L, M, unstable):
+    _matches_reference(algorithm, leak, L, M, unstable, delay=0)
+
+
+# The shipped ANC configs and the generated FXLMS ones have secondary paths
+# that start with zero taps; the first of them multiplies the newest output.
+@_kernel_cases
+def test_kernel_matches_numpy_reference_behind_a_bulk_delay(algorithm, leak, L, M,
+                                                            unstable):
+    _matches_reference(algorithm, leak, L, M, unstable, delay=3)
+
+
+def test_a_zero_lead_tap_makes_the_residual_nan_where_the_output_is_infinite():
+    first = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        _, y, e = _run_kernel(kernel, "LMS", 0.0, 1, 1, True, delay=3)
+        n = np.flatnonzero(~np.isfinite(e))[0]
+        assert np.isinf(y[n]) and np.isnan(e[n])  # 0 * inf in the residual's sum
+        first.append(n)
+    assert first[0] == first[1]
 
 
 @pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")

@@ -58,7 +58,7 @@ _FS_MESSAGE = "sample_rate_hz must be a finite value > 0"
     (lambda: generate_tone(200.0, 1.0, 0.0, -1, FS), "n must be >= 0"),
     (lambda: generate_broadband(0, 50.0, 500.0, -1, FS), "n must be >= 0"),
     (lambda: generate_broadband(-1, 50.0, 500.0, 16, FS),
-     "seed must be an unsigned integer"),
+     "rng_seed must be an unsigned integer"),
     (lambda: generate_tone(200.0, 1.0, 0.0, 16, 0.0), _FS_MESSAGE),
     (lambda: generate_broadband(0, 50.0, 500.0, 16, -8000.0), _FS_MESSAGE),
     (lambda: generate_tone(200.0, 1.0, 0.0, 16, np.inf), _FS_MESSAGE),
