@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._records import record
+from ._records import Record
 from .errors import ValidationError
 from .signals import ATTENUATION_CAP_DB, FirPath, SampleBuffer, convolve_path
 
@@ -43,8 +43,7 @@ MAX_FILTER_LENGTH = 4_096
 EXACT = None
 
 
-class AncConfig(record("AncConfig", "algorithm duration_samples filter_length step_size "
-                        "leak_factor secondary_estimate", defaults=(128, None, 0.0, EXACT))):
+class AncConfig(Record):
     """Adaptive-controller parameters.
 
     ``step_size=None`` selects the per-algorithm default. The simulation is
@@ -52,13 +51,12 @@ class AncConfig(record("AncConfig", "algorithm duration_samples filter_length st
     seed.
     """
 
-    __slots__ = ()
     algorithm: str
     duration_samples: int
-    filter_length: int
-    step_size: Optional[float]
-    leak_factor: float
-    secondary_estimate: Optional[FirPath]
+    filter_length: int = 128
+    step_size: Optional[float] = None
+    leak_factor: float = 0.0
+    secondary_estimate: Optional[FirPath] = EXACT
 
     def _check(self):
         if self.algorithm not in ALGORITHMS:
@@ -89,8 +87,7 @@ class AncConfig(record("AncConfig", "algorithm duration_samples filter_length st
         return float(self.step_size)
 
 
-class AncResult(record("AncResult", "residual attenuation_trace_db "
-                       "steady_state_attenuation_db diverged")):
+class AncResult(Record):
     """Full simulation outcome.
 
     ``residual`` is truncated at the detection point when the loop diverges;
@@ -99,7 +96,6 @@ class AncResult(record("AncResult", "residual attenuation_trace_db "
     window, and ``steady_state_attenuation_db`` is the final window's value.
     """
 
-    __slots__ = ()
     residual: SampleBuffer
     attenuation_trace_db: np.ndarray
     steady_state_attenuation_db: float

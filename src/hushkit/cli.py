@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -576,11 +577,23 @@ def _read_argv(argv):
             value = next(tokens, None)
             if value is None or value.startswith("-") and value != "-":
                 raise ValidationError(f"option --{name} needs a value")
+        if name in ("config", "output") and not _is_path(value):
+            raise ValidationError(f"option --{name} holds a NUL or a character "
+                                  "no file path can encode")
         opts[name] = value
     if opts["config"] is None:
         raise ValidationError("option --config is required")
     return SimpleNamespace(handler=row[1],
                            **{name.replace("-", "_"): v for name, v in opts.items()})
+
+
+def _is_path(text: str) -> bool:
+    """Whether ``text`` encodes to a file path: it holds no NUL and no lone
+    surrogate but those that stand for the undecodable bytes of a real argv."""
+    try:
+        return b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
 
 
 def main(argv=None) -> int:

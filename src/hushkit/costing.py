@@ -13,7 +13,7 @@ import math
 import re
 from typing import List, Optional, Sequence, Tuple
 
-from ._records import record
+from ._records import Record
 from ._tables import names_file, read_rows
 from .errors import ValidationError
 
@@ -27,17 +27,15 @@ BOM_COLUMNS = ("Component", "Qty required", "Purchased Costs", "Processing",
 ASSEMBLY_COLUMNS = ("Part", "Quantity", "Handling Time (s)", "Insertion Time (s)")
 
 
-class BomLine(record("BomLine", "component qty purchased processing assembly_labor "
-                     "supplier", defaults=("",))):
+class BomLine(Record):
     """One BOM row; ``supplier`` defaults to ""."""
 
-    __slots__ = ()
     component: str
     qty: int
     purchased: float
     processing: float
     assembly_labor: float
-    supplier: str
+    supplier: str = ""
 
     def _check(self):
         if int(self.qty) < 1:
@@ -53,9 +51,7 @@ class BomLine(record("BomLine", "component qty purchased processing assembly_lab
         return self.purchased + self.processing + self.assembly_labor
 
 
-class BomSummary(record("BomSummary", "direct_materials direct_processing direct_labor "
-                        "shipment direct_total overhead warranty total_manufacturing")):
-    __slots__ = ()
+class BomSummary(Record):
     direct_materials: float
     direct_processing: float
     direct_labor: float
@@ -67,8 +63,7 @@ class BomSummary(record("BomSummary", "direct_materials direct_processing direct
     total_manufacturing: float
 
 
-class AssemblyOp(record("AssemblyOp", "part qty handling_s insertion_s")):
-    __slots__ = ()
+class AssemblyOp(Record):
     part: str
     qty: int
     handling_s: float
@@ -85,8 +80,7 @@ class AssemblyOp(record("AssemblyOp", "part qty handling_s insertion_s")):
         return self.handling_s + self.insertion_s
 
 
-class OverheadRates(record("OverheadRates", "materials_rate labor_rate")):
-    __slots__ = ()
+class OverheadRates(Record):
     materials_rate: float
     labor_rate: float
 
@@ -96,10 +90,9 @@ class OverheadRates(record("OverheadRates", "materials_rate labor_rate")):
                 raise ValidationError(f"{name} must lie in [0, 10]")
 
 
-class Discrepancy(record("Discrepancy", "label computed expected")):
+class Discrepancy(Record):
     """A computed value that disagrees with a stated expectation."""
 
-    __slots__ = ()
     label: str
     computed: float
     expected: float

@@ -17,7 +17,7 @@ import math
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ._records import record
+from ._records import Record
 from .errors import ValidationError
 
 #: Adjustment targets addressing the sales block rather than an expense line.
@@ -36,13 +36,12 @@ _IRR_LO, _IRR_HI = 0.0, 10.0
 _IRR_GRID_CELLS = 200  # bracket scan step: (hi - lo) / 200
 
 
-class ExpenseLine(record("ExpenseLine", "name first last rate")):
+class ExpenseLine(Record):
     """A constant per-period cash flow active over [first, last] (inclusive).
 
     ``rate`` is currency per period; outflows are negative.
     """
 
-    __slots__ = ()
     name: str
     first: int
     last: int
@@ -61,11 +60,10 @@ class ExpenseLine(record("ExpenseLine", "name first last rate")):
                 f"expense line {self.name!r}: periods must satisfy 1 <= first <= last")
 
 
-class SalesBlock(record("SalesBlock", "first last units unit_price unit_cost")):
+class SalesBlock(Record):
     """Unit sales over [first, last]: ``units`` per period at ``unit_price``
     plus ``unit_cost`` (a negative per-unit outflow)."""
 
-    __slots__ = ()
     first: int
     last: int
     units: float
@@ -86,10 +84,9 @@ class SalesBlock(record("SalesBlock", "first last units unit_price unit_cost")):
             raise ValidationError("unit_cost must be <= 0 (an outflow)")
 
 
-class ModelSpec(record("ModelSpec", "horizon discount_rate expenses sales")):
+class ModelSpec(Record):
     """A complete cash-flow model over ``horizon`` periods."""
 
-    __slots__ = ()
     horizon: int
     discount_rate: float
     expenses: Tuple[ExpenseLine, ...]
@@ -116,16 +113,15 @@ class ModelSpec(record("ModelSpec", "horizon discount_rate expenses sales")):
             raise ValidationError("sales window: last period exceeds the horizon")
 
 
-class Adjustment(record("Adjustment", "target pct first last", defaults=(None, None))):
+class Adjustment(Record):
     """One scenario row: scale ``target`` by (1 + pct), and, when ``first``
     and ``last`` are given (together; both default to None), move an
     expense line's window to [first, last]."""
 
-    __slots__ = ()
     target: str
     pct: float
-    first: Optional[int]
-    last: Optional[int]
+    first: Optional[int] = None
+    last: Optional[int] = None
 
     def _check(self):
         if not math.isfinite(self.pct):
@@ -138,10 +134,9 @@ class Adjustment(record("Adjustment", "target pct first last", defaults=(None, N
                 f"adjustment {self.target!r}: overrides must satisfy 1 <= first <= last")
 
 
-class LineDelta(record("LineDelta", "name base adjusted pct delta")):
+class LineDelta(Record):
     """Base-versus-adjusted comparison for one model input."""
 
-    __slots__ = ()
     name: str
     base: float
     adjusted: float
@@ -149,11 +144,9 @@ class LineDelta(record("LineDelta", "name base adjusted pct delta")):
     delta: float
 
 
-class EconResult(record("EconResult",
-                        "cash_flows npv irr break_even_period line_deltas")):
+class EconResult(Record):
     """Evaluated model: per-period flows and the headline figures."""
 
-    __slots__ = ()
     cash_flows: Tuple[float, ...]
     npv: float
     irr: Optional[float]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from ._records import record
+from ._records import Record
 from ._tables import names_file, read_rows
 from .errors import ValidationError
 
@@ -24,7 +24,7 @@ AFFECTED_ROUNDING_UNIT = 100_000
 RISK_COLUMNS = ("Code", "Description", "Category", "Probability", "Impact")
 
 
-class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
+class ConceptMatrix(Record):
     """Weighted-criteria scoring table.
 
     ``criteria`` is a sequence of (name, weight) with weights summing to one;
@@ -32,7 +32,6 @@ class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
     [1, 3] per criterion. Within each, names are non-empty and unique.
     """
 
-    __slots__ = ()
     criteria: Tuple[Tuple[str, float], ...]
     concepts: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
@@ -64,9 +63,7 @@ class ConceptMatrix(record("ConceptMatrix", "criteria concepts")):
                         f"[{RATING_MIN}, {RATING_MAX}], got {value!r}")
 
 
-class MarketParams(record("MarketParams", "world_pop ref_pop ref_affected tolerance "
-                          "adoption_share unit_price unit_cost")):
-    __slots__ = ()
+class MarketParams(Record):
     world_pop: float
     ref_pop: float
     ref_affected: float
@@ -92,8 +89,7 @@ class MarketParams(record("MarketParams", "world_pop ref_pop ref_affected tolera
             raise ValidationError("unit_price and unit_cost must be >= 0")
 
 
-class RiskItem(record("RiskItem", "code description category probability impact")):
-    __slots__ = ()
+class RiskItem(Record):
     code: str
     description: str
     category: str
@@ -136,11 +132,9 @@ def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     return [(name, total, ranks[i]) for i, (name, total) in enumerate(totals)]
 
 
-class MarketEstimate(record("MarketEstimate", "affected_population rounded_basis "
-                              "profit_exact_basis profit_rounded_basis")):
+class MarketEstimate(Record):
     """The market-sizing figures, in report order."""
 
-    __slots__ = ()
     affected_population: float
     rounded_basis: float
     profit_exact_basis: float

@@ -5,7 +5,8 @@ import pytest
 from hushkit import ValidationError
 from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE,
                          DIVERGENCE_POWER_RATIO, EXACT, MAX_DURATION_SAMPLES,
-                         MAX_FILTER_LENGTH, AncConfig, anc_run)
+                         MAX_FILTER_LENGTH, AncConfig, _window_attenuation_db,
+                         anc_run)
 from hushkit.signals import (ATTENUATION_CAP_DB, FirPath, SampleBuffer,
                              convolve_path, generate_broadband, generate_tone)
 
@@ -146,6 +147,13 @@ def test_tonal_two_tap_reaches_forty_db():
     assert not result.diverged
     assert result.steady_state_attenuation_db >= 40.0
     assert result.steady_state_attenuation_db == ATTENUATION_CAP_DB
+
+
+def test_window_attenuation_of_a_silent_and_of_a_silenced_window():
+    # a silent disturbance gives 0 dB, a silenced residual under a live one the cap
+    assert _window_attenuation_db(0.0, 1.0) == 0.0
+    assert _window_attenuation_db(1.0, 0.0) == ATTENUATION_CAP_DB
+    assert _window_attenuation_db(100.0, 1.0) == pytest.approx(20.0)
 
 
 def test_tonal_through_32_tap_paths_reaches_fifteen_db():

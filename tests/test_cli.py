@@ -1029,6 +1029,7 @@ _BASE = str(_CONFIGS / "econ_base.json")
 _WORST = str(_CONFIGS / "econ_worst_case.json")
 _GROUPS = "group must be one of anc, econ, cost, plan"
 _ECON_COMMANDS = "econ command must be one of npv, scenario, sensitivity"
+_NOT_A_PATH = "option --%s holds a NUL or a character no file path can encode"
 
 # usage error -> (argv after `hushkit`, the one error line's message)
 _USAGE_ERRORS = {
@@ -1064,6 +1065,13 @@ _USAGE_ERRORS = {
                    "econ npv: unrecognized argument 'extra'"),
     "end_of_options": (["econ", "npv", "--", "--config", _BASE],
                        "econ npv: unrecognized argument '--'"),
+    "nul_in_config": (["econ", "npv", "--config", "a\0b"], _NOT_A_PATH % "config"),
+    "nul_in_output": (["econ", "npv", "--config", _BASE, "--output=out\0.txt"],
+                      _NOT_A_PATH % "output"),
+    "lone_surrogate_in_config": (["econ", "npv", "--config=\ud800.json"],
+                                 _NOT_A_PATH % "config"),
+    "lone_surrogate_in_output": (["econ", "npv", "--config", _BASE, "--output", "\ud800"],
+                                 _NOT_A_PATH % "output"),
 }
 
 
@@ -1083,6 +1091,17 @@ def test_usage_error_of_a_fresh_process_exits_1_without_a_traceback():
                                           os.environ.get("PYTHONPATH")) if p)))
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", "error: option --config is required\n")
+
+
+def test_an_undecodable_argv_byte_is_a_path(tmp_path, capsysbinary):
+    # a byte that is not UTF-8 reaches argv as a surrogate escape, "\udc80" for 0x80
+    config = tmp_path / "base\udc80.json"
+    shutil.copyfile(_BASE, config)
+    report = tmp_path / "npv\udc80.json"
+    assert main(["econ", "npv", "--config", str(config), "--output", str(report)]) == 0
+    assert os.fsencode(report.name) == b"npv\x80.json"
+    assert main(["econ", "npv", "--config", _BASE]) == 0
+    assert report.read_bytes() == capsysbinary.readouterr().out
 
 
 # accepted form -> (its argv after `hushkit`, the canonical argv it must match)

@@ -140,6 +140,16 @@ def test_kernel_refuses_outputs_it_cannot_write_in_place(bad):
 
 
 @pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
+@pytest.mark.parametrize("signal", range(4))
+def test_kernel_refuses_a_signal_that_is_not_1_d(signal):
+    w, y, e = np.zeros(4), np.zeros(16), np.zeros(16)
+    signals = [np.ones(16), np.ones(16), np.ones(16), np.ones(2)]
+    signals[signal] = signals[signal].reshape(2, -1)
+    with pytest.raises(ValueError, match="x, xf, d and sec must be 1-D"):
+        _kernels.adapt_chunk(*signals, w, y, e, 0, 8, 0.01, 0.0, False, 1e-8)
+
+
+@pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
 def test_kernel_refuses_a_chunk_past_the_arrays():
     x, w, y, e = np.ones(16), np.zeros(4), np.zeros(16), np.zeros(16)
     with pytest.raises(ValueError, match="outside"):

@@ -6,8 +6,9 @@ import math
 import pytest
 
 import hushkit
-from hushkit import ValidationError
-from hushkit.anc import AncConfig
+from hushkit import FirPath, ValidationError
+from hushkit._records import Record
+from hushkit.anc import EXACT, AncConfig
 from hushkit.costing import AssemblyOp, BomLine, OverheadRates
 from hushkit.econ import Adjustment, ExpenseLine, ModelSpec, SalesBlock
 from hushkit.planning import ConceptMatrix, MarketParams, RiskItem
@@ -68,11 +69,42 @@ def test_no_record_is_made_invalid(name):
     assert not hasattr(record, "__dict__")
 
 
+# record -> its defaults, as its class body gives them; other records have none
+DEFAULTS = {
+    "AncConfig": {"filter_length": 128, "step_size": None, "leak_factor": 0.0,
+                  "secondary_estimate": EXACT},
+    "BomLine": {"supplier": ""},
+    "Adjustment": {"first": None, "last": None},
+}
+
+# record -> an instance whose fields all differ from their defaults; the
+# records without one check nothing, so any values make one
+OTHER_THAN_DEFAULT = {
+    **{name: instance for name, (instance, _, _) in CHECKED.items()},
+    "AncConfig": AncConfig("NLMS", 4000, 64, 0.05, 0.01, FirPath([1.0, 0.5])),
+    "BomLine": BomLine("Housing", 1, 2.0, 0.5, 0.25, "Acme"),
+    "Adjustment": Adjustment("Development", 0.1, 2, 4),
+}
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_annotations_name_its_fields_in_order(name):
     cls = getattr(hushkit, name)
     assert isinstance(cls._fields, tuple) and cls.__slots__ == ()
     assert tuple(cls.__annotations__) == cls._fields
+    assert cls._field_defaults == DEFAULTS.get(name, {})
+    # a default left as a class attribute would read back in place of the value
+    record = OTHER_THAN_DEFAULT.get(name) or cls(*map(str, range(len(cls._fields))))
+    assert tuple(getattr(record, field) for field in cls._fields) == tuple(record)
+    assert all(getattr(record, field) is not default
+               for field, default in cls._field_defaults.items())
+
+
+def test_a_field_without_a_default_may_not_follow_one_with():
+    with pytest.raises(TypeError, match="Late: a field without a default follows"):
+        class Late(Record):
+            early: int = 0
+            late: int
 
 
 def test_records_normalise_their_sequences():
