@@ -13,7 +13,6 @@ import functools
 import io
 import math
 import re
-from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .errors import ValidationError
@@ -104,13 +103,6 @@ def numbers(cells, kind) -> list:
     return values
 
 
-# A finite double has at most 309 integer digits, so this precision holds
-# any of them quantized to cents; the default 28-digit context fails from
-# about 1e26 on.
-_ROUNDING_CONTEXT = Context(prec=400)
-_CENT = Decimal("0.01")
-
-
 def finite(value) -> float:
     """``value`` as a float if it is finite, the one check of every number a
     report carries; otherwise a ValidationError."""
@@ -123,9 +115,35 @@ def finite(value) -> float:
 def round_half_away(value: float) -> float:
     """Round to cents with ties going away from zero (display convention).
 
+    What is rounded is the double's shortest round-trip decimal, its
+    ``repr``: 2.675 is stored as 2.674999999999999822... and rounds to 2.68.
     A figure that rounds to zero is ``+0.0``, never ``-0.0``, so no report
     prints a signed zero. Any finite double rounds; a non-finite value is a
     ValidationError.
     """
-    return float(Decimal(repr(finite(value))).quantize(
-        _CENT, rounding=ROUND_HALF_UP, context=_ROUNDING_CONTEXT)) + 0.0
+    value = finite(value)
+    # round() gives the same double as the Decimal expression below unless
+    # the repr is itself a half-cent k.kk5:
+    # - round() rounds the exact binary value half to even, quantize() rounds
+    #   the repr half up; both end in a correctly rounded decimal-to-double
+    #   conversion, so only the cents they pick can differ.
+    # - They pick different cents only if the repr is a half-cent h, or h
+    #   lies strictly between the value and its repr. While ulp(value) < 0.01
+    #   the second cannot happen: h, closer to the value than the repr, would
+    #   round-trip too, and the repr, within 0.005 of the value, is no whole
+    #   cent and so no shorter than h; repr would have picked h.
+    # - A repr of h puts t = |value| * 100 within 1.3 ulp(t) of m + 0.5: the
+    #   value is within ulp(value) / 2 of h, and the product rounds once.
+    # - t % 1.0 is exact, and so is its difference from 0.5 wherever that is
+    #   small (Sterbenz). t < 2**51 keeps |value| below 2**46, where
+    #   ulp(value) < 0.01; the ulp test alone already refuses t >= 2**50.
+    # So ties, near-ties and huge values take the Decimal path.
+    t = abs(value) * 100.0
+    if t < 2.0 ** 51 and abs(t % 1.0 - 0.5) > 2.0 * math.ulp(t):
+        return round(value, 2) + 0.0
+    from decimal import ROUND_HALF_UP, Context, Decimal
+    # A finite double has at most 309 integer digits, so this precision holds
+    # any of them quantized to cents; the default 28-digit context fails from
+    # about 1e26 on.
+    return float(Decimal(repr(value)).quantize(
+        Decimal("0.01"), rounding=ROUND_HALF_UP, context=Context(prec=400))) + 0.0

@@ -3,9 +3,11 @@
 Periods are 1-based and flows occur at period ends (t = 1..T, no t=0 flow);
 ``npv`` therefore discounts C_t by (1+r)^-t, evaluated by Horner's rule. IRR
 is a per-period rate found by bracketing and bisection; it is UNDEFINED
-(returned as ``None``) when the flows never change sign or no bracket exists
-in [0, 10]. Break-even defaults to the undiscounted cumulative flow. The
-module uses the standard library only; flows are tuples of floats.
+(returned as ``None``) when the flows never change sign, when the 0.05-step
+scan of [0, 10] finds no bracket (it misses two roots that sit in one step),
+or when |NPV| at the root is over $0.01. Break-even defaults to the
+undiscounted cumulative flow. The module uses the standard library only;
+flows are tuples of floats.
 
 Scenario analysis applies fractional :class:`Adjustment` rows to a base
 :class:`ModelSpec` - each targeted value is multiplied by (1 + pct), and
@@ -208,8 +210,10 @@ def irr(flows: Sequence[float]) -> Optional[float]:
     """Per-period internal rate of return, or None when undefined.
 
     Brackets a sign change of npv(r) on [0, 10] and bisects until the
-    interval is tighter than 1e-12 and |npv| <= $0.01. Flows that never
-    change sign have no IRR.
+    interval is tighter than 1e-12; None unless then |npv| <= $0.01. Flows
+    that never change sign have no IRR. When npv(0) and npv(10) share a
+    sign, the bracket is the first sign change of a 0.05-step scan, which
+    misses two roots that sit in one step.
     """
     if all(c >= 0 for c in flows) or all(c <= 0 for c in flows):
         return None

@@ -1,8 +1,11 @@
 """Manufacturing-cost roll-up, assembly timing, DFA index, discrepancies."""
 import math
 import re
+import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hushkit import ValidationError
 from hushkit._tables import round_half_away
@@ -37,6 +40,43 @@ def test_round_half_away_gives_an_unsigned_zero(value):
 def test_round_half_away_holds_any_finite_double(value):
     # the default 28-digit decimal context cannot quantize these to cents
     assert round_half_away(value) == value
+
+
+def _decimal_cents(value: float) -> float:
+    """The rule written out: the repr rounded half up to cents, then +0.0."""
+    return float(Decimal(repr(value)).quantize(
+        Decimal("0.01"), rounding=ROUND_HALF_UP, context=Context(prec=400))) + 0.0
+
+
+def _steps(x: float, n: int) -> float:
+    """``x`` moved ``n`` doubles up (or ``-n`` down)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+_SIGN = st.sampled_from((1.0, -1.0))
+_HALF_CENTS = st.builds(lambda k, s, n: _steps(s * (k + 0.5) / 100, n),
+                        st.integers(0, 2 ** 46), _SIGN, st.integers(-3, 3))
+_HALF_CENT_TEXT = st.builds(lambda s, k, d: float(f"{s}{k}.{d:02d}5"),
+                            st.sampled_from("+-"), st.integers(0, 10 ** 14),
+                            st.integers(0, 99))
+_FAST_PATH_EDGE = st.builds(lambda s, n: _steps(s * 2.0 ** 51 / 100, n),
+                            _SIGN, st.integers(-300, 300))
+_EXTREMES = st.sampled_from((
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+    math.nextafter(sys.float_info.min, 0.0), sys.float_info.max,
+    -sys.float_info.max))
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _HALF_CENTS,
+                 _HALF_CENT_TEXT, _FAST_PATH_EDGE, _EXTREMES,
+                 st.floats(-1e-300, 1e-300, allow_subnormal=True)))
+def test_round_half_away_is_the_decimal_rule_bit_for_bit(value):
+    # the float fast path must give the Decimal expression's double, sign
+    # of zero included, on ties, near-ties, its edge and the extremes
+    assert round_half_away(value).hex() == _decimal_cents(value).hex()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -126,6 +126,24 @@ def test_irr_scan_stops_at_the_first_bracket(monkeypatch):
     assert sum(r in grid for r in rates) < 20
 
 
+@pytest.mark.xfail(strict=True, reason="the 0.05-step bracket scan steps over "
+                   "two roots that sit in one step, so the IRR is reported as None")
+def test_irr_found_when_two_roots_share_a_scan_step():
+    # NPV is +9.19 at r = 1.00, -2.97 at 1.02 and +22.76 at 1.05: IRRs near
+    # 1.01 and 1.03, both inside the scan step (1.00, 1.05); `econ npv
+    # --require-irr` on this model exits 2 and prints `undefined`
+    model = ModelSpec(
+        horizon=3, discount_rate=0.1,
+        expenses=(ExpenseLine("first", 1, 1, 245_080.02),
+                  ExpenseLine("second", 2, 2, -990_123.28),
+                  ExpenseLine("third", 3, 3, 1_000_000.00)),
+        sales=SalesBlock(first=1, last=3, units=0.0, unit_price=0.0, unit_cost=0.0))
+    root = evaluate(model).irr
+    assert root is not None
+    assert min(abs(root - 1.01), abs(root - 1.03)) < 0.005
+    assert abs(npv(build_cash_flows(model), root)) <= econ.IRR_NPV_TOL
+
+
 # ----------------------------------------------------------------- break-even
 
 def test_break_even_undiscounted():

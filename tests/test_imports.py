@@ -6,6 +6,8 @@ loads ``econ`` only, ``cost bom`` ``costing`` only, a ``plan`` command
 ``planning`` only, and ``anc simulate`` numpy, ``dataclasses`` and
 ``inspect`` and none of the three. No command loads ``argparse`` or the
 ``gettext`` it imports: the command line is read from ``cli._COMMANDS``.
+None loads ``decimal``, which cent rounding imports only for a figure at or
+next to a half-cent tie, and no shipped config has one.
 Each check runs in a fresh interpreter, because the test process itself has
 every module loaded.
 """
@@ -49,7 +51,7 @@ GROUPS = {
 }
 
 _WATCHED = ("hushkit.econ", "hushkit.costing", "hushkit.planning", "numpy",
-            "dataclasses", "inspect", "argparse", "gettext")
+            "dataclasses", "inspect", "argparse", "gettext", "decimal")
 
 # Prints the watched modules loaded by `import hushkit`, then by
 # `import hushkit.cli`, then by running every command given.
