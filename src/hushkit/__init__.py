@@ -28,12 +28,11 @@ _LAZY = {
                      "RiskItem", "concept_score", "load_concept_csv",
                      "load_risk_csv", "market_size_estimate", "risk_score_and_map"),
                     "planning"),
-    **dict.fromkeys(("ALGORITHMS", "ATTENUATION_WINDOW_S", "DEFAULT_STEP_SIZE",
-                     "DIVERGENCE_POWER_RATIO", "EXACT", "NLMS_EPS", "AncConfig",
-                     "AncResult", "anc_run"), "anc"),
-    **dict.fromkeys(("ATTENUATION_CAP_DB", "FirPath", "SampleBuffer",
-                     "convolve_path", "generate_broadband", "generate_tone"),
-                    "signals"),
+    **dict.fromkeys(("ALGORITHMS", "ATTENUATION_CAP_DB", "ATTENUATION_WINDOW_S",
+                     "DEFAULT_STEP_SIZE", "DIVERGENCE_POWER_RATIO", "EXACT", "NLMS_EPS",
+                     "AncConfig", "AncResult", "anc_run"), "anc"),
+    **dict.fromkeys(("FirPath", "SampleBuffer", "convolve_path", "generate_broadband",
+                     "generate_tone"), "signals"),
 }
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from ._records import Record
 from .errors import ValidationError
-from .signals import ATTENUATION_CAP_DB, FirPath, SampleBuffer, convolve_path
+from .signals import FirPath, SampleBuffer, convolve_path
 
 ALGORITHMS = ("LMS", "NLMS", "FXLMS")
 
@@ -100,6 +100,10 @@ class AncResult(Record):
     attenuation_trace_db: np.ndarray
     steady_state_attenuation_db: float
     diverged: bool
+
+
+#: Cap on every window's attenuation, in dB; a silenced window reports it.
+ATTENUATION_CAP_DB = 120.0
 
 
 def _window_attenuation_db(dist_power: float, resid_power: float) -> float:

@@ -20,19 +20,15 @@ import os
 import sys
 from itertools import accumulate
 from pathlib import Path
-from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from types import FunctionType, SimpleNamespace
 
 from ._tables import clean, finite, round_half_away
 from .errors import ValidationError
 
-if TYPE_CHECKING:
-    from .signals import FirPath
-
 FORMATS = ("table", "json", "csv")
 
 _NUM = (int, float)
-_PLAIN = (str, int, float, list, dict, str | list)
+_PLAIN = (str, int, float, dict)
 
 # `anc_run` stays an attribute of this module (PEP 562), resolved through
 # the package, which imports its module on first use.
@@ -45,8 +41,9 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # config schemas: one table of (name, kind, default) fields per JSON object
 #
-# A kind is str, int, float (any JSON number, read as a float), list, dict or
-# str | list; a table, or the name of an exported record, for a nested
+# A kind is str, int, float (any JSON number, read as a float) or dict;
+# a reader function `f(value, context, name)`, which checks any JSON value and
+# returns it typed; a table, or the name of an exported record, for a nested
 # object, which errors name by its field; [table or record] for a list of
 # such objects, item i named `name[i]`; or {tag: table} for objects told
 # apart by their "kind". Tables read as namespaces, records as instances,
@@ -59,6 +56,26 @@ def __getattr__(name):
 
 _REQUIRED = object()
 
+
+def _taps(value, context: str, name: str):
+    """A path's taps: a non-empty list of numbers, read as a ``FirPath``."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(v, _NUM) and not isinstance(v, bool) for v in value)):
+        raise ValidationError(
+            f"{context}: field '{name}' must be a non-empty list of numbers")
+    return sys.modules[__package__].FirPath(value)
+
+
+def _estimate(value, context: str, name: str):
+    """``secondary_estimate``: "exact" reads as ``EXACT``, a list as taps."""
+    if isinstance(value, list):
+        return _taps(value, context, name)
+    if value != "exact":
+        raise ValidationError(
+            f"{context}: field '{name}' must be \"exact\" or a list of taps")
+    return sys.modules[__package__].EXACT
+
+
 _SCHEMAS = {
     "anc config": (
         "AncConfig", ("rng_seed", int, _REQUIRED), ("sample_rate_hz", float, 8000.0),
@@ -68,7 +85,7 @@ _SCHEMAS = {
             "broadband": (("kind", str, _REQUIRED), ("low_hz", float, _REQUIRED),
                           ("high_hz", float, _REQUIRED)),
         }, _REQUIRED),
-        ("primary_path", list, _REQUIRED), ("secondary_path", list, _REQUIRED)),
+        ("primary_path", _taps, _REQUIRED), ("secondary_path", _taps, _REQUIRED)),
     "econ config": (("model", "ModelSpec", _REQUIRED),
                     ("adjustments", ["Adjustment"], ())),
     "sensitivity config": (("model", "ModelSpec", _REQUIRED),
@@ -91,7 +108,7 @@ _SCHEMAS = {
 
 # Field kinds by annotation text (the model modules postpone annotations).
 _KINDS = {"str": str, "int": int, "float": float, "Optional[int]": int,
-          "Optional[float]": float, "Optional[FirPath]": str | list,
+          "Optional[float]": float, "Optional[FirPath]": _estimate,
           "SalesBlock": "SalesBlock", "Tuple[ExpenseLine, ...]": ["ExpenseLine"]}
 
 
@@ -129,19 +146,16 @@ def _field(mapping, context: str, name: str, kind, default):
             raise ValidationError(f"{context}: missing required field '{name}'")
         return default
     value = mapping[name]
+    if isinstance(kind, FunctionType):
+        return kind(value, context, name)
     plain = kind in _PLAIN
     json_type = (_NUM if kind is float else kind if plain
                  else list if isinstance(kind, list) else dict)
     # JSON true/false must not satisfy numeric fields
     if not isinstance(value, json_type) or isinstance(value, bool):
         raise ValidationError(f"{context}: field '{name}' has the wrong type")
-    if kind in _NUM:
-        # an integer too large for a double is out of range in any field
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ValidationError(f"{context}: field '{name}' is out of range") from None
-        return number if kind is float else value
+    if kind is float:
+        return float(value)
     if isinstance(value, str) and not clean(value):
         raise ValidationError(
             f"{context}: field '{name}' holds a NUL or a lone surrogate")
@@ -170,11 +184,14 @@ def _load_config(path_str: str):
         return value
 
     def integer(token: str) -> int:
-        try:
-            return int(token)
-        except ValueError:  # past int()'s digit limit, far beyond any double
+        # every number must fit a double (RFC 8259 section 6), integers too
+        try:  # int() fails past its digit limit, float() past the largest double
+            value = int(token)
+            float(value)
+        except (ValueError, OverflowError):
             raise ValidationError(f"{path}: integer of {len(token.lstrip('-'))} "
-                                  "digits is too long") from None
+                                  "digits is out of range") from None
+        return value
 
     try:
         # a missing or unreadable file raises OSError
@@ -201,18 +218,6 @@ def _resolve(path_str: str, config_path: str) -> Path:
     """Resolve a file referenced by a config relative to the config itself."""
     # an absolute path_str replaces the base directory
     return Path(config_path).resolve().parent / path_str
-
-
-def _taps_from(values, field: str) -> FirPath:
-    from .signals import FirPath
-
-    if not values or not all(isinstance(v, _NUM) and not isinstance(v, bool)
-                             for v in values):
-        raise ValidationError(f"field '{field}' must be a non-empty list of numbers")
-    try:
-        return FirPath(values)
-    except OverflowError:  # an integer too large for a double
-        raise ValidationError(f"field '{field}' is out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +265,6 @@ def _cmd_anc_simulate(args):
     from . import anc, signals
 
     c = _config(args, "anc config")
-    primary = _taps_from(c.primary_path, "primary_path")
-    secondary = _taps_from(c.secondary_path, "secondary_path")
-    if isinstance(c.secondary_estimate, list):
-        c.secondary_estimate = _taps_from(c.secondary_estimate, "secondary_estimate")
-    elif c.secondary_estimate in (anc.EXACT, "exact"):
-        c.secondary_estimate = anc.EXACT
-    else:
-        raise ValidationError(
-            "field 'secondary_estimate' must be \"exact\" or a list of taps")
     config = anc.AncConfig._make(getattr(c, name) for name in anc.AncConfig._fields)
     signals._seed(c.rng_seed)  # tone noise takes no seed, but it is checked all the same
 
@@ -279,7 +275,7 @@ def _cmd_anc_simulate(args):
     else:
         noise = signals.generate_broadband(c.rng_seed, c.noise.low_hz,
                                            c.noise.high_hz, n, fs)
-    result = anc.anc_run(config, noise, primary, secondary)
+    result = anc.anc_run(config, noise, c.primary_path, c.secondary_path)
     code = 2 if result.diverged else 0
     trace = [_rate(v, 4) for v in result.attenuation_trace_db]
     steady = _rate(result.steady_state_attenuation_db, 4)

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Largest attenuation a window reports, in dB; ``anc._window_attenuation_db``
-#: caps every figure here, so a silenced window still reports a finite one.
-ATTENUATION_CAP_DB = 120.0
-
 #: Tap count of the band-pass used by :func:`generate_broadband` (order 255).
 BROADBAND_FIR_TAPS = 256
 

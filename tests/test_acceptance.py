@@ -9,13 +9,13 @@ import json
 import numpy as np
 import pytest
 
+from hushkit import ATTENUATION_CAP_DB
 from hushkit.anc import DEFAULT_STEP_SIZE, EXACT, AncConfig, anc_run
 from hushkit.cli import main
 from hushkit.econ import (Adjustment, ExpenseLine, ModelSpec, SalesBlock,
                           sensitivity_row)
 from hushkit.planning import concept_score, load_concept_csv
-from hushkit.signals import (ATTENUATION_CAP_DB, FirPath, convolve_path,
-                             generate_tone)
+from hushkit.signals import FirPath, convolve_path, generate_tone
 
 FS = 8000.0
 UNIT = FirPath(np.array([1.0]))

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from hushkit import ValidationError
+from hushkit import ATTENUATION_CAP_DB, ValidationError
 from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE,
                          DIVERGENCE_POWER_RATIO, EXACT, MAX_DURATION_SAMPLES,
                          MAX_FILTER_LENGTH, AncConfig, _window_attenuation_db,
                          anc_run)
-from hushkit.signals import (ATTENUATION_CAP_DB, FirPath, SampleBuffer,
-                             convolve_path, generate_broadband, generate_tone)
+from hushkit.signals import (FirPath, SampleBuffer, convolve_path,
+                             generate_broadband, generate_tone)
 
 FS = 8000.0
 UNIT = FirPath(np.array([1.0]))
