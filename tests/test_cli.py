@@ -552,6 +552,32 @@ def test_an_integer_is_read_only_if_a_double_holds_it(value, code, configs_dir,
     assert capsys.readouterr().err == ("" if code == 0 else message)
 
 
+_HUGE = int("9" * 400)  # a valid JSON integer that no double can hold
+
+
+def _huge_tap(config):
+    config["primary_path"][0] = _HUGE
+
+
+@pytest.mark.parametrize("command, name, edit", [
+    ("econ npv", "econ_base", lambda c: c["sales"].update(units=_HUGE)),
+    ("anc simulate", "anc_tone", lambda c: c.update(step_size=_HUGE)),
+    ("cost bom", "cost_initial", _in_cost(_HUGE, "expected", "direct_total")),
+    ("econ npv", "econ_base", lambda c: c.update(horizon=_HUGE)),
+    ("anc simulate", "anc_tone", lambda c: c.update(duration_samples=_HUGE)),
+    ("cost bom", "cost_initial", _in_cost(_HUGE, "dfa", "min_parts")),
+    ("anc simulate", "anc_tone", _huge_tap),
+], ids=["units", "step_size", "expected", "horizon", "duration_samples",
+        "min_parts", "primary_path"])
+def test_integer_too_large_for_a_float_exits_1(command, name, edit,
+                                               configs_dir, tmp_path, capsys):
+    # the reader refuses the integer wherever it stands, before any field is read
+    path = _edited_config(configs_dir, tmp_path, name, (), edit)
+    assert main([*command.split(), "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: integer of 400 digits is out of range\n")
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token} in a report")
 
