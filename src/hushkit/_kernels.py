@@ -27,17 +27,34 @@ The C kernel sums in that same order and is built without FMA contraction
 or reassociation, so both give the same bytes. Callers look ``adapt_chunk``
 up at call time, so the reference can be swapped in.
 
-The C kernel makes one pass over ``w`` per sample: the sweep that applies
-sample n's update (leak included) also sums sample n+1's output from each
-weight it has just written and, for NLMS, sample n+1's norm as a second,
-independent sum. Only the first sample of a chunk gets a sweep of its own,
-and the last one no look-ahead, so no array is read past ``stop``. The
-bytes stay those of the reference: every sum has the same operands, in the
-same order (newest sample first, from 0.0), and the fused
-``w*decay + g*e*xf`` rounds the same two products and the same sum as the
-reference's two steps, since no FMA contracts them. The serial chain per
-sample is then the output sum and the secondary-path sum, L + M dependent
-adds; the update, norm and leak work overlaps with it.
+The C kernel's one-sample step makes one pass over ``w``: the sweep that
+applies sample n's update (leak included) also sums sample n+1's output from
+each weight it has just written and, for NLMS, sample n+1's norm as a
+second, independent sum. Only the first sample of a chunk gets a sweep of
+its own, and the last one no look-ahead. The bytes stay those of the
+reference: every sum has the same operands, in the same order (newest
+sample first, from 0.0), and the fused ``w*decay + g*e*xf`` rounds the same
+two products and the same sum as the reference's two steps, since no FMA
+contracts them. Per sample, the output sum is one serial chain of L adds.
+
+A secondary path that starts with D >= 1 zero taps (a bulk delay; those of
+the shipped ``anc_broadband`` and ``anc_tone`` have 3) breaks that chain:
+e[n+u] for u <= D needs no output newer than y[n]. From sample L-1 on, the kernel then adapts U
+samples per sweep, U = 2 for D = 1 or 2 and U = 4 for D >= 3. It sums their
+U residuals first, then makes one sweep that applies the U updates to each
+weight in turn and carries U independent output sums, plus the next
+group's U NLMS norms; those sums and the update products run two to a
+vector of two doubles, whose lanes round as scalar code does. The
+residuals sum from tap D: each leading term is 0*y = +-0 and
+0.0 + +-0.0 = +0.0, so that is the reference's double while the D newest
+outputs are finite. A group writes the updated weights to a second,
+fixed-size buffer, so one that yields a non-finite output leaves the
+weights it read whole and hands the rest of the chunk to the one-sample
+step, as does a chunk that starts behind a non-finite output; the
+residual keeps the reference's 0*inf = NaN. The step also takes D = 0,
+the first L-1 samples, up to 2U-1 last samples of a chunk (no array is
+read past ``stop``) and filters longer than ``anc.MAX_FILTER_LENGTH``,
+which the second buffer cannot hold.
 """
 from __future__ import annotations
 
@@ -68,75 +85,220 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
 
 
 _C_SOURCE = b"""\
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
-/* normalized and leak are constants in each inlined copy, so their tests
-   leave the loops. s sums y[n] and q the NLMS norm of sample n; the sweep
-   that applies sample n's update sums both anew for sample n + 1. */
-static inline __attribute__((always_inline)) void
-run(const double *x, const double *xf, const double *d, const double *sec,
-    int64_t M, double *w, int64_t L, double *y, double *e, int64_t start,
-    int64_t stop, double mu, double decay, double eps, const int normalized,
-    const int leak)
+/* anc.MAX_FILTER_LENGTH: a longer filter, which only a direct caller can
+   pass, takes one-sample steps throughout, so the spare weights fit. */
+#define SPARE 4096
+
+/* Two doubles side by side; each lane rounds as a lone double would. */
+typedef double v2 __attribute__((vector_size(16)));
+
+static inline __attribute__((always_inline)) v2
+pair(const double *a, int64_t i)  /* a[i], a[i + 1] */
 {
-    int64_t k = start + 1 < L ? start + 1 : L;
-    double s = 0.0, q = 0.0;
-    for (int64_t j = 0; j < k; j++) {
-        s += w[j] * x[start - j];
-        if (normalized) q += xf[start - j] * xf[start - j];
-    }
-    for (int64_t n = start; n < stop; n++) {
-        int64_t m = n + 1 < M ? n + 1 : M;
-        y[n] = s;
-        double r = 0.0;
-        for (int64_t j = 0; j < m; j++) r += sec[j] * y[n - j];
-        e[n] = d[n] - r;
-        double ge = (normalized ? mu / (q + eps) : mu) * e[n];
-        k = n + 1 < L ? n + 1 : L;
-        int64_t j = 0;
-        if (n + 1 < stop) {
-            s = 0.0;
-            q = 0.0;
-            for (; j < k; j++) {
-                double v = leak ? w[j] * decay + ge * xf[n - j]
-                                : w[j] + ge * xf[n - j];
-                w[j] = v;
-                s += v * x[n + 1 - j];
-                if (normalized) q += xf[n + 1 - j] * xf[n + 1 - j];
-            }
-            if (k < L) {  /* the history grew by one tap: w[k] meets x[0] */
-                double v = leak ? w[k] * decay : w[k];
-                w[k] = v;
-                s += v * x[0];
-                if (normalized) q += xf[0] * xf[0];
-                j++;
-            }
-        } else {
-            for (; j < k; j++)
-                w[j] = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
-        }
-        if (leak)
-            for (; j < L; j++) w[j] *= decay;
-    }
+    v2 v;
+    memcpy(&v, a + i, sizeof v);
+    return v;
 }
 
+/* normalized, leak and U are constants in each inlined copy, so their tests
+   leave the loops. s sums y[n] and q the NLMS norm of sample n. */
+
+/* Sample n over all taps: its residual, then the sweep that applies its
+   update and, unless n is the chunk's last sample, sums s and q anew for
+   sample n + 1. */
+static inline __attribute__((always_inline)) void
+step(const double *x, const double *xf, const double *d, const double *sec,
+     int64_t M, double *w, int64_t L, double *y, double *e, int64_t n,
+     int64_t stop, double *s, double *q, double mu, double decay, double eps,
+     const int normalized, const int leak)
+{
+    int64_t m = n + 1 < M ? n + 1 : M, k = n + 1 < L ? n + 1 : L;
+    y[n] = *s;
+    double r = 0.0;
+    for (int64_t j = 0; j < m; j++) r += sec[j] * y[n - j];
+    e[n] = d[n] - r;
+    double ge = (normalized ? mu / (*q + eps) : mu) * e[n];
+    int64_t j = 0;
+    if (n + 1 < stop) {
+        double t = 0.0, p = 0.0;
+        for (; j < k; j++) {
+            double v = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
+            w[j] = v;
+            t += v * x[n + 1 - j];
+            if (normalized) p += xf[n + 1 - j] * xf[n + 1 - j];
+        }
+        if (k < L) {  /* the history grew by one tap: w[k] meets x[0] */
+            double v = leak ? w[k] * decay : w[k];
+            w[k] = v;
+            t += v * x[0];
+            if (normalized) p += xf[0] * xf[0];
+            j++;
+        }
+        *s = t;
+        *q = p;
+    } else {
+        for (; j < k; j++)
+            w[j] = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
+    }
+    if (leak)
+        for (; j < L; j++) w[j] *= decay;
+}
+
+/* Samples n .. n + U - 1 in one sweep, for a secondary path whose first D
+   taps are zero, U <= D + 1, n >= L - 1 and n + 2U <= stop. Their residuals
+   sum from tap D, so they need no output newer than y[n]; that gives the
+   full sum's bytes while y[n - D + 1 .. n + U - 1] are finite. q[u] holds
+   the norm of sample n + u. The sweep reads w and writes the updated
+   weights to next: it applies the U updates to each weight in turn, sums
+   the outputs y[n + 1 .. n + U] as U independent chains and, for NLMS, the
+   norms of samples n + U .. n + 2U - 1, two chains to a v2. Returns 0,
+   with w, s and q untouched, when one of those outputs is not finite. */
+static inline __attribute__((always_inline)) int
+group(const double *x, const double *xf, const double *d, const double *sec,
+      int64_t M, int64_t D, const double *w, double *next, int64_t L, double *y,
+      double *e, int64_t n, double *s, double *q, double mu, double decay,
+      double eps, const int normalized, const int leak, const int U)
+{
+    double r[4] = {0.0};
+    v2 g[2] = {{0.0}}, t[2] = {{0.0}}, p[2] = {{0.0}};
+    int64_t m = n + 1 < M ? n + 1 : M;  /* the taps all U residuals have */
+    y[n] = *s;
+    for (int64_t j = D; j < m; j++) {
+        _Pragma("GCC unroll 4")
+        for (int u = 0; u < U; u++) r[u] += sec[j] * y[n + u - j];
+    }
+    _Pragma("GCC unroll 4")
+    for (int u = 0; u < U; u++) {
+        for (int64_t j = m > D ? m : D; j < M && j <= n + u; j++)
+            r[u] += sec[j] * y[n + u - j];
+        e[n + u] = d[n + u] - r[u];
+        g[u / 2][u % 2] = (normalized ? mu / (q[u] + eps) : mu) * e[n + u];
+    }
+    for (int64_t j = 0; j < L; j++) {
+        double v = w[j], gx[4], vs[4];
+        _Pragma("GCC unroll 2")
+        for (int h = 0; h < U / 2; h++) {
+            v2 a = g[h] * pair(xf, n + 2 * h - j);
+            gx[2 * h] = a[0];
+            gx[2 * h + 1] = a[1];
+        }
+        _Pragma("GCC unroll 4")
+        for (int u = 0; u < U; u++) {
+            v = leak ? v * decay + gx[u] : v + gx[u];
+            vs[u] = v;
+        }
+        _Pragma("GCC unroll 2")
+        for (int h = 0; h < U / 2; h++) {
+            t[h] += (v2){vs[2 * h], vs[2 * h + 1]} * pair(x, n + 2 * h + 1 - j);
+            if (normalized) {
+                v2 c = pair(xf, n + U + 2 * h - j);
+                p[h] += c * c;
+            }
+        }
+        next[j] = v;
+    }
+    _Pragma("GCC unroll 4")
+    for (int u = 0; u < U; u++)
+        if (!isfinite(t[u / 2][u % 2]))
+            return 0;
+    _Pragma("GCC unroll 4")
+    for (int u = 0; u < U; u++) {
+        if (u > 0) y[n + u] = t[(u - 1) / 2][(u - 1) % 2];
+        q[u] = p[u / 2][u % 2];
+    }
+    *s = t[(U - 1) / 2][(U - 1) % 2];
+    return 1;
+}
+
+/* Whether groups may start at sample n, whose output sums to s: y[n] and
+   the D - 1 outputs before it are finite. If so, fills q[1 .. U - 1]. */
+static inline __attribute__((always_inline)) int
+begin(const double *xf, int64_t D, int64_t L, const double *y, int64_t n,
+      double s, double *q, const int normalized, const int U)
+{
+    if (!isfinite(s))
+        return 0;
+    for (int64_t i = n - D + 1 > 0 ? n - D + 1 : 0; i < n; i++)
+        if (!isfinite(y[i]))
+            return 0;
+    for (int u = 1; u < U && normalized; u++) {
+        q[u] = 0.0;
+        for (int64_t j = 0; j < L; j++) q[u] += xf[n + u - j] * xf[n + u - j];
+    }
+    return 1;
+}
+
+/* One-sample steps, and groups of U samples from n = L - 1 on while the
+   outputs stay finite; after a group that gives up, or at a chunk that
+   starts behind a non-finite output, the rest of the chunk takes steps.
+   Each group writes the weights to the other of w and spare, so the one it
+   read is still whole when it gives up; they end in w. */
+static inline __attribute__((always_inline)) void
+run(const double *x, const double *xf, const double *d, const double *sec,
+    int64_t M, int64_t D, double *w, int64_t L, double *y, double *e,
+    int64_t start, int64_t stop, double *spare, double mu, double decay,
+    double eps, const int normalized, const int leak)
+{
+    const int U = D >= 3 ? 4 : 2;
+    int grouping = D >= 1 && L <= SPARE;
+    int ready = 0;  /* q[1 .. U - 1] hold the norms of n + 1 .. n + U - 1 */
+    double *cur = w;
+    int64_t k = start + 1 < L ? start + 1 : L;
+    double s = 0.0, q[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t j = 0; j < k; j++) {
+        s += w[j] * x[start - j];
+        if (normalized) q[0] += xf[start - j] * xf[start - j];
+    }
+    for (int64_t n = start; n < stop;) {
+        if (grouping && n >= L - 1 && n + 2 * U <= stop) {
+            if (!ready)
+                ready = begin(xf, D, L, y, n, s, q, normalized, U);
+            if (ready && (U == 4 ? group(x, xf, d, sec, M, D, cur, spare, L, y, e, n, &s,
+                                         q, mu, decay, eps, normalized, leak, 4)
+                                 : group(x, xf, d, sec, M, D, cur, spare, L, y, e, n, &s,
+                                         q, mu, decay, eps, normalized, leak, 2))) {
+                double *old = cur;
+                cur = spare;
+                spare = old;
+                n += U;
+                continue;
+            }
+            grouping = 0;
+        }
+        step(x, xf, d, sec, M, cur, L, y, e, n, stop, &s, q, mu, decay, eps,
+             normalized, leak);
+        ready = 0;
+        n++;
+    }
+    if (cur != w)
+        memcpy(w, cur, (size_t)L * sizeof *w);
+}
+
+/* D counts the leading zero taps of sec once per call; -0.0 == 0.0. */
 void adapt_chunk(const double *x, const double *xf, const double *d,
                  const double *sec, int64_t M, double *w, int64_t L,
                  double *y, double *e, int64_t start, int64_t stop,
                  double mu, double leak, int normalized, double eps)
 {
-    double decay = 1.0 - mu * leak;
+    double decay = 1.0 - mu * leak, spare[SPARE];
+    int64_t D = 0;
     if (start >= stop)
         return;
+    while (D < M && sec[D] == 0.0)
+        D++;
     if (normalized) {
         if (leak != 0.0)
-            run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 1, 1);
+            run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 1, 1);
         else
-            run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 1, 0);
+            run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 1, 0);
     } else if (leak != 0.0) {
-        run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 0, 1);
+        run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 0, 1);
     } else {
-        run(x, xf, d, sec, M, w, L, y, e, start, stop, mu, decay, eps, 0, 0);
+        run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 0, 0);
     }
 }
 """

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hushkit import _kernels
 
@@ -31,7 +32,8 @@ def _inputs(algorithm, L, M, unstable, delay=0):
     # secondary path: ``delay`` zero taps (a bulk delay), then a unit tap and
     # decaying taps of random sign, one of them -0.0
     sec = 0.5 ** np.arange(M) * rng.choice((-1.0, 1.0), M)
-    sec[0] = 1.0
+    if M:
+        sec[0] = 1.0
     if M > 2:
         sec[M // 2] = -0.0
     sec = np.concatenate((np.zeros(delay), sec))
@@ -75,6 +77,7 @@ def _kernel_cases(test):
 
 
 def _matches_reference(algorithm, leak, L, M, unstable, delay):
+    """``delay`` zero taps, then ``M`` taps; M = 0 leaves only the zero ones."""
     run = functools.partial(_run_kernel, algorithm=algorithm, leak=leak, L=L, M=M,
                             unstable=unstable, delay=delay)
     want = run(_kernels.adapt_chunk_numpy)
@@ -84,7 +87,7 @@ def _matches_reference(algorithm, leak, L, M, unstable, delay):
     e = want[2]
     with np.errstate(all="ignore"):
         blew_up = not np.isfinite(e).all() or np.abs(e).max() > 1e100
-    assert blew_up == unstable
+    assert blew_up == (unstable and M > 0)  # with M = 0 the residual is d
     # an empty chunk, even at the end of the signal, changes nothing
     x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay)
     for at in (0, L // 2, N):
@@ -114,6 +117,85 @@ def test_kernel_matches_numpy_reference_behind_a_bulk_delay(algorithm, leak, L, 
     _matches_reference(algorithm, leak, L, M, unstable, delay=3)
 
 
+# D zero taps let the C kernel adapt two samples per sweep (D = 1, 2) or four
+# (D >= 3); 3 is covered above.
+@_kernel_cases
+@pytest.mark.parametrize("delay", [1, 2, 4])
+def test_kernel_matches_numpy_reference_behind_other_bulk_delays(algorithm, leak, L, M,
+                                                                 unstable, delay):
+    _matches_reference(algorithm, leak, L, M, unstable, delay)
+
+
+@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
+@pytest.mark.parametrize("leak", [0.0, 1e-3])
+@pytest.mark.parametrize("L, taps", [(1, 1), (8, 2), (64, 5)])
+def test_kernel_matches_numpy_reference_on_an_all_zero_secondary_path(algorithm, leak, L,
+                                                                      taps):
+    _matches_reference(algorithm, leak, L, 0, False, delay=taps)
+
+
+def test_a_filter_longer_than_the_spare_weight_buffer_matches_the_reference():
+    L = 5000  # past the C kernel's 4,096 spare weights: no groups
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(L + 100)
+    sec = np.array([0.0, 0.0, 0.0, 1.0, -0.5])
+    d, xf = np.convolve(x, 0.7 ** np.arange(24))[:len(x)], np.convolve(x, sec)[:len(x)]
+    got, want = [], []
+    for kernel, out in ((_kernels.adapt_chunk_numpy, want), (_kernels.adapt_chunk, got)):
+        w, y, e = np.linspace(-1e-3, 1e-3, L), np.zeros(len(x)), np.zeros(len(x))
+        kernel(x, xf, d, sec, w, y, e, 0, len(x), 1e-5, 0.0, False, 1e-8)
+        out += (w, y, e)
+    _assert_same_bytes(got, want)
+
+
+@st.composite
+def _runs(draw):
+    """A short run: L taps, D zero taps (0.0 or -0.0) then up to 8 random ones,
+    inputs scaled by up to 1e100, a step from 1e-3 to 1e20 (over L and the
+    input power, but for NLMS) and up to four chunk cuts. About a quarter
+    of the runs go non-finite."""
+    L, D, M = draw(st.integers(1, 64)), draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    M = M if M or D else 1
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([0, 10, 50, 100]))
+    x = rng.standard_normal(n) * scale
+    sec = np.concatenate((rng.choice((0.0, -0.0), D), rng.standard_normal(M)))
+    algorithm = draw(st.sampled_from(["LMS", "NLMS", "FXLMS"]))
+    xf = np.convolve(x, sec)[:n] if algorithm == "FXLMS" else x
+    d = np.convolve(x, rng.standard_normal(4))[:n]
+    mu = 10.0 ** draw(st.integers(-3, 20))
+    if algorithm != "NLMS":
+        mu /= L * scale * scale
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    return (x, xf, d, sec, L, mu, draw(st.sampled_from([0.0, 1e-3])),
+            algorithm == "NLMS", (0, *cuts, n))
+
+
+def test_kernel_matches_numpy_reference_on_random_runs():
+    grouped_blow_ups = []
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(run=_runs())
+    def same_bytes(run):
+        x, xf, d, sec, L, mu, leak, normalized, bounds = run
+        outs = []
+        with np.errstate(all="ignore"):
+            for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+                w, y, e = np.zeros(L), np.zeros(len(x)), np.zeros(len(x))
+                for start, stop in zip(bounds, bounds[1:]):
+                    kernel(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, 1e-8)
+                outs.append(b"".join(a.tobytes() for a in (w, y, e)))
+        assert outs[0] == outs[1]
+        bad = np.flatnonzero(~np.isfinite(y))
+        if sec[0] == 0.0 and len(bad) and bad[0] >= L:
+            grouped_blow_ups.append(bad[0])
+
+    same_bytes()
+    # outputs that first go non-finite where a delayed path adapts in groups
+    assert len(grouped_blow_ups) >= 40
+
+
 def test_a_zero_lead_tap_makes_the_residual_nan_where_the_output_is_infinite():
     first = []
     for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
@@ -122,6 +204,24 @@ def test_a_zero_lead_tap_makes_the_residual_nan_where_the_output_is_infinite():
         assert np.isinf(y[n]) and np.isnan(e[n])  # 0 * inf in the residual's sum
         first.append(n)
     assert first[0] == first[1]
+
+
+# y before a chunk is the caller's. With 6 zero taps, a non-finite value one
+# or two samples back meets only zero taps in the first four residuals,
+# which are NaN; a sum from tap 6 would miss that.
+@pytest.mark.parametrize("back", [1, 2])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_chunk_behind_a_non_finite_output_matches_the_reference(back, value):
+    x, xf, d, sec, mu = _inputs("FXLMS", 8, 16, False, delay=6)
+    outs = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        w, y, e = np.linspace(-1e-3, 1e-3, 8), np.zeros(N), np.zeros(N)
+        y[CHUNK - back] = value
+        with np.errstate(all="ignore"):
+            kernel(x, xf, d, sec, w, y, e, CHUNK, N, mu, 0.0, False, 1e-8)
+        outs.append((w, y, e))
+    assert np.isnan(outs[0][2][CHUNK])
+    _assert_same_bytes(*outs)
 
 
 @pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
@@ -243,8 +343,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 # Every array ends where a PROT_NONE page begins, so a read or write one past
 # its last sample kills the process; the last call is an empty chunk at the end.
+# Secondary paths behind 1 and 3 zero taps run the C kernel's groups of two and
+# four samples, whose sweeps read x and xf ahead of the samples they adapt.
+# Chunks that end at the arrays' end start at each offset mod 4, so some
+# group ends as near the end as one may.
 _GUARDED = """\
-import ctypes, mmap
+import ctypes, itertools, mmap
 import numpy as np
 from hushkit import _kernels
 
@@ -262,13 +366,15 @@ def guarded(values):
 
 N = 300
 rng = np.random.default_rng(7)
-for L, M in ((8, 4), (4, 8)):
+for (L, M), delay in itertools.product(((8, 4), (4, 8)), (0, 1, 3)):
     for normalized in (False, True):
         for leak in (0.0, 1e-3):
             x, xf, d = (guarded(rng.standard_normal(N)) for _ in range(3))
-            sec, w = guarded(0.5 ** np.arange(M)), guarded(np.zeros(L))
+            sec = guarded(np.concatenate((np.zeros(delay), 0.5 ** np.arange(M))))
+            w = guarded(np.zeros(L))
             y, e = guarded(np.zeros(N)), guarded(np.zeros(N))
-            for start, stop in ((0, 1), (1, N // 2), (N // 2, N), (N, N)):
+            for start, stop in ((0, 1), (1, N // 2), *((N // 2 + i, N) for i in range(4)),
+                                (N, N)):
                 _kernels.adapt_chunk(x, xf, d, sec, w, y, e, start, stop, 0.01, leak,
                                      normalized, 1e-8)
 print(_kernels.backend_name())
