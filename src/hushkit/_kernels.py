@@ -55,6 +55,24 @@ residual keeps the reference's 0*inf = NaN. The step also takes D = 0,
 the first L-1 samples, up to 2U-1 last samples of a chunk (no array is
 read past ``stop``) and filters longer than ``anc.MAX_FILTER_LENGTH``,
 which the second buffer cannot hold.
+
+The step's residual stops where the path's tail can no longer change it.
+Once per call the kernel bounds the taps from each multiple of 8 on,
+bound = max |sec[i]| over the rest, and gates the cut at J, the first
+multiple of 8 whose bound is below 2^-55 * sum |sec| (before it the cut
+could not fire). Taps below J are summed whole; from J on, every 8 taps,
+the sum stops if bound * ymax < |r| * 2^-56, where ymax bounds |y| over
+the outputs the tail reads: seeded at the chunk's start from the M-1
+outputs before it, raised by every output written, +inf after a NaN. Each
+skipped term t has |t| <= fl(bound * ymax) < |r| * 2^-56 < ulp(r)/4, so
+r + t rounds back to r: r never moves, the test keeps holding, and the
+bytes stay numpy's (where |r| * 2^-56 rounds into the subnormals, |t| is
+still below its exact value, both being multiples of 2^-1074). An r of 0 or
+NaN never passes, nor does a bound times an infinite ymax, so 0*inf in the
+tail still gives NaN. Paths with no negligible tail (J = M, as in the
+shipped configs) and paths over 4,096 taps keep the whole sum in a copy of
+the kernel without the cut, so they run no check at all; the grouped
+residuals keep it too.
 """
 from __future__ import annotations
 
@@ -104,22 +122,41 @@ pair(const double *a, int64_t i)  /* a[i], a[i + 1] */
     return v;
 }
 
-/* normalized, leak and U are constants in each inlined copy, so their tests
-   leave the loops. s sums y[n] and q the NLMS norm of sample n. */
+/* max(top, |v|), but +inf for a NaN v, so that a bound times it is inf or
+   NaN and never below a threshold. */
+static inline double
+higher(double top, double v)
+{
+    double a = fabs(v);
+    return a <= top ? top : a == a ? a : INFINITY;
+}
+
+/* normalized, leak, tail and U are constants in each inlined copy, so their
+   tests leave the loops. s sums y[n] and q the NLMS norm of sample n. */
 
 /* Sample n over all taps: its residual, then the sweep that applies its
    update and, unless n is the chunk's last sample, sums s and q anew for
-   sample n + 1. */
+   sample n + 1. With a tail (J < M), the residual sums taps 0 .. J - 1
+   whole; from tap J, a multiple of 8, it stops at the first block of 8
+   whose bound on every term left, bound[i / 8] * ymax, is below
+   |r| * 2^-56, since no such term can move r. */
 static inline __attribute__((always_inline)) void
 step(const double *x, const double *xf, const double *d, const double *sec,
-     int64_t M, double *w, int64_t L, double *y, double *e, int64_t n,
-     int64_t stop, double *s, double *q, double mu, double decay, double eps,
-     const int normalized, const int leak)
+     int64_t M, int64_t J, const double *bound, double *ymax, double *w,
+     int64_t L, double *y, double *e, int64_t n, int64_t stop, double *s,
+     double *q, double mu, double decay, double eps, const int normalized,
+     const int leak, const int tail)
 {
     int64_t m = n + 1 < M ? n + 1 : M, k = n + 1 < L ? n + 1 : L;
+    int64_t i = 0, head = tail && J < m ? J : m;
     y[n] = *s;
+    if (tail)
+        *ymax = higher(*ymax, *s);
     double r = 0.0;
-    for (int64_t j = 0; j < m; j++) r += sec[j] * y[n - j];
+    for (; i < head; i++) r += sec[i] * y[n - i];
+    while (tail && i < m && !(bound[i / 8] * *ymax < fabs(r) * 0x1p-56))
+        for (int64_t end = i + 8 < m ? i + 8 : m; i < end; i++)
+            r += sec[i] * y[n - i];
     e[n] = d[n] - r;
     double ge = (normalized ? mu / (*q + eps) : mu) * e[n];
     int64_t j = 0;
@@ -236,19 +273,24 @@ begin(const double *xf, int64_t D, int64_t L, const double *y, int64_t n,
    outputs stay finite; after a group that gives up, or at a chunk that
    starts behind a non-finite output, the rest of the chunk takes steps.
    Each group writes the weights to the other of w and spare, so the one it
-   read is still whole when it gives up; they end in w. */
+   read is still whole when it gives up; they end in w. With a tail, ymax
+   bounds |y| over every output a residual from tap J reads: those before
+   the chunk that its first residual reaches, then each one written. */
 static inline __attribute__((always_inline)) void
 run(const double *x, const double *xf, const double *d, const double *sec,
-    int64_t M, int64_t D, double *w, int64_t L, double *y, double *e,
-    int64_t start, int64_t stop, double *spare, double mu, double decay,
-    double eps, const int normalized, const int leak)
+    int64_t M, int64_t D, int64_t J, const double *bound, double *w, int64_t L,
+    double *y, double *e, int64_t start, int64_t stop, double *spare, double mu,
+    double decay, double eps, const int normalized, const int leak, const int tail)
 {
     const int U = D >= 3 ? 4 : 2;
     int grouping = D >= 1 && L <= SPARE;
     int ready = 0;  /* q[1 .. U - 1] hold the norms of n + 1 .. n + U - 1 */
     double *cur = w;
     int64_t k = start + 1 < L ? start + 1 : L;
-    double s = 0.0, q[4] = {0.0, 0.0, 0.0, 0.0};
+    double s = 0.0, q[4] = {0.0, 0.0, 0.0, 0.0}, ymax = 0.0;
+    if (tail)
+        for (int64_t i = start - M + 1 > 0 ? start - M + 1 : 0; i < start; i++)
+            ymax = higher(ymax, y[i]);
     for (int64_t j = 0; j < k; j++) {
         s += w[j] * x[start - j];
         if (normalized) q[0] += xf[start - j] * xf[start - j];
@@ -264,13 +306,15 @@ run(const double *x, const double *xf, const double *d, const double *sec,
                 double *old = cur;
                 cur = spare;
                 spare = old;
+                for (int u = 0; u < U && tail; u++)
+                    ymax = higher(ymax, y[n + u]);
                 n += U;
                 continue;
             }
             grouping = 0;
         }
-        step(x, xf, d, sec, M, cur, L, y, e, n, stop, &s, q, mu, decay, eps,
-             normalized, leak);
+        step(x, xf, d, sec, M, J, bound, &ymax, cur, L, y, e, n, stop, &s, q, mu,
+             decay, eps, normalized, leak, tail);
         ready = 0;
         n++;
     }
@@ -278,28 +322,48 @@ run(const double *x, const double *xf, const double *d, const double *sec,
         memcpy(w, cur, (size_t)L * sizeof *w);
 }
 
-/* D counts the leading zero taps of sec once per call; -0.0 == 0.0. */
+/* Once per call: D counts the leading zero taps of sec (-0.0 == 0.0);
+   bound[b] = max |sec[i]| over i >= 8b; J is the first multiple of 8 whose
+   bound is below 2^-55 * sum |sec|, or M when there is none or M > SPARE.
+   The cut cannot fire before J, since |r| <= sum |sec| * ymax to rounding. */
 void adapt_chunk(const double *x, const double *xf, const double *d,
                  const double *sec, int64_t M, double *w, int64_t L,
                  double *y, double *e, int64_t start, int64_t stop,
                  double mu, double leak, int normalized, double eps)
 {
-    double decay = 1.0 - mu * leak, spare[SPARE];
-    int64_t D = 0;
+    double decay = 1.0 - mu * leak, spare[SPARE], bound[SPARE / 8];
+    int64_t D = 0, J = M;
     if (start >= stop)
         return;
     while (D < M && sec[D] == 0.0)
         D++;
-    if (normalized) {
-        if (leak != 0.0)
-            run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 1, 1);
-        else
-            run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 1, 0);
-    } else if (leak != 0.0) {
-        run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 0, 1);
-    } else {
-        run(x, xf, d, sec, M, D, w, L, y, e, start, stop, spare, mu, decay, eps, 0, 0);
+    if (M <= SPARE) {
+        double top = 0.0, total = 0.0;
+        for (int64_t i = M - 1; i >= 0; i--) {
+            total += fabs(sec[i]);
+            top = higher(top, sec[i]);
+            if (i % 8 == 0)
+                bound[i / 8] = top;
+        }
+        for (J = (M + 7) / 8 * 8; J > 0 && bound[J / 8 - 1] < total * 0x1p-55; J -= 8)
+            ;
+        J = J < M ? J : M;
     }
+    /* one inlined copy of run per value of normalized, leak and tail */
+#define RUN(normalized, leak, tail) run(x, xf, d, sec, M, D, J, bound, w, L, y, e, \
+                                        start, stop, spare, mu, decay, eps, \
+                                        normalized, leak, tail)
+    if (J < M) {
+        if (normalized)
+            leak != 0.0 ? RUN(1, 1, 1) : RUN(1, 0, 1);
+        else
+            leak != 0.0 ? RUN(0, 1, 1) : RUN(0, 0, 1);
+    } else if (normalized) {
+        leak != 0.0 ? RUN(1, 1, 0) : RUN(1, 0, 0);
+    } else {
+        leak != 0.0 ? RUN(0, 1, 0) : RUN(0, 0, 0);
+    }
+#undef RUN
 }
 """
 

@@ -2,10 +2,10 @@
 
 ``adapt_chunk`` must give the same bytes as ``adapt_chunk_numpy`` whichever
 backend runs, however the signal is cut into chunks, and must touch no
-memory past a chunk; the subprocess tests pin the compile-once cache and the
-numpy fallback without a working compiler, and the build tests pin that a
-cache it cannot use is left untouched and that the source builds without
-warnings.
+memory outside its arrays; the subprocess tests pin the compile-once cache
+and the numpy fallback without a working compiler, and the build tests pin
+that a cache it cannot use is left untouched and that the source builds
+without warnings.
 """
 import functools
 import os
@@ -26,16 +26,39 @@ CHUNK = 2000
 WARM_UP = 600  # past the longest filter and secondary path tested
 
 
-def _inputs(algorithm, L, M, unstable, delay=0):
+def _room(M, decay, freq=800.0):
+    """The benchmark's ``room_path`` of M taps with no delay: a unit-energy
+    cosine at ``freq`` Hz (8 kHz sampling) decaying by e every ``decay`` taps."""
+    k = np.arange(M)
+    taps = np.exp(-k / decay) * np.cos(2 * np.pi * freq * k / 8000.0)
+    return taps / np.sqrt(taps @ taps)
+
+
+def _gate(sec):
+    """The C kernel's J, to rounding: the first multiple of 8 from which every
+    |tap| is below 2^-55 of their sum, or M when there is none (or M > 4096).
+    The secondary-path sum may stop early only from tap J on."""
+    a = np.abs(sec)
+    bound = np.maximum.accumulate(a[::-1])[::-1][::8]
+    below = np.flatnonzero(bound < a.sum() * 2.0 ** -55)
+    return min(8 * below[0], len(a)) if len(below) and len(a) <= 4096 else len(a)
+
+
+def _inputs(algorithm, L, M, unstable, delay=0, decay=None):
     rng = np.random.default_rng(1000 * L + M)
     x = rng.standard_normal(N)
     # secondary path: ``delay`` zero taps (a bulk delay), then a unit tap and
-    # decaying taps of random sign, one of them -0.0
-    sec = 0.5 ** np.arange(M) * rng.choice((-1.0, 1.0), M)
-    if M:
-        sec[0] = 1.0
-    if M > 2:
-        sec[M // 2] = -0.0
+    # decaying taps of random sign, one of them -0.0; or, given ``decay``, a
+    # room path, which passes less of the output, so that only a step four
+    # times larger diverges
+    if decay is None:
+        sec = 0.5 ** np.arange(M) * rng.choice((-1.0, 1.0), M)
+        if M:
+            sec[0] = 1.0
+        if M > 2:
+            sec[M // 2] = -0.0
+    else:
+        sec = _room(M, decay)
     sec = np.concatenate((np.zeros(delay), sec))
     d = np.convolve(x, 0.7 ** np.arange(24))[:N]
     xf = np.convolve(x, sec)[:N] if algorithm == "FXLMS" else x
@@ -43,14 +66,16 @@ def _inputs(algorithm, L, M, unstable, delay=0):
         mu = 4.0 if unstable else 0.1
     else:
         mu = (4.0 if unstable else 0.01) / L
+    if unstable and decay is not None:
+        mu *= 4
     return x, xf, d, sec, mu
 
 
 def _run_kernel(kernel, algorithm, leak, L, M, unstable, bounds=(0, CHUNK, 2 * CHUNK, N),
-                w=None, delay=0):
+                w=None, delay=0, decay=None):
     """Run the chunks between consecutive ``bounds``, from zero weights or a
     copy of ``w``."""
-    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay)
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay, decay)
     w = np.zeros(L) if w is None else w.copy()
     y, e = np.zeros(N), np.zeros(N)
     with np.errstate(all="ignore"):
@@ -76,10 +101,10 @@ def _kernel_cases(test):
     return test
 
 
-def _matches_reference(algorithm, leak, L, M, unstable, delay):
+def _matches_reference(algorithm, leak, L, M, unstable, delay, decay=None):
     """``delay`` zero taps, then ``M`` taps; M = 0 leaves only the zero ones."""
     run = functools.partial(_run_kernel, algorithm=algorithm, leak=leak, L=L, M=M,
-                            unstable=unstable, delay=delay)
+                            unstable=unstable, delay=delay, decay=decay)
     want = run(_kernels.adapt_chunk_numpy)
     for bounds in ((0, CHUNK, 2 * CHUNK, N), (*range(0, N, 333), N)):
         got = run(_kernels.adapt_chunk, bounds=bounds)
@@ -89,7 +114,7 @@ def _matches_reference(algorithm, leak, L, M, unstable, delay):
         blew_up = not np.isfinite(e).all() or np.abs(e).max() > 1e100
     assert blew_up == (unstable and M > 0)  # with M = 0 the residual is d
     # an empty chunk, even at the end of the signal, changes nothing
-    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay)
+    x, xf, d, sec, mu = _inputs(algorithm, L, M, unstable, delay, decay)
     for at in (0, L // 2, N):
         _kernels.adapt_chunk(x, xf, d, sec, *got, at, at, mu, leak, algorithm == "NLMS", 1e-8)
     _assert_same_bytes(got, want)
@@ -126,6 +151,19 @@ def test_kernel_matches_numpy_reference_behind_other_bulk_delays(algorithm, leak
     _matches_reference(algorithm, leak, L, M, unstable, delay)
 
 
+# The benchmark's LMS and NLMS room paths: past tap ~40 decay lengths no term
+# can move the secondary-path sum, so the C kernel stops it there; each chunk
+# (333 samples in one cut) bounds the outputs the tail reads anew.
+@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
+@pytest.mark.parametrize("leak", [0.0, 1e-3])
+@pytest.mark.parametrize("L, M, decay", [(256, 512, 2.0), (192, 256, 1.0)])
+@pytest.mark.parametrize("unstable", [False, True], ids=["stable", "diverging"])
+def test_kernel_matches_numpy_reference_where_the_secondary_sum_stops_early(
+        algorithm, leak, L, M, decay, unstable):
+    assert _gate(_room(M, decay)) < M // 4
+    _matches_reference(algorithm, leak, L, M, unstable, 0, decay)
+
+
 @pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
 @pytest.mark.parametrize("leak", [0.0, 1e-3])
 @pytest.mark.parametrize("L, taps", [(1, 1), (8, 2), (64, 5)])
@@ -148,19 +186,110 @@ def test_a_filter_longer_than_the_spare_weight_buffer_matches_the_reference():
     _assert_same_bytes(got, want)
 
 
+def test_a_secondary_path_longer_than_the_tap_bounds_is_summed_whole():
+    M = 5000  # past the 4,096 taps whose bounds the C kernel keeps: no cut
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(M + 200)
+    sec = _room(M, 2.0)
+    d = np.convolve(x, 0.7 ** np.arange(24))[:len(x)]
+    got, want = [], []
+    for kernel, out in ((_kernels.adapt_chunk_numpy, want), (_kernels.adapt_chunk, got)):
+        w, y, e = np.zeros(8), np.zeros(len(x)), np.zeros(len(x))
+        for start, stop in ((0, M // 2), (M // 2, len(x))):
+            kernel(x, x, d, sec, w, y, e, start, stop, 1e-3, 0.0, False, 1e-8)
+        out += (w, y, e)
+    _assert_same_bytes(got, want)
+
+
+# y before a chunk is the caller's. A value 200 samples back meets tap 200 of a
+# room path, past where the sum may stop (about tap 40), in the chunk's first
+# residual: a huge or non-finite one must still reach it, and 0 * inf must
+# give numpy's NaN where the tail's taps are exactly zero.
+@pytest.mark.parametrize("value", [1e300, np.inf, np.nan])
+@pytest.mark.parametrize("tail", ["decaying", "zero"])
+def test_an_output_before_the_chunk_reaches_the_tail_of_the_sum(value, tail):
+    x, xf, d, _, _ = _inputs("LMS", 8, 0, False)
+    sec = _room(256, 1.0)
+    if tail == "zero":
+        sec[150:] = 0.0
+    assert _gate(sec) < 150
+    outs = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        w, y, e = np.linspace(-1e-3, 1e-3, 8), np.zeros(N), np.zeros(N)
+        y[CHUNK - 200] = value
+        with np.errstate(all="ignore"):
+            kernel(x, xf, d, sec, w, y, e, CHUNK, CHUNK + 400, 0.01 / 8, 0.0, False, 1e-8)
+        outs.append((w, y, e))
+    first = outs[0][2][CHUNK]
+    if tail == "zero" and value == 1e300:
+        assert np.isfinite(first)
+    else:
+        assert np.isnan(first) or abs(first) > 1e200
+    _assert_same_bytes(*outs)
+
+
+# Behind a bulk delay the C kernel writes most outputs in groups, and the last
+# samples of a chunk take one-sample steps whose sums may stop early. With no
+# step (mu = 0) an input burst 200 samples before a chunk's end leaves huge
+# outputs, written by groups, in the tail of those last sums.
+@pytest.mark.parametrize("delay", [1, 3])
+def test_outputs_written_in_groups_reach_the_tail_of_a_later_step(delay):
+    x, _, d, _, _ = _inputs("LMS", 8, 0, False)
+    x = x.copy()
+    for stop in (CHUNK, 2 * CHUNK):
+        x[stop - 200] = 1e100
+    sec = np.concatenate((np.zeros(delay), _room(256, 1.0)))
+    outs = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        w, y, e = np.linspace(-1e-3, 1e-3, 8), np.zeros(N), np.zeros(N)
+        for start, stop in ((0, CHUNK), (CHUNK, 2 * CHUNK)):
+            kernel(x, x, d, sec, w, y, e, start, stop, 0.0, 0.0, False, 1e-8)
+        outs.append((w, y, e))
+    assert np.isfinite(outs[0][2]).all() and abs(outs[0][2][CHUNK - 1]) > 1e3
+    _assert_same_bytes(*outs)
+
+
+# A residual that is exactly zero or subnormal where the sum may first stop
+# (tap 8: sec is 1 and then 2^-70 throughout): |r| * 2^-56 is then 0, so the
+# tail's term from 20 samples back, 2^-70 * y, must still be added.
+@pytest.mark.parametrize("head, back, want", [
+    (0.0, 1.0, -(2.0 ** -70)),
+    (-0.0, 1.0, -(2.0 ** -70)),
+    (2.0 ** -1060, 2.0 ** -1000, -(2.0 ** -1060 + 2.0 ** -1070)),
+])
+def test_a_zero_or_subnormal_residual_keeps_its_tail(head, back, want):
+    sec = np.concatenate(([1.0], np.full(255, 2.0 ** -70)))
+    assert _gate(sec) == 8
+    n = 40
+    outs = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        x, d = np.zeros(n + 1), np.zeros(n + 1)
+        x[n] = head  # y[n] = 1.0 * head, with no step
+        w, y, e = np.ones(1), np.zeros(n + 1), np.zeros(n + 1)
+        y[n - 20] = back
+        kernel(x, x, d, sec, w, y, e, n, n + 1, 0.0, 0.0, False, 1e-8)
+        assert e[n] == want
+        outs.append((w, y, e))
+    _assert_same_bytes(*outs)
+
+
 @st.composite
 def _runs(draw):
-    """A short run: L taps, D zero taps (0.0 or -0.0) then up to 8 random ones,
-    inputs scaled by up to 1e100, a step from 1e-3 to 1e20 (over L and the
-    input power, but for NLMS) and up to four chunk cuts. About a quarter
-    of the runs go non-finite."""
+    """A short run: L taps, D zero taps (0.0 or -0.0) then up to 8 random ones
+    and a tail of up to 40 taps that falls by 2^-1, 2^-4 or 2^-16 per tap, a
+    fifth of them exactly zero; inputs scaled by up to 1e100, a step from
+    1e-3 to 1e20 (over L and the input power, but for NLMS) and up to four
+    chunk cuts. About a quarter of the runs go non-finite."""
     L, D, M = draw(st.integers(1, 64)), draw(st.integers(0, 7)), draw(st.integers(0, 8))
     M = M if M or D else 1
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.sampled_from([0, 10, 50, 100]))
     x = rng.standard_normal(n) * scale
-    sec = np.concatenate((rng.choice((0.0, -0.0), D), rng.standard_normal(M)))
+    tail, fall = draw(st.integers(0, 40)), draw(st.sampled_from([1, 4, 16]))
+    tail = rng.standard_normal(tail) * 2.0 ** (-fall * np.arange(1, tail + 1))
+    tail[rng.random(len(tail)) < 0.2] = 0.0
+    sec = np.concatenate((rng.choice((0.0, -0.0), D), rng.standard_normal(M), tail))
     algorithm = draw(st.sampled_from(["LMS", "NLMS", "FXLMS"]))
     xf = np.convolve(x, sec)[:n] if algorithm == "FXLMS" else x
     d = np.convolve(x, rng.standard_normal(4))[:n]
@@ -173,7 +302,7 @@ def _runs(draw):
 
 
 def test_kernel_matches_numpy_reference_on_random_runs():
-    grouped_blow_ups = []
+    grouped_blow_ups, cut = [], []
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=None)
     @given(run=_runs())
@@ -190,10 +319,15 @@ def test_kernel_matches_numpy_reference_on_random_runs():
         bad = np.flatnonzero(~np.isfinite(y))
         if sec[0] == 0.0 and len(bad) and bad[0] >= L:
             grouped_blow_ups.append(bad[0])
+        if _gate(sec) < min(len(sec), len(x)):
+            cut.append(len(bad) > 0)
 
     same_bytes()
     # outputs that first go non-finite where a delayed path adapts in groups
     assert len(grouped_blow_ups) >= 40
+    # runs whose secondary-path sums may stop early (it counts 181), and of
+    # them, runs that go non-finite (66)
+    assert len(cut) >= 120 and sum(cut) >= 40
 
 
 def test_a_zero_lead_tap_makes_the_residual_nan_where_the_output_is_infinite():
@@ -341,12 +475,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr.decode()
 
 
-# Every array ends where a PROT_NONE page begins, so a read or write one past
-# its last sample kills the process; the last call is an empty chunk at the end.
-# Secondary paths behind 1 and 3 zero taps run the C kernel's groups of two and
-# four samples, whose sweeps read x and xf ahead of the samples they adapt.
-# Chunks that end at the arrays' end start at each offset mod 4, so some
-# group ends as near the end as one may.
+# Every array lies between two PROT_NONE pages, and each run goes twice: with
+# the arrays ending where the page after them begins, so that a read or write
+# one past the last sample kills the process, then starting where the page
+# before them ends, so that one before the first sample does (the bound on the
+# outputs a chunk's first residuals read looks back from the chunk's start).
+# The last call is an empty chunk at the end. Secondary paths behind 1 and 3
+# zero taps run the C kernel's groups of two and four samples, whose sweeps
+# read x and xf ahead of the samples they adapt; the 40-tap path falls by 2^-4
+# per tap, so its sum may stop from tap 16 on. Chunks that end at the arrays'
+# end start at each offset mod 4, so some group ends as near the end as one may.
 _GUARDED = """\
 import ctypes, itertools, mmap
 import numpy as np
@@ -355,24 +493,28 @@ from hushkit import _kernels
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 
-def guarded(values):
+def guarded(values, first):
     page = mmap.PAGESIZE
-    buf = mmap.mmap(-1, 2 * page)
+    size = -(-8 * len(values) // page) * page
+    buf = mmap.mmap(-1, size + 2 * page)
     base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    assert libc.mprotect(base + page, page, 0) == 0, ctypes.get_errno()  # PROT_NONE
-    a = np.frombuffer(buf, np.float64, len(values), page - 8 * len(values))
+    for at in (base, base + page + size):
+        assert libc.mprotect(at, page, 0) == 0, ctypes.get_errno()  # PROT_NONE
+    a = np.frombuffer(buf, np.float64, len(values),
+                      page if first else page + size - 8 * len(values))
     a[:] = values
     return a
 
 N = 300
 rng = np.random.default_rng(7)
-for (L, M), delay in itertools.product(((8, 4), (4, 8)), (0, 1, 3)):
+paths = ((8, 0.5 ** np.arange(4)), (4, 0.5 ** np.arange(8)), (6, 16.0 ** -np.arange(40)))
+for (L, path), delay, first in itertools.product(paths, (0, 1, 3), (False, True)):
     for normalized in (False, True):
         for leak in (0.0, 1e-3):
-            x, xf, d = (guarded(rng.standard_normal(N)) for _ in range(3))
-            sec = guarded(np.concatenate((np.zeros(delay), 0.5 ** np.arange(M))))
-            w = guarded(np.zeros(L))
-            y, e = guarded(np.zeros(N)), guarded(np.zeros(N))
+            x, xf, d = (guarded(rng.standard_normal(N), first) for _ in range(3))
+            sec = guarded(np.concatenate((np.zeros(delay), path)), first)
+            w = guarded(np.zeros(L), first)
+            y, e = guarded(np.zeros(N), first), guarded(np.zeros(N), first)
             for start, stop in ((0, 1), (1, N // 2), *((N // 2 + i, N) for i in range(4)),
                                 (N, N)):
                 _kernels.adapt_chunk(x, xf, d, sec, w, y, e, start, stop, 0.01, leak,
