@@ -70,9 +70,9 @@ bytes stay numpy's (where |r| * 2^-56 rounds into the subnormals, |t| is
 still below its exact value, both being multiples of 2^-1074). An r of 0 or
 NaN never passes, nor does a bound times an infinite ymax, so 0*inf in the
 tail still gives NaN. Paths with no negligible tail (J = M, as in the
-shipped configs) and paths over 4,096 taps keep the whole sum in a copy of
-the kernel without the cut, so they run no check at all; the grouped
-residuals keep it too.
+shipped configs) and paths over 4,096 taps get J = M, so their whole sum
+is the plain loop below J and they reach no check; the grouped residuals
+keep the whole sum too.
 """
 from __future__ import annotations
 
@@ -131,30 +131,29 @@ higher(double top, double v)
     return a <= top ? top : a == a ? a : INFINITY;
 }
 
-/* normalized, leak, tail and U are constants in each inlined copy, so their
+/* normalized, leak and U are constants in each inlined copy, so their
    tests leave the loops. s sums y[n] and q the NLMS norm of sample n. */
 
 /* Sample n over all taps: its residual, then the sweep that applies its
    update and, unless n is the chunk's last sample, sums s and q anew for
-   sample n + 1. With a tail (J < M), the residual sums taps 0 .. J - 1
-   whole; from tap J, a multiple of 8, it stops at the first block of 8
-   whose bound on every term left, bound[i / 8] * ymax, is below
-   |r| * 2^-56, since no such term can move r. */
+   sample n + 1. The residual sums taps 0 .. J - 1 whole; from tap J, a
+   multiple of 8, it stops at the first block of 8 whose bound on every
+   term left, bound[i / 8] * ymax, is below |r| * 2^-56, since no such term
+   can move r. With J = M the whole sum is the first loop. */
 static inline __attribute__((always_inline)) void
 step(const double *x, const double *xf, const double *d, const double *sec,
      int64_t M, int64_t J, const double *bound, double *ymax, double *w,
      int64_t L, double *y, double *e, int64_t n, int64_t stop, double *s,
      double *q, double mu, double decay, double eps, const int normalized,
-     const int leak, const int tail)
+     const int leak)
 {
     int64_t m = n + 1 < M ? n + 1 : M, k = n + 1 < L ? n + 1 : L;
-    int64_t i = 0, head = tail && J < m ? J : m;
+    int64_t i = 0, head = J < m ? J : m;
     y[n] = *s;
-    if (tail)
-        *ymax = higher(*ymax, *s);
+    *ymax = higher(*ymax, *s);
     double r = 0.0;
     for (; i < head; i++) r += sec[i] * y[n - i];
-    while (tail && i < m && !(bound[i / 8] * *ymax < fabs(r) * 0x1p-56))
+    while (i < m && !(bound[i / 8] * *ymax < fabs(r) * 0x1p-56))
         for (int64_t end = i + 8 < m ? i + 8 : m; i < end; i++)
             r += sec[i] * y[n - i];
     e[n] = d[n] - r;
@@ -273,14 +272,14 @@ begin(const double *xf, int64_t D, int64_t L, const double *y, int64_t n,
    outputs stay finite; after a group that gives up, or at a chunk that
    starts behind a non-finite output, the rest of the chunk takes steps.
    Each group writes the weights to the other of w and spare, so the one it
-   read is still whole when it gives up; they end in w. With a tail, ymax
-   bounds |y| over every output a residual from tap J reads: those before
-   the chunk that its first residual reaches, then each one written. */
+   read is still whole when it gives up; they end in w. ymax bounds |y|
+   over every output a residual from tap J reads: those before the chunk
+   that its first residual reaches, then each one written. */
 static inline __attribute__((always_inline)) void
 run(const double *x, const double *xf, const double *d, const double *sec,
     int64_t M, int64_t D, int64_t J, const double *bound, double *w, int64_t L,
     double *y, double *e, int64_t start, int64_t stop, double *spare, double mu,
-    double decay, double eps, const int normalized, const int leak, const int tail)
+    double decay, double eps, const int normalized, const int leak)
 {
     const int U = D >= 3 ? 4 : 2;
     int grouping = D >= 1 && L <= SPARE;
@@ -288,9 +287,8 @@ run(const double *x, const double *xf, const double *d, const double *sec,
     double *cur = w;
     int64_t k = start + 1 < L ? start + 1 : L;
     double s = 0.0, q[4] = {0.0, 0.0, 0.0, 0.0}, ymax = 0.0;
-    if (tail)
-        for (int64_t i = start - M + 1 > 0 ? start - M + 1 : 0; i < start; i++)
-            ymax = higher(ymax, y[i]);
+    for (int64_t i = start - M + 1 > 0 ? start - M + 1 : 0; i < start; i++)
+        ymax = higher(ymax, y[i]);
     for (int64_t j = 0; j < k; j++) {
         s += w[j] * x[start - j];
         if (normalized) q[0] += xf[start - j] * xf[start - j];
@@ -306,7 +304,7 @@ run(const double *x, const double *xf, const double *d, const double *sec,
                 double *old = cur;
                 cur = spare;
                 spare = old;
-                for (int u = 0; u < U && tail; u++)
+                for (int u = 0; u < U; u++)
                     ymax = higher(ymax, y[n + u]);
                 n += U;
                 continue;
@@ -314,7 +312,7 @@ run(const double *x, const double *xf, const double *d, const double *sec,
             grouping = 0;
         }
         step(x, xf, d, sec, M, J, bound, &ymax, cur, L, y, e, n, stop, &s, q, mu,
-             decay, eps, normalized, leak, tail);
+             decay, eps, normalized, leak);
         ready = 0;
         n++;
     }
@@ -349,20 +347,13 @@ void adapt_chunk(const double *x, const double *xf, const double *d,
             ;
         J = J < M ? J : M;
     }
-    /* one inlined copy of run per value of normalized, leak and tail */
-#define RUN(normalized, leak, tail) run(x, xf, d, sec, M, D, J, bound, w, L, y, e, \
-                                        start, stop, spare, mu, decay, eps, \
-                                        normalized, leak, tail)
-    if (J < M) {
-        if (normalized)
-            leak != 0.0 ? RUN(1, 1, 1) : RUN(1, 0, 1);
-        else
-            leak != 0.0 ? RUN(0, 1, 1) : RUN(0, 0, 1);
-    } else if (normalized) {
-        leak != 0.0 ? RUN(1, 1, 0) : RUN(1, 0, 0);
-    } else {
-        leak != 0.0 ? RUN(0, 1, 0) : RUN(0, 0, 0);
-    }
+    /* one inlined copy of run per value of normalized and leak */
+#define RUN(normalized, leak) run(x, xf, d, sec, M, D, J, bound, w, L, y, e, start, \
+                                  stop, spare, mu, decay, eps, normalized, leak)
+    if (normalized)
+        leak != 0.0 ? RUN(1, 1) : RUN(1, 0);
+    else
+        leak != 0.0 ? RUN(0, 1) : RUN(0, 0);
 #undef RUN
 }
 """
