@@ -2,12 +2,15 @@
 
 Periods are 1-based and flows occur at period ends (t = 1..T, no t=0 flow);
 ``npv`` therefore discounts C_t by (1+r)^-t, evaluated by Horner's rule. IRR
-is a per-period rate found by bracketing and bisection; it is UNDEFINED
-(returned as ``None``) when the flows never change sign, when the 0.05-step
-scan of [0, 10] finds no bracket (it misses two roots that sit in one step),
-or when |NPV| at the root is over $0.01. Break-even defaults to the
-undiscounted cumulative flow. The module uses the standard library only;
-flows are tuples of floats.
+is a per-period rate in [0, 10], refined by Brent's method (see ``irr``). It
+is UNDEFINED (returned as ``None``) when the flows never change sign; when
+they change sign once and NPV(0) and NPV(10) share a sign, so that the one
+root lies outside [0, 10]; when a scan of [0, 10] finds no sign change,
+having proved every cell root-free (float margin (T + 1) (2^-48 S +
+2^-1070), S a sum of discounted flow magnitudes) or left cells undecided at
+its floor width of ~9.3e-9 or its cap of 200 evaluations; or when |NPV| at
+the root is over $0.01. Break-even defaults to the undiscounted cumulative
+flow. The module uses the standard library only; flows are tuples of floats.
 
 Scenario analysis applies fractional :class:`Adjustment` rows to a base
 :class:`ModelSpec` - each targeted value is multiplied by (1 + pct), and
@@ -35,7 +38,9 @@ IRR_NPV_TOL = 0.01
 MAX_HORIZON = 10_000
 
 _IRR_LO, _IRR_HI = 0.0, 10.0
-_IRR_GRID_CELLS = 200  # bracket scan step: (hi - lo) / 200
+_IRR_XTOL = 1e-12  # widest final bracket
+_IRR_FLOOR = 10.0 * 2.0 ** -30  # narrowest scan cell, ~9.3e-9
+_IRR_SCAN_CAP = 200  # NPV evaluations after which a scan splits no more cells
 
 
 class ExpenseLine(Record):
@@ -197,51 +202,185 @@ def npv(flows: Sequence[float], r: float) -> float:
     return float(total)
 
 
-def _irr_grid(lo: float, hi: float):
-    """Bracket-scan points lo + i * ((hi - lo) / 200) for i < 200, then hi
-    itself: the points of ``np.linspace(lo, hi, 201)``, made one at a time."""
-    step = (hi - lo) / _IRR_GRID_CELLS
-    for i in range(_IRR_GRID_CELLS):
-        yield lo + i * step
-    yield hi
+def _sign_changes(flows: Sequence[float]) -> int:
+    """Sign changes between consecutive nonzero flows (Descartes' count)."""
+    changes, last = 0, 0.0
+    for c in flows:
+        if c:
+            changes += last < 0 < c or c < 0 < last
+            last = c
+    return changes
 
 
-def irr(flows: Sequence[float]) -> Optional[float]:
-    """Per-period internal rate of return, or None when undefined.
-
-    Brackets a sign change of npv(r) on [0, 10] and bisects until the
-    interval is tighter than 1e-12; None unless then |npv| <= $0.01. Flows
-    that never change sign have no IRR. When npv(0) and npv(10) share a
-    sign, the bracket is the first sign change of a 0.05-step scan, which
-    misses two roots that sit in one step.
-    """
-    if all(c >= 0 for c in flows) or all(c <= 0 for c in flows):
-        return None
-    lo, hi = _IRR_LO, _IRR_HI
-    f_lo, f_hi = npv(flows, lo), npv(flows, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0:
-        # scan for the first bracket inside the range, left to right
-        points = _irr_grid(lo, hi)
-        a, fa = next(points), f_lo
-        for b in points:
-            fb = npv(flows, b)
-            if fa * fb <= 0:
-                lo, hi, f_lo = a, b, fa
-                break
-            a, fa = b, fb
-        else:
-            return None
-    while hi - lo > 1e-12:
+def _bisect(flows, lo: float, hi: float, f_lo: float) -> float:
+    """The midpoint of [lo, hi] once halved to at most 1e-12 wide."""
+    while hi - lo > _IRR_XTOL:
         mid = 0.5 * (lo + hi)
         f_mid = npv(flows, mid)
         if f_lo * f_mid <= 0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    root = 0.5 * (lo + hi)
-    if abs(npv(flows, root)) > IRR_NPV_TOL:
+    return 0.5 * (lo + hi)
+
+
+def _brent(flows, a: float, fa: float, b: float, fb: float) -> Tuple[float, float]:
+    """(root, NPV there) by Brent's method on [a, b], whose ends differ in
+    sign or where NPV(b) is 0.
+
+    Each step takes inverse quadratic or secant interpolation when that
+    stays well inside the bracket and shrinks the steps fast enough, and
+    bisects otherwise (Brent 1973, ch. 4, the ``zeroin`` rules). One more
+    rule bounds the work: a step bisects when the bracket has not halved in
+    the three steps before it, so 44 halvings and at most 4 evaluations
+    each take [0, 10] below 1e-12. The root is the bracket end with the
+    smaller |NPV| once the bracket is at most 1e-12 wide, or a rate where
+    NPV is exactly 0.
+    """
+    c, fc = a, fa
+    e = d = b - a
+    mark, stalls = math.inf, 0
+    step = 0.5 * _IRR_XTOL
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            e = d = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        width = abs(c - b)
+        if fb == 0 or width <= _IRR_XTOL:
+            return b, fb
+        if width <= 0.5 * mark:
+            mark, stalls = width, 0
+        else:
+            stalls += 1
+        m = 0.5 * (c - b)
+        if stalls < 3 and abs(e) >= step and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > step else math.copysign(step, m)
+        fb = npv(flows, b)
+
+
+def _scan(flows, f_lo: float, f_hi: float):
+    """The first cell (a, NPV(a), b, NPV(b)) of [0, 10], left to right,
+    whose ends differ in sign, or None.
+
+    Cells are halved from [0, 10] down, and a cell is skipped once it is
+    proved root-free. U is the present value of the flows whose sign NPV
+    has at r = 0 and D that of the others, both as magnitudes, so
+    |NPV| = U - D up to the first root; both fall as r grows and are
+    convex. On a cell [a, b] whose right neighbour [b, c] is evaluated, U
+    lies above the line through U(b) and U(c) and D below its chord, so on
+    the cell
+
+        U - D >= min(U(b) + (U(b) - U(c)) (b - a) / (c - b) - D(a),
+                     U(b) - D(b))
+
+    with U(c) = U(b) for the last cell. The cell is root-free when that
+    exceeds the margin m = (T + 1) (2^-48 S + 2^-1070), S the sum of the U
+    and D values in the bound. Each computed value is within a relative
+    3T 2^-53, plus T subnormal steps, of the true one, so m is over the
+    rounding error of the bound. A point takes its sign from U - D unless
+    |U - D| is within the same margin of U + D, when NPV is evaluated. A
+    cell no wider than ``_IRR_FLOOR`` that is not proved is left undecided
+    and the scan goes on to its right; it stops splitting once it has made
+    ``_IRR_SCAN_CAP`` evaluations.
+    """
+    sign = 1.0 if f_lo > 0 else -1.0
+    up = [abs(c) if c * sign > 0 else 0.0 for c in flows]
+    down = [abs(c) if c * sign < 0 else 0.0 for c in flows]
+    slack = (len(flows) + 1) * 2.0 ** -48
+    tiny = (len(flows) + 1) * 2.0 ** -1070
+    calls = 0
+
+    def point(x, f=None):
+        nonlocal calls
+        u, d = npv(up, x), npv(down, x)
+        calls += 2
+        if f is None:
+            f = sign * (u - d)
+            if not abs(u - d) > slack * (u + d) + tiny:
+                f = npv(flows, x)
+                calls += 1
+        return x, f, u, d
+
+    a = point(_IRR_LO, f_lo)
+    stack = [point(_IRR_HI, f_hi)]  # open right ends, nearest last
+    while stack:
+        (xa, fa, _, da), (xb, fb, ub, db) = a, stack[-1]
+        if fb == 0 or (fb > 0) != (fa > 0):
+            return xa, fa, xb, fb
+        xc, _, uc, _ = stack[-2] if len(stack) > 1 else stack[-1]
+        lift = (ub - uc) * (xb - xa) / (xc - xb) if xc != xb else 0.0
+        bound = min(ub + lift - da, ub - db)
+        if (bound > slack * (2.0 * ub + uc + da + db) + tiny
+                or xb - xa <= _IRR_FLOOR):
+            a = stack.pop()
+        elif calls >= _IRR_SCAN_CAP:
+            return None
+        else:
+            stack.append(point(0.5 * (xa + xb)))
+    return None
+
+
+def irr(flows: Sequence[float]) -> Optional[float]:
+    """Per-period internal rate of return, or None when undefined.
+
+    Finds a root of npv(r) on [0, 10] to a bracket at most 1e-12 wide, and
+    returns it only if |npv| <= $0.01 there. By Descartes' rule of signs,
+    NPV has at most as many roots r > -1 as the flows have sign changes.
+
+    - No sign change: None.
+    - NPV(0) = 0: the root is 0.
+    - NPV(0) and NPV(10) differ in sign: with one or two sign changes the
+      root in [0, 10] is unique, and Brent's method finds it. With three or
+      more, bisection finds the root it has always found.
+    - They share a sign: with one sign change the root lies outside
+      [0, 10], so None. With two or more, ``_scan`` proves cells of [0, 10]
+      root-free from left to right, and Brent's method refines the first
+      cell whose ends differ in sign. None when there is no such cell:
+      every cell is proved root-free, or some are left undecided at the
+      floor width (~9.3e-9) or past the scan's cap of 200 evaluations.
+    """
+    changes = _sign_changes(flows)
+    if not changes:
+        return None
+    lo, hi = _IRR_LO, _IRR_HI
+    f_lo, f_hi = npv(flows, lo), npv(flows, hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0 or (f_hi > 0) != (f_lo > 0):
+        if changes >= 3:
+            root = _bisect(flows, lo, hi, f_lo)
+            f_root = npv(flows, root)
+        else:
+            root, f_root = _brent(flows, lo, f_lo, hi, f_hi)
+    elif changes == 1:
+        return None
+    else:
+        cell = _scan(flows, f_lo, f_hi)
+        if cell is None:
+            return None
+        root, f_root = _brent(flows, *cell)
+    if not abs(f_root) <= IRR_NPV_TOL:
         return None
     return root
 

@@ -616,6 +616,22 @@ def test_money_figure_that_overflows_exits_1(configs_dir, tmp_path, capsys):
             "error: cannot round the non-finite value inf\n")
 
 
+def test_npv_that_overflows_exits_1_without_an_irr_scan(configs_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    # 21 periods of 1e154 units at 1e154: each flow is finite, but NPV
+    # overflows to inf. With one sign change and NPV(0), NPV(10) > 0 the IRR
+    # is null after two evaluations, with no scan of [0, 10]
+    path = _edited_config(configs_dir, tmp_path, "econ_base", ("sales",),
+                          lambda s: s.update(first=4, units=1e154, unit_price=1e154))
+    rates, npv = [], hushkit.econ.npv
+    monkeypatch.setattr(hushkit.econ, "npv",
+                        lambda flows, r: rates.append(r) or npv(flows, r))
+    assert run(["econ", "npv", "--config", str(path)], tmp_path) == (1, b"")
+    assert capsys.readouterr().err == (
+        "error: cannot round the non-finite value inf\n")
+    assert len(rates) <= 4
+
+
 # case -> (command, shipped config, edit, the formats whose report carries
 # the non-finite figure, that figure)
 _NON_FINITE_FIGURES = {

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hushkit import ValidationError, econ
 from hushkit.econ import (COST, MAX_HORIZON, PRICE, UNITS, Adjustment,
@@ -103,13 +103,6 @@ def test_irr_none_when_the_bisected_root_misses_the_tolerance():
     assert irr([-1e20, 1.1e20]) is None
 
 
-def test_irr_grid_is_linspace():
-    grid = list(econ._irr_grid(0.0, 10.0))
-    expected = np.linspace(0, 10, 201).tolist()
-    assert len(grid) == len(expected) == 201
-    assert all(a == b for a, b in zip(grid, expected))
-
-
 def test_irr_scan_stops_at_the_first_bracket(monkeypatch):
     # NPV(r) * (1+r)^3 = -100 (1+r - 1.12)(1+r - 1.3): negative at r = 0 and
     # r = 10, so the scan runs; the first sign change is at r = 0.12
@@ -126,12 +119,9 @@ def test_irr_scan_stops_at_the_first_bracket(monkeypatch):
     assert sum(r in grid for r in rates) < 20
 
 
-@pytest.mark.xfail(strict=True, reason="the 0.05-step bracket scan steps over "
-                   "two roots that sit in one step, so the IRR is reported as None")
 def test_irr_found_when_two_roots_share_a_scan_step():
     # NPV is +9.19 at r = 1.00, -2.97 at 1.02 and +22.76 at 1.05: IRRs near
-    # 1.01 and 1.03, both inside the scan step (1.00, 1.05); `econ npv
-    # --require-irr` on this model exits 2 and prints `undefined`
+    # 1.01 and 1.03, 0.02 apart, and NPV > 0 at both ends of [0, 10]
     model = ModelSpec(
         horizon=3, discount_rate=0.1,
         expenses=(ExpenseLine("first", 1, 1, 245_080.02),
@@ -142,6 +132,143 @@ def test_irr_found_when_two_roots_share_a_scan_step():
     assert root is not None
     assert min(abs(root - 1.01), abs(root - 1.03)) < 0.005
     assert abs(npv(build_cash_flows(model), root)) <= econ.IRR_NPV_TOL
+
+
+def _irr_by_bisection(flows):
+    """The former bisection of [0, 10], kept as the oracle for flows whose
+    NPV differs in sign at the two ends."""
+    lo, hi = 0.0, 10.0
+    f_lo = npv(flows, lo)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        f_mid = npv(flows, mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    root = 0.5 * (lo + hi)
+    return root if abs(npv(flows, root)) <= econ.IRR_NPV_TOL else None
+
+
+def _irr_and_evaluations(flows):
+    """(irr(flows), the number of NPV evaluations it made)."""
+    rates = []
+
+    def counting_npv(values, r):
+        rates.append(r)
+        return npv(values, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(econ, "npv", counting_npv)
+        root = irr(flows)
+    return root, len(rates)
+
+
+def _flows_with_roots(rates, factors=(), scale=1.0):
+    """C_1..C_T with NPV(r) = scale * prod(1+r - (1+rate)) * prod(1+r + k)
+    / (1+r)^T: an IRR at each rate, and no other root r > -1 when every k is
+    positive."""
+    coeffs = [scale]
+    for root in [1.0 + rate for rate in rates] + [-k for k in factors]:
+        coeffs = [c - root * prev for c, prev in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return coeffs
+
+
+@st.composite
+def rates_in_range(draw):
+    """One to three IRRs in [0.001, 9.99], at least 0.001 apart: the gaps
+    are often under the old scan's 0.05 step. The ends stay clear of 0 and
+    10, where rounding the coefficients could move a root out of range."""
+    rates = [draw(st.floats(0.001, 9.9))]
+    for _ in range(draw(st.integers(0, 2))):
+        gap = draw(st.one_of(st.floats(0.001, 0.05), st.floats(0.05, 5.0)))
+        if rates[-1] + gap <= 9.99:
+            rates.append(rates[-1] + gap)
+    return rates
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rates_in_range(), st.lists(st.floats(0.1, 5.0), max_size=3),
+       st.floats(1.0, 1e6), st.sampled_from([-1.0, 1.0]))
+def test_irr_finds_one_of_the_built_in_roots(rates, factors, scale, sign):
+    flows = _flows_with_roots(rates, factors, sign * scale)
+    root = irr(flows)
+    assert root is not None
+    assert min(abs(root - rate) for rate in rates) <= 1e-6
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=40), st.data())
+def test_irr_matches_bisection_where_the_ends_bracket_the_root(magnitudes, data):
+    # one or two sign changes: a root bracketed by [0, 10] is the only one
+    cuts = data.draw(st.lists(st.integers(1, len(magnitudes) - 1),
+                              min_size=1, max_size=2))
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    flows = [m * sign * (-1) ** sum(t >= cut for cut in cuts)
+             for t, m in enumerate(magnitudes)]
+    f_lo, f_hi = npv(flows, 0.0), npv(flows, 10.0)
+    assume(f_lo * f_hi < 0 and 1 <= econ._sign_changes(flows) <= 2)
+    root, oracle = irr(flows), _irr_by_bisection(flows)
+    assert root is not None and oracle is not None
+    assert abs(root - oracle) <= 2e-12
+
+
+def test_irr_keeps_the_bisection_root_on_three_sign_changes():
+    # IRRs at 0.1, 0.5 and 2.0, and NPV(0) < 0 < NPV(10)
+    flows = _flows_with_roots([0.1, 0.5, 2.0], scale=100.0)
+    assert econ._sign_changes(flows) == 3
+    assert irr(flows) == _irr_by_bisection(flows) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_irr_evaluations_on_a_long_one_sign_change_model():
+    # outflows for 6 periods, then 234 periods of sales
+    flows = [-50_000.0] * 6 + [9_000.0] * 234
+    root, evaluations = _irr_and_evaluations(flows)
+    assert root == pytest.approx(_irr_by_bisection(flows), abs=2e-12)
+    assert evaluations <= 20
+
+
+def test_irr_evaluations_when_a_grant_dominates_every_rate():
+    # a grant, three periods of build-out and thin sales: two sign changes,
+    # and NPV > 0 on all of [0, 10]
+    flows = [400_000.0] + [-40_000.0] * 3 + [4_000.0] * 236
+    root, evaluations = _irr_and_evaluations(flows)
+    assert root is None
+    assert evaluations <= 15
+
+
+# the most a call may make: 2 for the ends, the scan's cap plus the 3 of its
+# last point, and Brent's method at 4 per halving of [0, 10] down to 1e-12
+_MOST_EVALUATIONS = 2 + econ._IRR_SCAN_CAP + 3 + 4 * 44
+
+
+def test_irr_evaluations_on_a_tangent_double_root():
+    # NPV(r) = -(1+r - 1.1)^2 / (1+r)^3 touches 0 at r = 0.1 without a sign
+    # change, so no cell around it can be proved root-free
+    root, evaluations = _irr_and_evaluations([-1.0, 2.2, -1.21])
+    assert root is None or root == pytest.approx(0.1, abs=1e-6)
+    assert evaluations <= _MOST_EVALUATIONS
+
+
+@pytest.mark.parametrize("flows", [
+    [1e307] * 20 + [-1e307],
+    [-1e307] * 3 + [1e307] * 30 + [-1e307] * 3,
+    [1e307] * 5 + [-1e307] * 30 + [1e307] * 5,
+])
+def test_irr_evaluations_when_npv_at_zero_overflows(flows):
+    assert math.isinf(npv(flows, 0.0))
+    _, evaluations = _irr_and_evaluations(flows)
+    assert evaluations <= _MOST_EVALUATIONS
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e307, 1e307),
+                          st.sampled_from([1e307, -1e307])),
+                min_size=2, max_size=60))
+def test_irr_evaluations_on_wide_magnitude_flows(flows):
+    root, evaluations = _irr_and_evaluations(flows)
+    assert evaluations <= _MOST_EVALUATIONS
+    assert root is None or 0.0 <= root <= 10.0
 
 
 # ----------------------------------------------------------------- break-even
