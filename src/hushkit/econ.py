@@ -2,15 +2,9 @@
 
 Periods are 1-based and flows occur at period ends (t = 1..T, no t=0 flow);
 ``npv`` therefore discounts C_t by (1+r)^-t, evaluated by Horner's rule. IRR
-is a per-period rate in [0, 10], refined by Brent's method (see ``irr``). It
-is UNDEFINED (returned as ``None``) when the flows never change sign; when
-they change sign once and NPV(0) and NPV(10) share a sign, so that the one
-root lies outside [0, 10]; when a scan of [0, 10] finds no sign change,
-having proved every cell root-free (float margin (T + 1) (2^-48 S +
-2^-1070), S a sum of discounted flow magnitudes) or left cells undecided at
-its floor width of ~9.3e-9 or its cap of 200 evaluations; or when |NPV| at
-the root is over $0.01. Break-even defaults to the undiscounted cumulative
-flow. The module uses the standard library only; flows are tuples of floats.
+is a per-period rate in [0, 10], or ``None`` when undefined (see ``irr`` and
+``_scan`` for when). Break-even defaults to the undiscounted cumulative flow.
+The module uses the standard library only; flows are tuples of floats.
 
 Scenario analysis applies fractional :class:`Adjustment` rows to a base
 :class:`ModelSpec` - each targeted value is multiplied by (1 + pct), and
@@ -113,11 +107,15 @@ class ModelSpec(Record):
         if len(set(names)) != len(names):
             raise ValidationError("expense line names must be unique")
         for line in self.expenses:
-            if line.last > self.horizon:
-                raise ValidationError(
-                    f"expense line {line.name!r}: last period exceeds the horizon")
+            _check_last(line, self.horizon)
         if self.sales.last > self.horizon:
             raise ValidationError("sales window: last period exceeds the horizon")
+
+
+def _check_last(line: ExpenseLine, horizon: int) -> None:
+    if line.last > horizon:
+        raise ValidationError(
+            f"expense line {line.name!r}: last period exceeds the horizon")
 
 
 class Adjustment(Record):
@@ -161,15 +159,6 @@ class EconResult(Record):
     line_deltas: Tuple[LineDelta, ...]
 
 
-def _flows(periods: int, blocks) -> list:
-    """Per-period sums over periods 1..``periods`` of (first, last, amount)
-    blocks, each period adding its blocks in order."""
-    flows = [0.0] * periods
-    for first, last, amount in blocks:
-        flows[first - 1 : last] = [f + amount for f in flows[first - 1 : last]]
-    return flows
-
-
 def _sales_block(s: SalesBlock) -> Tuple[int, int, float]:
     """The sales block as (first, last, per-period amount)."""
     return s.first, s.last, s.units * (s.unit_price + s.unit_cost)
@@ -180,11 +169,13 @@ def build_cash_flows(spec: ModelSpec) -> Tuple[float, ...]:
     ``units * (unit_price + unit_cost)`` inside the sales window.
 
     Index 0 of the returned tuple is period 1. Each period adds its expense
-    lines in order, then the sales block.
+    lines in order, then the sales block, to 0.0.
     """
-    blocks = [(line.first, line.last, line.rate) for line in spec.expenses]
-    blocks.append(_sales_block(spec.sales))
-    return tuple(_flows(spec.horizon, blocks))
+    flows = [0.0] * spec.horizon
+    for first, last, amount in (*(line[1:] for line in spec.expenses),
+                                _sales_block(spec.sales)):
+        flows[first - 1 : last] = [f + amount for f in flows[first - 1 : last]]
+    return tuple(flows)
 
 
 def npv(flows: Sequence[float], r: float) -> float:
@@ -217,7 +208,7 @@ def _bisect(flows, lo: float, hi: float, f_lo: float) -> float:
     while hi - lo > _IRR_XTOL:
         mid = 0.5 * (lo + hi)
         f_mid = npv(flows, mid)
-        if f_lo * f_mid <= 0:
+        if f_mid == 0 or (f_mid > 0) != (f_lo > 0):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
@@ -417,39 +408,37 @@ def break_even(flows: Sequence[float], r: float = 0.0,
     return None
 
 
+def _adjusted(adj: Adjustment, lines: dict, sales: SalesBlock):
+    """The expense line or sales block that ``adj`` makes of the one in
+    ``lines`` (by name) or ``sales`` it targets; unknown targets fail."""
+    line = lines.get(adj.target)
+    if line is not None:
+        # overrides are given together or not at all
+        window = line[1:3] if adj.first is None else (adj.first, adj.last)
+        return ExpenseLine(line.name, *window, line.rate * (1.0 + adj.pct))
+    if adj.target not in SALES_TARGETS:
+        raise ValidationError(
+            f"adjustment target {adj.target!r} matches no expense line "
+            f"and none of {'/'.join(SALES_TARGETS)}")
+    if adj.first is not None:
+        raise ValidationError(
+            f"adjustment {adj.target!r}: period overrides apply only to expense lines")
+    field = _SALES_FIELDS[adj.target]
+    return sales._replace(**{field: getattr(sales, field) * (1.0 + adj.pct)})
+
+
 def apply_adjustments(spec: ModelSpec,
                       adjustments: Sequence[Adjustment]) -> ModelSpec:
     """Return a new spec with every adjustment applied; unknown targets fail."""
     lines = {line.name: line for line in spec.expenses}
     sales = spec.sales
     for adj in adjustments:
-        if adj.target in lines:
-            line = lines[adj.target]
-            # overrides are given together or not at all
-            first, last = ((line.first, line.last) if adj.first is None
-                           else (adj.first, adj.last))
-            lines[adj.target] = ExpenseLine(line.name, first, last,
-                                            line.rate * (1.0 + adj.pct))
-        elif adj.target in SALES_TARGETS:
-            if adj.first is not None:
-                raise ValidationError(
-                    f"adjustment {adj.target!r}: period overrides apply only to expense lines")
-            field = _SALES_FIELDS[adj.target]
-            sales = sales._replace(**{field: getattr(sales, field) * (1.0 + adj.pct)})
+        if adj.target in SALES_TARGETS:
+            sales = _adjusted(adj, lines, sales)
         else:
-            raise ValidationError(
-                f"adjustment target {adj.target!r} matches no expense line "
-                f"and none of {'/'.join(SALES_TARGETS)}")
+            lines[adj.target] = _adjusted(adj, lines, sales)
     ordered = tuple(lines[line.name] for line in spec.expenses)
     return ModelSpec(spec.horizon, spec.discount_rate, ordered, sales)
-
-
-def _target_block(spec: ModelSpec, target: str) -> Tuple[int, int, float]:
-    """(first, last, per-period amount) of the block ``target`` addresses."""
-    if target in SALES_TARGETS:
-        return _sales_block(spec.sales)
-    line = next(line for line in spec.expenses if line.name == target)
-    return line.first, line.last, line.rate
 
 
 def sensitivity(spec: ModelSpec, adjustments: Iterable[Adjustment]
@@ -461,20 +450,35 @@ def sensitivity(spec: ModelSpec, adjustments: Iterable[Adjustment]
 
     An adjustment changes one block, so ΔNPV is the NPV of the difference
     flow: the adjusted block minus the base one over the union of their
-    windows, zero elsewhere, summed by Horner's rule from its last period
-    back. The base flows are built once per table, for the base NPV only; a
-    row costs O(last changed period), and its ΔNPV does not cancel against
-    a huge base NPV the way a difference of two NPVs would.
+    windows, zero elsewhere. It does not cancel against a huge base NPV the
+    way a difference of two NPVs would. The base flows are built once, for
+    the base NPV. A row builds only its adjusted line or sales block, with
+    the checks of ``apply_adjustments``, and no model. Its difference flow
+    is constant between the windows' ends, so it has at most four runs, and
+    Horner's rule makes each run's flow once: the row has the same bits as
+    the Horner NPV of the difference flow.
     """
     r = spec.discount_rate
     base = npv(build_cash_flows(spec), r)
+    step = 1.0 + r
+    lines = {line.name: line for line in spec.expenses}
     rows = []
     for adj in adjustments:
-        adjusted = apply_adjustments(spec, [adj])
-        first0, last0, before = _target_block(spec, adj.target)
-        first, last, after = _target_block(adjusted, adj.target)
-        delta = npv(_flows(max(last0, last),
-                           [(first, last, after), (first0, last0, -before)]), r)
+        block = _adjusted(adj, lines, spec.sales)
+        if adj.target in SALES_TARGETS:
+            was, now = _sales_block(spec.sales), _sales_block(block)
+        else:
+            _check_last(block, spec.horizon)
+            was, now = lines[adj.target][1:], block[1:]  # first, last, rate
+        (first0, last0, before), (first, last, after) = was, now
+        cuts = sorted((0, first - 1, last, first0 - 1, last0), reverse=True)
+        total = 0.0
+        for hi, lo in zip(cuts, cuts[1:]):  # periods hi down to lo + 1
+            c = 0.0 + after if first <= hi <= last else 0.0  # as build_cash_flows adds
+            c = c + -before if first0 <= hi <= last0 else c
+            for _ in range(hi - lo):
+                total = (total + c) / step
+        delta = float(total)
         rows.append((adj.target, adj.pct, first, last, delta,
                      delta / base if base != 0.0 else None))
     return base, tuple(rows)

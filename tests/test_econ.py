@@ -1,5 +1,6 @@
 """Cash-flow engine: NPV, IRR, break-even, adjustments, sensitivity."""
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,15 @@ def test_irr_keeps_the_bisection_root_on_three_sign_changes():
     flows = _flows_with_roots([0.1, 0.5, 2.0], scale=100.0)
     assert econ._sign_changes(flows) == 3
     assert irr(flows) == _irr_by_bisection(flows) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_irr_bisection_compares_signs_where_the_npv_product_underflows():
+    # IRRs at 0.1, 0.5 and 2.0, and NPV(0) = -1e-169 < 0 < NPV(10); the
+    # product of two such NPVs underflows to 0, which read as a sign change
+    # at every step and gave 2.8e-13, where no root is near
+    flows = [1e-168, -5.6e-168, 9.45e-168, -4.95e-168]
+    assert econ._sign_changes(flows) == 3
+    assert irr(flows) == irr([1.0, -5.6, 9.45, -4.95]) == 2.0000000000001705
 
 
 def test_irr_evaluations_on_a_long_one_sign_change_model():
@@ -546,6 +556,105 @@ def test_sensitivity_rows_agree_with_the_exact_delta_npv(model):
     for adj, row in zip(adjustments, rows, strict=True):
         assert_exact_within_horner_bound(row[4], spec, adj)
         assert row[5] == (row[4] / base if base != 0.0 else None)
+
+
+def _reference_sensitivity(spec, adjustments):
+    """The row loop that built each row's adjusted model: ``apply_adjustments``,
+    the target's block in both models, and ``npv`` of the difference flow
+    summed period by period, adjusted block first."""
+    r = spec.discount_rate
+    base = npv(build_cash_flows(spec), r)
+    rows = []
+    for adj in adjustments:
+        adjusted = apply_adjustments(spec, [adj])
+        first0, last0, before = _block(spec, adj.target)
+        first, last, after = _block(adjusted, adj.target)
+        flows = [0.0] * max(last0, last)
+        for lo, hi, amount in ((first, last, after), (first0, last0, -before)):
+            flows[lo - 1 : hi] = [f + amount for f in flows[lo - 1 : hi]]
+        delta = npv(flows, r)
+        rows.append((adj.target, adj.pct, first, last, delta,
+                     delta / base if base != 0.0 else None))
+    return base, tuple(rows)
+
+
+def _outcome(table, spec, adjustments):
+    """The table's floats as their bits, or the message it fails with."""
+    def bits(value):
+        return struct.pack("<d", value) if isinstance(value, float) else value
+
+    try:
+        base, rows = table(spec, adjustments)
+    except ValidationError as exc:
+        return str(exc)
+    return bits(base), [tuple(map(bits, row)) for row in rows]
+
+
+@st.composite
+def wide_models_with_rows(draw):
+    """A model of at most 40 periods with values from 1e-300 to 1e300, a
+    discount rate from near -1 to large, and rows against it. Half the
+    tables may hold invalid rows: unknown targets, overrides on sales
+    targets or past the horizon, and pcts that overflow a value or make it
+    negative."""
+    horizon = draw(st.integers(1, 40))
+
+    def window(end=horizon):
+        first = draw(st.integers(1, end))
+        return first, draw(st.integers(first, end))
+
+    def magnitude():
+        return draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+                              st.floats(-300, 300).map(lambda e: 10.0 ** e),
+                              st.floats(-3, 7).map(lambda e: 10.0 ** e)))
+
+    names = [f"L{i}" for i in range(draw(st.integers(0, 4)))]
+    expenses = tuple(ExpenseLine(name, *window(), draw(st.sampled_from([-1.0, 1.0]))
+                                 * magnitude()) for name in names)
+    sales = SalesBlock(*window(), magnitude(), magnitude(), -magnitude())
+    rate = draw(st.one_of(
+        st.sampled_from([-1 + 2**-52, -1 + 1e-9, -0.999, 0.0, 1e10, 1e300]),
+        st.floats(-0.99, 2.0), st.floats(-1.0, 1e3, exclude_min=True)))
+    spec = ModelSpec(horizon, rate, expenses, sales)
+    valid = draw(st.booleans())
+    pcts = (st.one_of(st.sampled_from([-1.0, 0.0, -0.0]), st.floats(-1.0, 3.0)) if valid
+            else st.one_of(st.sampled_from([1e300, -1e300, -3.0]), st.floats(-1e10, 1e10)))
+    targets = [*names, UNITS, PRICE, COST] + ([] if valid else ["Nope"])
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        target = draw(st.sampled_from(targets))
+        moved = (target in names or not valid) and draw(st.booleans())
+        overrides = (window(horizon if valid else horizon + 3) if moved
+                     else (None, None))
+        rows.append(Adjustment(target, draw(pcts), *overrides))
+    return spec, rows
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(wide_models_with_rows())
+def test_sensitivity_rows_match_the_rebuilt_model_rows_bit_for_bit(model):
+    spec, adjustments = model
+    outcome = _outcome(sensitivity, spec, adjustments)
+    assert outcome == _outcome(_reference_sensitivity, spec, adjustments)
+    if isinstance(outcome, str):  # the first bad row is the one named
+        alone = (_outcome(_reference_sensitivity, spec, [adj]) for adj in adjustments)
+        assert outcome == next(o for o in alone if isinstance(o, str))
+
+
+def test_sensitivity_rows_build_no_model_and_one_npv(monkeypatch):
+    spec = base_model()
+    targets = [*(line.name for line in spec.expenses), UNITS, PRICE, COST]
+    adjustments = [Adjustment(targets[i % 8], 0.01 * (i - 75),
+                              *((2, 9) if i % 8 < 5 and i % 3 == 0 else (None, None)))
+                   for i in range(150)]
+    npv_calls, models = [], []
+    monkeypatch.setattr(econ, "npv", lambda flows, r: npv_calls.append(r) or npv(flows, r))
+    monkeypatch.setattr(ModelSpec, "_check", lambda self: models.append(self))
+    base, rows = sensitivity(spec, adjustments)
+    assert (len(rows), models, npv_calls) == (150, [], [spec.discount_rate])
+    monkeypatch.undo()
+    assert _outcome(lambda s, a: (base, rows), spec, adjustments) == _outcome(
+        _reference_sensitivity, spec, adjustments)
 
 
 @pytest.mark.parametrize("name", [UNITS, PRICE, COST])
