@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
@@ -28,7 +29,6 @@ from .errors import ValidationError
 FORMATS = ("table", "json", "csv")
 
 _NUM = (int, float)
-_PLAIN = (str, int, float, dict)
 
 # `anc_run` stays an attribute of this module (PEP 562), resolved through
 # the package, which imports its module on first use.
@@ -52,7 +52,9 @@ def __getattr__(name):
 # required. A record's name in place of a field spreads its fields, kinds
 # and defaults into the table, read as plain values. A default of None
 # marks an optional field; in `plan risk` an omitted option takes the
-# library's default. A string may hold no NUL and no lone surrogate.
+# library's default. A string may hold no NUL and no lone surrogate. Each
+# schema is read through a table built once, on its first read (`_reader`):
+# its fields flattened, spreads resolved, each kind resolved to a reader.
 
 _REQUIRED = object()
 
@@ -123,54 +125,88 @@ def _record(name: str):
                       for field in cls._fields)
 
 
-def _read(mapping, context: str, schema):
-    """Read the JSON object ``mapping`` by ``schema``; unknown fields are
-    errors, which name the object by ``context``."""
-    if not isinstance(mapping, dict):
-        raise ValidationError(f"{context} must be a JSON object")
+@functools.cache
+def _reader(context: str, schema=None):
+    """The reader ``f(mapping)`` of the config object ``context`` by ``schema``
+    or its _SCHEMAS entry; a ``schema`` given is hashable, so equal ones share."""
+    read = _object(_SCHEMAS[context] if schema is None else schema)
+    return lambda mapping: read(mapping, context)
+
+
+def _object(schema):
+    """The reader ``f(mapping, context)`` of a JSON object by ``schema``, over
+    its (name, reader, default) fields, spreads resolved, and their names;
+    unknown fields are errors, which name the object by ``context``."""
     make, table = ((SimpleNamespace, schema) if isinstance(schema, tuple)
                    else _record(schema))
-    values = {name: _field(mapping, context, name, kind, default)
-              for entry in table
-              for name, kind, default in (
-                  _record(entry)[1] if isinstance(entry, str) else (entry,))}
-    unknown = mapping.keys() - values.keys()
-    if unknown:
-        raise ValidationError(f"{context}: unknown field '{min(unknown)}'")
-    return make(**values)
+    fields = tuple((name, _kind(kind), default) for entry in table
+                   for name, kind, default in (
+                       _record(entry)[1] if isinstance(entry, str) else (entry,)))
+    names = frozenset(name for name, _, _ in fields)
+
+    def read(mapping, context: str):
+        if not isinstance(mapping, dict):
+            raise ValidationError(f"{context} must be a JSON object")
+        values = {}
+        for name, field, default in fields:
+            if name in mapping:
+                values[name] = field(mapping[name], context, name)
+            elif default is _REQUIRED:
+                raise ValidationError(f"{context}: missing required field '{name}'")
+            else:
+                values[name] = default
+        if not names.issuperset(mapping):
+            raise ValidationError(
+                f"{context}: unknown field '{min(mapping.keys() - names)}'")
+        return make(**values)
+    return read
 
 
-def _field(mapping, context: str, name: str, kind, default):
-    if name not in mapping:
-        if default is _REQUIRED:
-            raise ValidationError(f"{context}: missing required field '{name}'")
-        return default
-    value = mapping[name]
-    if isinstance(kind, FunctionType):
-        return kind(value, context, name)
-    plain = kind in _PLAIN
-    json_type = (_NUM if kind is float else kind if plain
-                 else list if isinstance(kind, list) else dict)
-    # JSON true/false must not satisfy numeric fields
-    if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValidationError(f"{context}: field '{name}' has the wrong type")
-    if kind is float:
-        return float(value)
-    if isinstance(value, str) and not clean(value):
+def _of(json_type, read=None):
+    """The reader of a ``json_type`` field, then read by ``read``, if given."""
+    def field(value, context: str, name: str):
+        # JSON true/false must not satisfy numeric fields
+        if not isinstance(value, json_type) or isinstance(value, bool):
+            raise ValidationError(f"{context}: field '{name}' has the wrong type")
+        return value if read is None else read(value, context, name)
+    return field
+
+
+def _clean(value: str, context: str, name: str) -> str:
+    if not clean(value):
         raise ValidationError(
             f"{context}: field '{name}' holds a NUL or a lone surrogate")
-    if plain:
-        return value
+    return value
+
+
+_PLAIN = {str: _of(str, _clean), int: _of(int), dict: _of(dict),
+          float: _of(_NUM, lambda value, context, name: float(value))}
+
+
+def _kind(kind):
+    """The reader ``f(value, context, name)`` of a field of ``kind``."""
+    if isinstance(kind, FunctionType):
+        return kind
     if isinstance(kind, list):
-        return tuple(_read(item, f"{name}[{i}]", kind[0])
-                     for i, item in enumerate(value))
+        item = _object(kind[0])
+        return _of(list, lambda value, context, name: tuple(
+            item(v, f"{name}[{i}]") for i, v in enumerate(value)))
     if isinstance(kind, dict):
-        tag = _field(value, name, "kind", str, _REQUIRED)
-        if tag not in kind:
-            raise ValidationError(
-                f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
-        kind = kind[tag]
-    return _read(value, name, kind)
+        tagged = {tag: _object(table) for tag, table in kind.items()}
+
+        def read(value, context: str, name: str):
+            if "kind" not in value:
+                raise ValidationError(f"{name}: missing required field 'kind'")
+            tag = _PLAIN[str](value["kind"], name, "kind")
+            if tag not in tagged:
+                raise ValidationError(
+                    f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
+            return tagged[tag](value, name)
+        return _of(dict, read)
+    if isinstance(kind, (tuple, str)):
+        nested = _object(kind)
+        return _of(dict, lambda value, context, name: nested(value, name))
+    return _PLAIN[kind]
 
 
 def _load_config(path_str: str):
@@ -211,7 +247,7 @@ def _load_config(path_str: str):
 
 def _config(args, context: str):
     """The command's config file read by the schema named ``context``."""
-    return _read(_load_config(args.config), context, _SCHEMAS[context])
+    return _reader(context)(_load_config(args.config))
 
 
 def _resolve(path_str: str, config_path: str) -> Path:
@@ -303,8 +339,7 @@ def _cmd_econ_eval(args):
 
     raw = _load_config(args.config)
     # a bare model is a config without adjustments
-    c = _read(raw if "model" in raw else {"model": raw}, "econ config",
-              _SCHEMAS["econ config"])
+    c = _reader("econ config")(raw if "model" in raw else {"model": raw})
     result = econ.evaluate(c.model, c.adjustments,
                            discounted_breakeven=args.discounted_breakeven)
     code = 2 if args.require_irr and result.irr is None else 0
@@ -408,8 +443,8 @@ def _cmd_cost_bom(args):
 
     discrepancies = ()
     if c.expected is not None:
-        expected = _read(c.expected, "expected",
-                         tuple((label, float, None) for label in auditable))
+        expected = _reader("expected", tuple((label, float, None)
+                                             for label in auditable))(c.expected)
         discrepancies = costing.check_discrepancies(sorted(
             (label, auditable[label], value)
             for label, value in vars(expected).items() if value is not None))
@@ -492,12 +527,39 @@ def _check_format(fmt: str) -> None:
             f"unsupported --format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
+# how json.dumps writes a leaf, by its exact type
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it,
+    a tuple as a list, but without its pure-Python encoder; a leaf not of
+    exactly a type of _LEAVES is a TypeError. A container writes its leaves
+    itself, which saves a call per leaf."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        items, ends = [encode_basestring_ascii(key) + ": " + (
+            leaf(item) if (leaf := _LEAVES.get(type(item))) else _json(item, inner))
+            for key, item in sorted(value.items())], "{}"
+    elif type(value) is list or type(value) is tuple:
+        items, ends = [leaf(item) if (leaf := _LEAVES.get(type(item))) else _json(item, inner)
+                       for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def emit_report(view, fmt: str) -> bytes:
     """Serialize a report view in ``fmt``: a dict as JSON, rows as CSV, lines
     as a table; identical views give identical bytes."""
     _check_format(fmt)
     if fmt == "json":
-        text = json.dumps(view, sort_keys=True, indent=2) + "\n"
+        text = _json(view) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(view)

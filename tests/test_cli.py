@@ -10,7 +10,9 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType, SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_golden import SHIPPED, SIGNED_ZERO
@@ -18,9 +20,10 @@ from test_golden import SHIPPED, SIGNED_ZERO
 import hushkit
 from hushkit import ValidationError
 from hushkit.anc import MAX_DURATION_SAMPLES, MAX_FILTER_LENGTH
-from hushkit.cli import (_COMMANDS, _OPTIONS, _SCHEMAS, FORMATS, _rate, _record,
-                         emit_report, main)
-from hushkit.costing import ASSEMBLY_COLUMNS, BOM_COLUMNS
+from hushkit._tables import clean
+from hushkit.cli import (_COMMANDS, _OPTIONS, _REQUIRED, _SCHEMAS, FORMATS, _rate,
+                         _reader, _record, emit_report, main)
+from hushkit.costing import ASSEMBLY_COLUMNS, BOM_COLUMNS, BomSummary
 from hushkit.econ import MAX_HORIZON
 
 
@@ -1651,6 +1654,216 @@ def test_fuzzed_configs_exit_cleanly(case, fmt, tmp_path, capsysbinary):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     _exits_cleanly(command, path, fmt, capsysbinary, config)
+
+
+# ------------------------------------------------- reader and encoder checks
+
+def _reference_read(mapping, context, schema):
+    """The schema walk the reader tables replaced, kept as their reference:
+    ``mapping`` read by ``schema``, one field at a time."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{context} must be a JSON object")
+    make, table = ((SimpleNamespace, schema) if isinstance(schema, tuple)
+                   else _record(schema))
+    values = {name: _reference_field(mapping, context, name, kind, default)
+              for entry in table
+              for name, kind, default in (
+                  _record(entry)[1] if isinstance(entry, str) else (entry,))}
+    unknown = mapping.keys() - values.keys()
+    if unknown:
+        raise ValidationError(f"{context}: unknown field '{min(unknown)}'")
+    return make(**values)
+
+
+def _reference_field(mapping, context, name, kind, default):
+    if name not in mapping:
+        if default is _REQUIRED:
+            raise ValidationError(f"{context}: missing required field '{name}'")
+        return default
+    value = mapping[name]
+    if isinstance(kind, FunctionType):
+        return kind(value, context, name)
+    plain = kind in (str, int, float, dict)
+    json_type = ((int, float) if kind is float else kind if plain
+                 else list if isinstance(kind, list) else dict)
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValidationError(f"{context}: field '{name}' has the wrong type")
+    if kind is float:
+        return float(value)
+    if isinstance(value, str) and not clean(value):
+        raise ValidationError(
+            f"{context}: field '{name}' holds a NUL or a lone surrogate")
+    if plain:
+        return value
+    if isinstance(kind, list):
+        return tuple(_reference_read(item, f"{name}[{i}]", kind[0])
+                     for i, item in enumerate(value))
+    if isinstance(kind, dict):
+        tag = _reference_field(value, name, "kind", str, _REQUIRED)
+        if tag not in kind:
+            raise ValidationError(
+                f"{name}: field 'kind' must be {' or '.join(map(repr, kind))}")
+        kind = kind[tag]
+    return _reference_read(value, name, kind)
+
+
+# the schema each shipped config is read by
+_CONTEXTS = {"anc simulate": "anc config", "econ npv": "econ config",
+             "econ scenario": "econ config", "econ sensitivity": "sensitivity config",
+             "cost bom": "cost config", "plan concept": "concept config",
+             "plan risk": "risk config", "plan market": "market config"}
+# `cost bom`'s `expected` object, with every label it may name
+_EXPECTED = tuple((label, float, None) for label in (
+    *BomSummary._fields, "assembly_seconds", "assembly_cost", "dfa_index"))
+
+
+def _outcome(read):
+    """What ``read()`` gives: its value, every float by its repr and every
+    object by its type and fields, or the type and text of what it raised."""
+    def shape(value):
+        if isinstance(value, SimpleNamespace):
+            return "namespace", sorted((k, shape(v)) for k, v in vars(value).items())
+        if isinstance(value, hushkit.FirPath):
+            return "FirPath", [repr(tap) for tap in value.taps.tolist()]
+        if isinstance(value, (tuple, list, dict)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            return type(value).__name__, [(k, shape(v)) for k, v in items]
+        return type(value).__name__, repr(value)
+    try:
+        return shape(read())
+    except Exception as exc:  # any exception, so that a new kind shows
+        return type(exc).__name__, str(exc)
+
+
+# the values a mutation writes: wrong types, booleans for numbers, strings
+# with a NUL or a lone surrogate, non-object list items and unknown tags;
+# half of the values that replace one are drawn by the type of the old value
+_READER_FAULTS = {str: ["a\0b", "a\ud800b", "\udfff", "square", ""],
+                  int: [True, False, "1"], float: [True, False, "1.5"],
+                  list: [[12], ["x"], [None, {}], [True, 0.5]],
+                  dict: [{"kind": "square"}, {"kind": 12}, {"kind": "a\0"}, []]}
+_READER_VALUES = st.one_of(
+    st.sampled_from([True, False, None, "12", "", "a\0b", "a\ud800b", "\udfff",
+                     "tone", "broadband", "square", "exact", 0, 12, -3, 1.5, -0.0,
+                     2**60, [], [12], [{}], ["x"], [True, 0.5], {}, {"kind": "tone"},
+                     {"kind": 12}]).map(copy.deepcopy),
+    st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """(context, schema, mapping): a shipped config of a schema drawn first,
+    or a cost config's `expected` object, with 1-3 faults: a field or item
+    deleted, an unknown field or an item added, or a value replaced."""
+    context = draw(st.sampled_from(sorted(set(_CONTEXTS.values()))))
+    name = draw(st.sampled_from(sorted(
+        name for name, command in SHIPPED.items() if _CONTEXTS[command] == context)))
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    schema = _SCHEMAS[context]
+    if context == "econ config" and "model" not in config:
+        config = {"model": config}  # a bare model, as `econ npv` reads it
+    elif "expected" in config and draw(st.booleans()):
+        context, schema, config = "expected", _EXPECTED, config["expected"]
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(list(_containers(config))))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        fault = draw(st.sampled_from(("delete", "add", "set", "set") if keys else ("add",)))
+        if fault == "delete":
+            target.pop(draw(st.sampled_from(keys)))
+        elif fault == "add" and isinstance(target, list):
+            target.append(draw(_READER_VALUES))
+        else:
+            key = "bogus_knob" if fault == "add" else draw(st.sampled_from(keys))
+            old = None if fault == "add" else target[key]
+            like = _READER_FAULTS.get(type(old))
+            target[key] = draw(st.sampled_from(like).map(copy.deepcopy) | _READER_VALUES
+                               if like else _READER_VALUES)
+    return context, schema, config
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(case=_mutated_configs())
+def test_reader_tables_read_as_the_field_walk_did(case):
+    context, schema, config = case
+    expected = _outcome(lambda: _reference_read(config, context, schema))
+    read = _reader(context) if context in _SCHEMAS else _reader(context, schema)
+    assert _outcome(lambda: read(config)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_every_shipped_config_reads_as_the_field_walk_did(name):
+    config = json.loads((_CONFIGS / f"{name}.json").read_text())
+    context = _CONTEXTS[SHIPPED[name]]
+    if context == "econ config" and "model" not in config:
+        config = {"model": config}
+    expected = _outcome(lambda: _reference_read(config, context, _SCHEMAS[context]))
+    assert expected[0] != "ValidationError"
+    assert _outcome(lambda: _reader(context)(config)) == expected
+
+
+@pytest.mark.parametrize("noise", [
+    {"kind": "square"}, {"kind": 12}, {"kind": "a\0"}, {"kind": "\ud800"}, {},
+    {"kind": "broadband", "freq_hz": 200.0}, {"kind": "tone"}, [], "tone",
+], ids=repr)
+def test_noise_tags_read_as_the_field_walk_did(noise):
+    # the tagged kind, which the random cases above rarely reach
+    config = {**json.loads((_CONFIGS / "anc_tone.json").read_text()), "noise": noise}
+    expected = _outcome(lambda: _reference_read(config, "anc config",
+                                                _SCHEMAS["anc config"]))
+    assert expected[0] == "ValidationError"
+    assert _outcome(lambda: _reader("anc config")(config)) == expected
+
+
+def test_repeated_cost_runs_with_expected_values_add_no_reader(configs_dir, tmp_path):
+    # `cost bom` builds its `expected` schema on every run; equal schemas
+    # share one reader, so the cache keeps one entry per schema
+    argv = ["cost", "bom", "--config", str(configs_dir / "cost_initial.json"),
+            "--format", "json", "--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    before = _reader.cache_info()
+    for _ in range(50):
+        assert main(argv) == 0
+    after = _reader.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert after.hits - before.hits == 100  # the config and its `expected` object
+
+
+# leaves of every kind a report view may hold, and the corners of each
+_VIEW_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1.5e308, -1.5e308, 0.1, 1e16, 1e-7]),
+    st.text(st.characters(exclude_categories=())),  # escapes, astral, surrogates
+    st.sampled_from(['"', "\\", "\b\f\n\r\t", "\x7f", "é", "\u2028", "\U0001f600"]),
+)
+_VIEWS = st.recursive(
+    _VIEW_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=3),
+                        children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(view=_VIEWS)
+def test_json_report_has_the_bytes_of_json_dumps(view):
+    expected = json.dumps(view, sort_keys=True, indent=2) + "\n"
+    assert emit_report(view, "json") == expected.encode("ascii")
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("leaf", [np.float64(1.5), _Text("a"), np.int64(3)],
+                         ids=["numpy-float64", "str-subclass", "numpy-int64"])
+def test_json_report_refuses_a_leaf_not_of_a_plain_type(leaf):
+    with pytest.raises(TypeError):
+        emit_report({"rows": [{"value": leaf}]}, "json")
 
 
 # ------------------------------------------------------------ docs drift
