@@ -20,59 +20,38 @@ so one machine compiles it once. Without a compiler, or when the build or
 the load fails, ``adapt_chunk`` runs ``adapt_chunk_numpy`` instead;
 ``backend_name()`` says which one runs.
 
-``adapt_chunk_numpy`` is the reference the C kernel must match bit for bit.
-Its dot products over reversed (negative-stride) views do not go through
-BLAS: numpy sums them in one sequential loop from the newest sample back.
-The C kernel sums in that same order and is built without FMA contraction
-or reassociation, so both give the same bytes. Callers look ``adapt_chunk``
-up at call time, so the reference can be swapped in.
+``adapt_chunk_numpy`` is the reference the C kernel must match bit for bit,
+and ``_lanes`` holds the one order in which both sum the output, the
+residual and the NLMS norm: in four lanes, lane j adding the products of
+taps k = j (mod 4), newest sample first, from 0.0, and the lanes combining
+as (l0 + l1) + (l2 + l3). Earlier versions summed serially, so a report off
+the shipped corpus may differ from theirs in the fourth decimal. The C
+kernel is built without FMA contraction or reassociation, so both give the
+same bytes. Callers look ``adapt_chunk`` up at call time, so the reference
+can be swapped in.
 
-The C kernel's one-sample step makes one pass over ``w``: the sweep that
-applies sample n's update (leak included) also sums sample n+1's output from
-each weight it has just written and, for NLMS, sample n+1's norm as a
-second, independent sum. Only the first sample of a chunk gets a sweep of
-its own, and the last one no look-ahead. The bytes stay those of the
-reference: every sum has the same operands, in the same order (newest
-sample first, from 0.0), and the fused ``w*decay + g*e*xf`` rounds the same
-two products and the same sum as the reference's two steps, since no FMA
-contracts them. Per sample, the output sum is one serial chain of L adds.
+The C kernel holds a sum's lanes in two vectors of two doubles, whose lanes
+round as scalar code does. Its one step per sample makes one pass over
+``w``: the sweep that applies sample n's update (leak included) adds each
+weight it has just written into sample n+1's output, and for NLMS the same
+taps into sample n+1's norm. The fused ``w*decay + g*e*xf`` rounds the same
+two products and the same sum as the reference's two steps.
 
-A secondary path that starts with D >= 1 zero taps (a bulk delay; those of
-the shipped ``anc_broadband`` and ``anc_tone`` have 3) breaks that chain:
-e[n+u] for u <= D needs no output newer than y[n]. From sample L-1 on, the kernel then adapts U
-samples per sweep, U = 2 for D = 1 or 2 and U = 4 for D >= 3. It sums their
-U residuals first, then makes one sweep that applies the U updates to each
-weight in turn and carries U independent output sums, plus the next
-group's U NLMS norms; those sums and the update products run two to a
-vector of two doubles, whose lanes round as scalar code does. The
-residuals sum from tap D: each leading term is 0*y = +-0 and
-0.0 + +-0.0 = +0.0, so that is the reference's double while the D newest
-outputs are finite. A group writes the updated weights to a second,
-fixed-size buffer, so one that yields a non-finite output leaves the
-weights it read whole and hands the rest of the chunk to the one-sample
-step, as does a chunk that starts behind a non-finite output; the
-residual keeps the reference's 0*inf = NaN. The step also takes D = 0,
-the first L-1 samples, up to 2U-1 last samples of a chunk (no array is
-read past ``stop``) and filters longer than ``anc.MAX_FILTER_LENGTH``,
-which the second buffer cannot hold.
-
-The step's residual stops where the path's tail can no longer change it.
-Once per call the kernel bounds the taps from each multiple of 8 on,
-bound = max |sec[i]| over the rest, and gates the cut at J, the first
-multiple of 8 whose bound is below 2^-55 * sum |sec| (before it the cut
-could not fire). Taps below J are summed whole; from J on, every 8 taps,
-the sum stops if bound * ymax < |r| * 2^-56, where ymax bounds |y| over
-the outputs the tail reads: seeded at the chunk's start from the M-1
-outputs before it, raised by every output written, +inf after a NaN. Each
-skipped term t has |t| <= fl(bound * ymax) < |r| * 2^-56 < ulp(r)/4, so
-r + t rounds back to r: r never moves, the test keeps holding, and the
-bytes stay numpy's (where |r| * 2^-56 rounds into the subnormals, |t| is
-still below its exact value, both being multiples of 2^-1074). An r of 0 or
-NaN never passes, nor does a bound times an infinite ymax, so 0*inf in the
-tail still gives NaN. Paths with no negligible tail (J = M, as in the
-shipped configs) and paths over 4,096 taps get J = M, so their whole sum
-is the plain loop below J and they reach no check; the grouped residuals
-keep the whole sum too.
+The residual stops where the path's tail can no longer change it. Once per
+call the kernel bounds the taps from each multiple of 8 on, bound = max
+|sec[i]| over the rest, and gates the cut at J, the first multiple of 8
+whose bound is below 2^-55 * sum |sec| (before it no lane can pass). From J
+on, every 8 taps, the sum stops if bound * ymax < |l| * 2^-56 for each of
+its lanes l, where ymax bounds |y| over the outputs the tail reads: seeded
+at the chunk's start from the M-1 outputs before it, raised by every output
+written, +inf after a NaN. A lane is a serial sum, and each term t it skips
+has |t| <= fl(bound * ymax) < |l| * 2^-56 < ulp(l)/4, so l + t rounds back
+to l: no lane moves, and the bytes stay the reference's (where |l| * 2^-56
+rounds into the subnormals, |t| is still below its exact value, both being
+multiples of 2^-1074). A lane of 0 or NaN never passes, nor does a bound
+times an infinite ymax, so 0*inf in the tail still gives NaN. Paths with no
+negligible tail (as in the shipped configs) and paths over 4,096 taps get
+J = M: their whole sum runs with no check.
 """
 from __future__ import annotations
 
@@ -82,6 +61,15 @@ import os
 import numpy as np
 
 
+def _lanes(a, b):
+    """``a @ b`` in four lanes: lane j adds ``a[k] * b[k]`` for k = j (mod 4)
+    in order of k, from 0.0; the lanes combine as (l0 + l1) + (l2 + l3)."""
+    p = np.zeros(-(-len(a) // 4) * 4)  # +0.0 padding leaves a lane as it is
+    np.multiply(a, b, out=p[:len(a)])
+    l0, l1, l2, l3 = np.add.reduce(p.reshape(-1, 4), axis=0, initial=0.0).tolist()
+    return (l0 + l1) + (l2 + l3)
+
+
 def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
     L = w.shape[0]
     M = sec.shape[0]
@@ -89,14 +77,11 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
     for n in range(start, stop):
         k = min(L, n + 1)
         xw = x[n - k + 1 : n + 1][::-1]
-        y[n] = w[:k] @ xw
+        y[n] = _lanes(w[:k], xw)
         m = min(M, n + 1)
-        e[n] = d[n] - sec[:m] @ y[n - m + 1 : n + 1][::-1]
+        e[n] = d[n] - _lanes(sec[:m], y[n - m + 1 : n + 1][::-1])
         xfw = xf[n - k + 1 : n + 1][::-1]
-        if normalized:
-            g = mu / ((xfw @ xfw) + eps)
-        else:
-            g = mu
+        g = mu / (_lanes(xfw, xfw) + eps) if normalized else mu
         if leak != 0.0:
             w *= decay
         w[:k] += (g * e[n]) * xfw
@@ -107,12 +92,23 @@ _C_SOURCE = b"""\
 #include <stdint.h>
 #include <string.h>
 
-/* anc.MAX_FILTER_LENGTH: a longer filter, which only a direct caller can
-   pass, takes one-sample steps throughout, so the spare weights fit. */
-#define SPARE 4096
+/* Paths of up to this many taps (anc.MAX_FILTER_LENGTH) get tap bounds. */
+#define BOUNDED 4096
 
 /* Two doubles side by side; each lane rounds as a lone double would. */
 typedef double v2 __attribute__((vector_size(16)));
+
+/* The four lanes of a sum: lo holds lanes 1 and 0, hi lanes 3 and 2, the
+   order in which the samples of taps 4i .. 4i + 3 of a window lie in memory.
+   Lane j adds the terms of taps k = j (mod 4) in order of k, from 0.0, so no
+   lane is ever -0.0 and adding 0.0 leaves it as it is. */
+typedef struct { v2 lo, hi; } lanes;
+
+static inline __attribute__((always_inline)) v2
+swap(v2 v)
+{
+    return (v2){v[1], v[0]};
+}
 
 static inline __attribute__((always_inline)) v2
 pair(const double *a, int64_t i)  /* a[i], a[i + 1] */
@@ -120,6 +116,26 @@ pair(const double *a, int64_t i)  /* a[i], a[i + 1] */
     v2 v;
     memcpy(&v, a + i, sizeof v);
     return v;
+}
+
+/* (l0 + l1) + (l2 + l3) of a sum of k terms; a lane no term reached is
+   +0.0, which adds nothing to another lane. */
+static inline __attribute__((always_inline)) double
+total(lanes s, int64_t k)
+{
+    double a = k > 1 ? s.lo[1] + s.lo[0] : s.lo[1];
+    return k > 2 ? a + (k > 3 ? s.hi[1] + s.hi[0] : s.hi[1]) : a;
+}
+
+/* Adds t, the term of tap k, to lane k mod 4. */
+static inline __attribute__((always_inline)) void
+add(lanes *s, int64_t k, double t)
+{
+    v2 v = k & 1 ? (v2){t, 0.0} : (v2){0.0, t};
+    if (k & 2)
+        s->hi += v;
+    else
+        s->lo += v;
 }
 
 /* max(top, |v|), but +inf for a NaN v, so that a bound times it is inf or
@@ -131,225 +147,138 @@ higher(double top, double v)
     return a <= top ? top : a == a ? a : INFINITY;
 }
 
-/* normalized, leak and U are constants in each inlined copy, so their
-   tests leave the loops. s sums y[n] and q the NLMS norm of sample n. */
+/* Taps j and j + 1 of sample n's sweep: their update, then their terms of
+   sample n + 1's output, into t, and of its NLMS norm, into p. */
+static inline __attribute__((always_inline)) void
+sweep(const double *x, const double *xf, double *w, int64_t n, int64_t j, v2 g,
+      v2 c, v2 *t, v2 *p, const int normalized, const int leak)
+{
+    v2 v = swap(pair(w, j));
+    v = leak ? v * c + g * pair(xf, n - j - 1) : v + g * pair(xf, n - j - 1);
+    *t += v * pair(x, n - j);
+    if (normalized)
+        *p += pair(xf, n - j) * pair(xf, n - j);
+    v = swap(v);
+    memcpy(w + j, &v, sizeof v);
+}
 
-/* Sample n over all taps: its residual, then the sweep that applies its
-   update and, unless n is the chunk's last sample, sums s and q anew for
-   sample n + 1. The residual sums taps 0 .. J - 1 whole; from tap J, a
-   multiple of 8, it stops at the first block of 8 whose bound on every
-   term left, bound[i / 8] * ymax, is below |r| * 2^-56, since no such term
-   can move r. With J = M the whole sum is the first loop. */
+/* Sample n: y[n] from the lanes s, its residual, then the sweep that applies
+   its update and, unless n is the chunk's last sample, sums s and q, the
+   NLMS norm, anew for sample n + 1. The residual sums taps 0 .. J - 1 whole;
+   from tap J, a multiple of 8, it stops at the first block of 8 whose bound
+   on every term left, bound[i / 8] * ymax, settles every lane. */
 static inline __attribute__((always_inline)) void
 step(const double *x, const double *xf, const double *d, const double *sec,
      int64_t M, int64_t J, const double *bound, double *ymax, double *w,
-     int64_t L, double *y, double *e, int64_t n, int64_t stop, double *s,
-     double *q, double mu, double decay, double eps, const int normalized,
+     int64_t L, double *y, double *e, int64_t n, int64_t stop, lanes *s,
+     lanes *q, double mu, double decay, double eps, const int normalized,
      const int leak)
 {
     int64_t m = n + 1 < M ? n + 1 : M, k = n + 1 < L ? n + 1 : L;
-    int64_t i = 0, head = J < m ? J : m;
-    y[n] = *s;
-    *ymax = higher(*ymax, *s);
-    double r = 0.0;
-    for (; i < head; i++) r += sec[i] * y[n - i];
-    while (i < m && !(bound[i / 8] * *ymax < fabs(r) * 0x1p-56))
-        for (int64_t end = i + 8 < m ? i + 8 : m; i < end; i++)
-            r += sec[i] * y[n - i];
-    e[n] = d[n] - r;
-    double ge = (normalized ? mu / (*q + eps) : mu) * e[n];
-    int64_t j = 0;
-    if (n + 1 < stop) {
-        double t = 0.0, p = 0.0;
-        for (; j < k; j++) {
-            double v = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
-            w[j] = v;
-            t += v * x[n + 1 - j];
-            if (normalized) p += xf[n + 1 - j] * xf[n + 1 - j];
+    int64_t i = 0, j = 0, end = J < m ? J : m, ahead = n + 1 < stop;
+    lanes r = {{0.0, 0.0}, {0.0, 0.0}}, t = r, p = r;
+    double out = total(*s, k);
+    y[n] = out;
+    *ymax = higher(*ymax, out);
+    for (;;) {
+        /* y[n] comes from out: a load that spans its store would wait for it */
+        for (; i + 4 <= end; i += 4) {
+            r.lo += swap(pair(sec, i)) * (i ? pair(y, n - i - 1) : (v2){y[n - 1], out});
+            r.hi += swap(pair(sec, i + 2)) * pair(y, n - i - 3);
         }
-        if (k < L) {  /* the history grew by one tap: w[k] meets x[0] */
-            double v = leak ? w[k] * decay : w[k];
-            w[k] = v;
-            t += v * x[0];
-            if (normalized) p += xf[0] * xf[0];
-            j++;
+        if (end == m)
+            break;
+        double b = bound[i / 8] * *ymax;  /* no term left exceeds b */
+        if (b < fabs(r.lo[0]) * 0x1p-56 && b < fabs(r.lo[1]) * 0x1p-56 &&
+            b < fabs(r.hi[0]) * 0x1p-56 && b < fabs(r.hi[1]) * 0x1p-56) {
+            m = i;
+            break;
         }
-        *s = t;
-        *q = p;
-    } else {
-        for (; j < k; j++)
-            w[j] = leak ? w[j] * decay + ge * xf[n - j] : w[j] + ge * xf[n - j];
+        end = i + 8 < m ? i + 8 : m;
     }
-    if (leak)
-        for (; j < L; j++) w[j] *= decay;
+    for (; i < m; i++)
+        add(&r, i, sec[i] * (i ? y[n - i] : out));
+    e[n] = d[n] - total(r, m);
+    double ge = (normalized ? mu / (total(*q, k) + eps) : mu) * e[n];
+    v2 g = {ge, ge}, c = {decay, decay};
+    for (; ahead && j + 4 <= k; j += 4) {
+        sweep(x, xf, w, n, j, g, c, &t.lo, &p.lo, normalized, leak);
+        sweep(x, xf, w, n, j + 2, g, c, &t.hi, &p.hi, normalized, leak);
+    }
+    if (ahead && j + 2 <= k) {
+        sweep(x, xf, w, n, j, g, c, &t.lo, &p.lo, normalized, leak);
+        j += 2;
+    }
+    /* The taps left: an odd last one, and while the history grows (k < L)
+       tap k, which only decays and meets x[0]; every tap of a chunk's last
+       sample, which has no look-ahead; with a leak, the taps past k. */
+    for (end = leak || k == L ? L : k + 1; j < end; j++) {
+        double v = leak ? w[j] * decay : w[j];
+        if (j < k)
+            v += ge * xf[n - j];
+        w[j] = v;
+        if (ahead && j <= k) {
+            add(&t, j, v * x[n + 1 - j]);
+            if (normalized)
+                add(&p, j, xf[n + 1 - j] * xf[n + 1 - j]);
+        }
+    }
+    *s = t;
+    *q = p;
 }
 
-/* Samples n .. n + U - 1 in one sweep, for a secondary path whose first D
-   taps are zero, U <= D + 1, n >= L - 1 and n + 2U <= stop. Their residuals
-   sum from tap D, so they need no output newer than y[n]; that gives the
-   full sum's bytes while y[n - D + 1 .. n + U - 1] are finite. q[u] holds
-   the norm of sample n + u. The sweep reads w and writes the updated
-   weights to next: it applies the U updates to each weight in turn, sums
-   the outputs y[n + 1 .. n + U] as U independent chains and, for NLMS, the
-   norms of samples n + U .. n + 2U - 1, two chains to a v2. Returns 0,
-   with w, s and q untouched, when one of those outputs is not finite. */
-static inline __attribute__((always_inline)) int
-group(const double *x, const double *xf, const double *d, const double *sec,
-      int64_t M, int64_t D, const double *w, double *next, int64_t L, double *y,
-      double *e, int64_t n, double *s, double *q, double mu, double decay,
-      double eps, const int normalized, const int leak, const int U)
-{
-    double r[4] = {0.0};
-    v2 g[2] = {{0.0}}, t[2] = {{0.0}}, p[2] = {{0.0}};
-    int64_t m = n + 1 < M ? n + 1 : M;  /* the taps all U residuals have */
-    y[n] = *s;
-    for (int64_t j = D; j < m; j++) {
-        _Pragma("GCC unroll 4")
-        for (int u = 0; u < U; u++) r[u] += sec[j] * y[n + u - j];
-    }
-    _Pragma("GCC unroll 4")
-    for (int u = 0; u < U; u++) {
-        for (int64_t j = m > D ? m : D; j < M && j <= n + u; j++)
-            r[u] += sec[j] * y[n + u - j];
-        e[n + u] = d[n + u] - r[u];
-        g[u / 2][u % 2] = (normalized ? mu / (q[u] + eps) : mu) * e[n + u];
-    }
-    for (int64_t j = 0; j < L; j++) {
-        double v = w[j], gx[4], vs[4];
-        _Pragma("GCC unroll 2")
-        for (int h = 0; h < U / 2; h++) {
-            v2 a = g[h] * pair(xf, n + 2 * h - j);
-            gx[2 * h] = a[0];
-            gx[2 * h + 1] = a[1];
-        }
-        _Pragma("GCC unroll 4")
-        for (int u = 0; u < U; u++) {
-            v = leak ? v * decay + gx[u] : v + gx[u];
-            vs[u] = v;
-        }
-        _Pragma("GCC unroll 2")
-        for (int h = 0; h < U / 2; h++) {
-            t[h] += (v2){vs[2 * h], vs[2 * h + 1]} * pair(x, n + 2 * h + 1 - j);
-            if (normalized) {
-                v2 c = pair(xf, n + U + 2 * h - j);
-                p[h] += c * c;
-            }
-        }
-        next[j] = v;
-    }
-    _Pragma("GCC unroll 4")
-    for (int u = 0; u < U; u++)
-        if (!isfinite(t[u / 2][u % 2]))
-            return 0;
-    _Pragma("GCC unroll 4")
-    for (int u = 0; u < U; u++) {
-        if (u > 0) y[n + u] = t[(u - 1) / 2][(u - 1) % 2];
-        q[u] = p[u / 2][u % 2];
-    }
-    *s = t[(U - 1) / 2][(U - 1) % 2];
-    return 1;
-}
-
-/* Whether groups may start at sample n, whose output sums to s: y[n] and
-   the D - 1 outputs before it are finite. If so, fills q[1 .. U - 1]. */
-static inline __attribute__((always_inline)) int
-begin(const double *xf, int64_t D, int64_t L, const double *y, int64_t n,
-      double s, double *q, const int normalized, const int U)
-{
-    if (!isfinite(s))
-        return 0;
-    for (int64_t i = n - D + 1 > 0 ? n - D + 1 : 0; i < n; i++)
-        if (!isfinite(y[i]))
-            return 0;
-    for (int u = 1; u < U && normalized; u++) {
-        q[u] = 0.0;
-        for (int64_t j = 0; j < L; j++) q[u] += xf[n + u - j] * xf[n + u - j];
-    }
-    return 1;
-}
-
-/* One-sample steps, and groups of U samples from n = L - 1 on while the
-   outputs stay finite; after a group that gives up, or at a chunk that
-   starts behind a non-finite output, the rest of the chunk takes steps.
-   Each group writes the weights to the other of w and spare, so the one it
-   read is still whole when it gives up; they end in w. ymax bounds |y|
-   over every output a residual from tap J reads: those before the chunk
-   that its first residual reaches, then each one written. */
+/* One step per sample, after the first sample's output and norm. ymax
+   bounds |y| over every output a residual from tap J reads: those before
+   the chunk that its first residual reaches, then each one written. */
 static inline __attribute__((always_inline)) void
 run(const double *x, const double *xf, const double *d, const double *sec,
-    int64_t M, int64_t D, int64_t J, const double *bound, double *w, int64_t L,
-    double *y, double *e, int64_t start, int64_t stop, double *spare, double mu,
-    double decay, double eps, const int normalized, const int leak)
+    int64_t M, int64_t J, const double *bound, double *w, int64_t L, double *y,
+    double *e, int64_t start, int64_t stop, double mu, double decay, double eps,
+    const int normalized, const int leak)
 {
-    const int U = D >= 3 ? 4 : 2;
-    int grouping = D >= 1 && L <= SPARE;
-    int ready = 0;  /* q[1 .. U - 1] hold the norms of n + 1 .. n + U - 1 */
-    double *cur = w;
     int64_t k = start + 1 < L ? start + 1 : L;
-    double s = 0.0, q[4] = {0.0, 0.0, 0.0, 0.0}, ymax = 0.0;
+    lanes s = {{0.0, 0.0}, {0.0, 0.0}}, q = s;
+    double ymax = 0.0;
     for (int64_t i = start - M + 1 > 0 ? start - M + 1 : 0; i < start; i++)
         ymax = higher(ymax, y[i]);
     for (int64_t j = 0; j < k; j++) {
-        s += w[j] * x[start - j];
-        if (normalized) q[0] += xf[start - j] * xf[start - j];
+        add(&s, j, w[j] * x[start - j]);
+        if (normalized)
+            add(&q, j, xf[start - j] * xf[start - j]);
     }
-    for (int64_t n = start; n < stop;) {
-        if (grouping && n >= L - 1 && n + 2 * U <= stop) {
-            if (!ready)
-                ready = begin(xf, D, L, y, n, s, q, normalized, U);
-            if (ready && (U == 4 ? group(x, xf, d, sec, M, D, cur, spare, L, y, e, n, &s,
-                                         q, mu, decay, eps, normalized, leak, 4)
-                                 : group(x, xf, d, sec, M, D, cur, spare, L, y, e, n, &s,
-                                         q, mu, decay, eps, normalized, leak, 2))) {
-                double *old = cur;
-                cur = spare;
-                spare = old;
-                for (int u = 0; u < U; u++)
-                    ymax = higher(ymax, y[n + u]);
-                n += U;
-                continue;
-            }
-            grouping = 0;
-        }
-        step(x, xf, d, sec, M, J, bound, &ymax, cur, L, y, e, n, stop, &s, q, mu,
+    for (int64_t n = start; n < stop; n++)
+        step(x, xf, d, sec, M, J, bound, &ymax, w, L, y, e, n, stop, &s, &q, mu,
              decay, eps, normalized, leak);
-        ready = 0;
-        n++;
-    }
-    if (cur != w)
-        memcpy(w, cur, (size_t)L * sizeof *w);
 }
 
-/* Once per call: D counts the leading zero taps of sec (-0.0 == 0.0);
-   bound[b] = max |sec[i]| over i >= 8b; J is the first multiple of 8 whose
-   bound is below 2^-55 * sum |sec|, or M when there is none or M > SPARE.
-   The cut cannot fire before J, since |r| <= sum |sec| * ymax to rounding. */
+/* Once per call: bound[b] = max |sec[i]| over i >= 8b; J is the first
+   multiple of 8 whose bound is below 2^-55 * sum |sec|, or M when there is
+   none or M > BOUNDED. The cut cannot fire before J, since no lane exceeds
+   sum |sec| * ymax to rounding. */
 void adapt_chunk(const double *x, const double *xf, const double *d,
                  const double *sec, int64_t M, double *w, int64_t L,
                  double *y, double *e, int64_t start, int64_t stop,
                  double mu, double leak, int normalized, double eps)
 {
-    double decay = 1.0 - mu * leak, spare[SPARE], bound[SPARE / 8];
-    int64_t D = 0, J = M;
+    double decay = 1.0 - mu * leak, bound[BOUNDED / 8];
+    int64_t J = M;
     if (start >= stop)
         return;
-    while (D < M && sec[D] == 0.0)
-        D++;
-    if (M <= SPARE) {
-        double top = 0.0, total = 0.0;
+    if (M <= BOUNDED) {
+        double top = 0.0, sum = 0.0;
         for (int64_t i = M - 1; i >= 0; i--) {
-            total += fabs(sec[i]);
+            sum += fabs(sec[i]);
             top = higher(top, sec[i]);
             if (i % 8 == 0)
                 bound[i / 8] = top;
         }
-        for (J = (M + 7) / 8 * 8; J > 0 && bound[J / 8 - 1] < total * 0x1p-55; J -= 8)
+        for (J = (M + 7) / 8 * 8; J > 0 && bound[J / 8 - 1] < sum * 0x1p-55; J -= 8)
             ;
         J = J < M ? J : M;
     }
     /* one inlined copy of run per value of normalized and leak */
-#define RUN(normalized, leak) run(x, xf, d, sec, M, D, J, bound, w, L, y, e, start, \
-                                  stop, spare, mu, decay, eps, normalized, leak)
+#define RUN(normalized, leak) run(x, xf, d, sec, M, J, bound, w, L, y, e, start, stop, \
+                                  mu, decay, eps, normalized, leak)
     if (normalized)
         leak != 0.0 ? RUN(1, 1) : RUN(1, 0);
     else

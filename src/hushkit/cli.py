@@ -459,7 +459,7 @@ def _cmd_cost_bom(args):
              "expected": round_half_away(d.expected), "delta": round_half_away(d.delta)}
             for d in discrepancies
         ]
-    elif fmt == "table" and c.expected is not None:
+    elif fmt == "table" and c.expected:
         if discrepancies:
             view.append("  figures that differ from the supplied expected values:")
             view += [f"    {d.label}: computed {_cash(d.computed, fmt)}, "

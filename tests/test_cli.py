@@ -838,6 +838,24 @@ def test_expected_label_that_is_not_audited_exits_1(configs_dir, tmp_path, capsy
         "error: expected: unknown field 'reduction_savings'\n")
 
 
+def _drop_expected(config):
+    _in_cost(None, "expected")(config)
+    del config["expected"]
+
+
+def test_an_empty_expected_object_claims_no_match(configs_dir, tmp_path):
+    # an object that supplies no value audits nothing: the table is the one
+    # printed without it
+    tables = []
+    for edit in (_in_cost({}, "expected"), _drop_expected):
+        path = _edited_config(configs_dir, tmp_path, "cost_initial", (), edit)
+        code, table = run(["cost", "bom", "--config", str(path), "--format", "table"],
+                          tmp_path)
+        assert code == 0
+        tables.append(table)
+    assert tables[0] == tables[1] and b"expected" not in tables[0]
+
+
 def _set(**changes):
     return lambda c: c.update(changes)
 

@@ -94,7 +94,7 @@ def _kernel_cases(test):
     for mark in (pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"]),
                  pytest.mark.parametrize("leak", [0.0, 1e-3]),
                  pytest.mark.parametrize("L, M", [(1, 1), (8, 16), (64, 32), (256, 512),
-                                                  (200, 16)]),
+                                                  (200, 16), (9, 16), (66, 32), (35, 8)]),
                  pytest.mark.parametrize("unstable", [False, True],
                                          ids=["stable", "diverging"])):
         test = mark(test)
@@ -142,8 +142,8 @@ def test_kernel_matches_numpy_reference_behind_a_bulk_delay(algorithm, leak, L, 
     _matches_reference(algorithm, leak, L, M, unstable, delay=3)
 
 
-# D zero taps let the C kernel adapt two samples per sweep (D = 1, 2) or four
-# (D >= 3); 3 is covered above.
+# Other bulk delays put the zero taps, and the newest output they multiply,
+# in other lanes of the secondary-path sum; 3 is covered above.
 @_kernel_cases
 @pytest.mark.parametrize("delay", [1, 2, 4])
 def test_kernel_matches_numpy_reference_behind_other_bulk_delays(algorithm, leak, L, M,
@@ -172,8 +172,8 @@ def test_kernel_matches_numpy_reference_on_an_all_zero_secondary_path(algorithm,
     _matches_reference(algorithm, leak, L, 0, False, delay=taps)
 
 
-def test_a_filter_longer_than_the_spare_weight_buffer_matches_the_reference():
-    L = 5000  # past the C kernel's 4,096 spare weights: no groups
+def test_a_filter_longer_than_anc_allows_matches_the_reference():
+    L = 5000  # past anc.MAX_FILTER_LENGTH, which only a direct caller can pass
     rng = np.random.default_rng(5)
     x = rng.standard_normal(L + 100)
     sec = np.array([0.0, 0.0, 0.0, 1.0, -0.5])
@@ -228,12 +228,11 @@ def test_an_output_before_the_chunk_reaches_the_tail_of_the_sum(value, tail):
     _assert_same_bytes(*outs)
 
 
-# Behind a bulk delay the C kernel writes most outputs in groups, and the last
-# samples of a chunk take one-sample steps whose sums may stop early. With no
-# step (mu = 0) an input burst 200 samples before a chunk's end leaves huge
-# outputs, written by groups, in the tail of those last sums.
+# Behind a bulk delay, with no step (mu = 0), an input burst 200 samples before
+# a chunk's end leaves eight huge outputs, one or two in each lane, in the tail
+# of the last sums of the chunk, past where each lane alone could stop.
 @pytest.mark.parametrize("delay", [1, 3])
-def test_outputs_written_in_groups_reach_the_tail_of_a_later_step(delay):
+def test_large_outputs_reach_the_tail_of_every_lane(delay):
     x, _, d, _, _ = _inputs("LMS", 8, 0, False)
     x = x.copy()
     for stop in (CHUNK, 2 * CHUNK):
@@ -273,6 +272,67 @@ def test_a_zero_or_subnormal_residual_keeps_its_tail(head, back, want):
     _assert_same_bytes(*outs)
 
 
+# Every lane is 1 where the sum may first stop (tap 8), and each lane's tail
+# term, 2^-56 * 32 = 2^-51, moves it by two ulps: the bound on the terms left,
+# 2^-56 * ymax = 2^-51, is not below 2^-56 of any lane, so the sum goes on.
+# A stop test 64 times looser would drop all four terms.
+def test_a_tail_that_still_moves_every_lane_is_kept():
+    sec = np.concatenate((np.ones(4), np.zeros(4), np.full(8, 2.0 ** -56)))
+    assert _gate(sec) == 8
+    n = 40
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        x, d = np.zeros(n + 1), np.zeros(n + 1)
+        x[n] = 1.0  # y[n] = 1.0, with no step
+        w, y, e = np.ones(1), np.zeros(n + 1), np.zeros(n + 1)
+        y[n - 3 : n] = 1.0
+        y[n - 11 : n - 7] = 32.0
+        kernel(x, x, d, sec, w, y, e, n, n + 1, 0.0, 0.0, False, 1e-8)
+        assert e[n] == -(4.0 + 2.0 ** -49)
+
+
+def _four_lanes(a, b):
+    """sum(a * b) in the kernels' order, in Python floats: lane j adds the
+    products of k = j (mod 4) in order, and the lanes add as (l0+l1)+(l2+l3)."""
+    lanes = [0.0] * 4
+    for k, (u, v) in enumerate(zip(a, b)):
+        lanes[k % 4] += u * v
+    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+
+
+def _serial(a, b):
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+# One NLMS sample with 37 weights and 23 path taps (neither a multiple of 4),
+# drawn so that a serial sum gives other bits for its output, its residual
+# and, through the update, its norm: both kernels give the four-lane ones.
+@pytest.mark.parametrize("kernel", ["adapt_chunk_numpy", "adapt_chunk"])
+def test_each_sum_of_a_sample_runs_in_four_lanes(kernel):
+    n, L, M, mu, eps = 60, 37, 23, 0.5, 1e-8
+    rng = np.random.default_rng(0)
+    x, xf, d, y = (rng.standard_normal(n + 1) for _ in range(4))
+    sec, w = rng.standard_normal(M), rng.standard_normal(L)
+    xw, xfw, past = x[n::-1][:L].tolist(), xf[n::-1][:L].tolist(), y[n - 1::-1].tolist()
+    out = _four_lanes(w.tolist(), xw)
+    residual = d[n] - _four_lanes(sec.tolist(), [out, *past])
+    norm = _four_lanes(xfw, xfw)
+
+    def updated(norm):
+        step = mu / (norm + eps) * residual
+        return [wk + step * xk for wk, xk in zip(w.tolist(), xfw)]
+
+    assert out != _serial(w.tolist(), xw)
+    assert residual != d[n] - _serial(sec.tolist(), [out, *past])
+    want = updated(norm)
+    assert want != updated(_serial(xfw, xfw))
+    e = np.zeros(n + 1)
+    getattr(_kernels, kernel)(x, xf, d, sec, w, y, e, n, n + 1, mu, 0.0, True, eps)
+    assert (y[n], e[n], w.tolist()) == (out, residual, want)
+
+
 @st.composite
 def _runs(draw):
     """A short run: L taps, D zero taps (0.0 or -0.0) then up to 8 random ones
@@ -302,7 +362,7 @@ def _runs(draw):
 
 
 def test_kernel_matches_numpy_reference_on_random_runs():
-    grouped_blow_ups, cut = [], []
+    delayed_blow_ups, cut = [], []
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=None)
     @given(run=_runs())
@@ -318,13 +378,14 @@ def test_kernel_matches_numpy_reference_on_random_runs():
         assert outs[0] == outs[1]
         bad = np.flatnonzero(~np.isfinite(y))
         if sec[0] == 0.0 and len(bad) and bad[0] >= L:
-            grouped_blow_ups.append(bad[0])
+            delayed_blow_ups.append(bad[0])
         if _gate(sec) < min(len(sec), len(x)):
             cut.append(len(bad) > 0)
 
     same_bytes()
-    # outputs that first go non-finite where a delayed path adapts in groups
-    assert len(grouped_blow_ups) >= 40
+    # outputs that first go non-finite behind a bulk delay once the filter is
+    # full: the residual meets each first at a zero tap, as 0 * inf
+    assert len(delayed_blow_ups) >= 40
     # runs whose secondary-path sums may stop early (it counts 181), and of
     # them, runs that go non-finite (66)
     assert len(cut) >= 120 and sum(cut) >= 40
@@ -480,11 +541,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # one past the last sample kills the process, then starting where the page
 # before them ends, so that one before the first sample does (the bound on the
 # outputs a chunk's first residuals read looks back from the chunk's start).
-# The last call is an empty chunk at the end. Secondary paths behind 1 and 3
-# zero taps run the C kernel's groups of two and four samples, whose sweeps
-# read x and xf ahead of the samples they adapt; the 40-tap path falls by 2^-4
-# per tap, so its sum may stop from tap 16 on. Chunks that end at the arrays'
-# end start at each offset mod 4, so some group ends as near the end as one may.
+# The last call is an empty chunk at the end. Each sweep reads x and xf one
+# sample ahead of the sample it adapts, but for the chunk's last; the 40-tap
+# path falls by 2^-4 per tap, so its sum may stop from tap 16 on. Filters of
+# 4, 6 and 8 taps, and paths of 4, 8 and 40 taps behind 0, 1 or 3 zero taps,
+# leave 0 to 3 taps past the last block of four. Chunks that end at the
+# arrays' end start at each offset mod 4.
 _GUARDED = """\
 import ctypes, itertools, mmap
 import numpy as np
