@@ -31,11 +31,17 @@ same bytes. Callers look ``adapt_chunk`` up at call time, so the reference
 can be swapped in.
 
 The C kernel holds a sum's lanes in two vectors of two doubles, whose lanes
-round as scalar code does. Its one step per sample makes one pass over
-``w``: the sweep that applies sample n's update (leak included) adds each
-weight it has just written into sample n+1's output, and for NLMS the same
-taps into sample n+1's norm. The fused ``w*decay + g*e*xf`` rounds the same
-two products and the same sum as the reference's two steps.
+round as scalar code does, in the order in which a newest-first window of
+samples lies in memory. So that the weights lie in that order too, a call
+reverses ``w`` in place before its first sample and back before it returns,
+and addresses tap j as W[-j], W being ``w``'s last element; only the
+secondary path's pairs are swapped into order. ctypes releases the GIL for
+the call, so another thread that reads ``w`` meanwhile sees it reversed.
+Its one step per sample makes one pass over ``w``: the sweep that applies
+sample n's update (leak included) adds each weight it has just written into
+sample n+1's output, and for NLMS the same taps into sample n+1's norm. The
+fused ``w*decay + g*e*xf`` rounds the same two products and the same sum as
+the reference's two steps.
 
 The residual stops where the path's tail can no longer change it. Once per
 call the kernel bounds the taps from each multiple of 8 on, bound = max
@@ -148,18 +154,19 @@ higher(double top, double v)
 }
 
 /* Taps j and j + 1 of sample n's sweep: their update, then their terms of
-   sample n + 1's output, into t, and of its NLMS norm, into p. */
+   sample n + 1's output, into t, and of its NLMS norm, into p. The weights
+   lie newest-first, tap j at W[-j], so taps j + 1 and j lie as their x and xf
+   samples do. */
 static inline __attribute__((always_inline)) void
-sweep(const double *x, const double *xf, double *w, int64_t n, int64_t j, v2 g,
+sweep(const double *x, const double *xf, double *W, int64_t n, int64_t j, v2 g,
       v2 c, v2 *t, v2 *p, const int normalized, const int leak)
 {
-    v2 v = swap(pair(w, j));
+    v2 v = pair(W, -j - 1);
     v = leak ? v * c + g * pair(xf, n - j - 1) : v + g * pair(xf, n - j - 1);
     *t += v * pair(x, n - j);
     if (normalized)
         *p += pair(xf, n - j) * pair(xf, n - j);
-    v = swap(v);
-    memcpy(w + j, &v, sizeof v);
+    memcpy(W - j - 1, &v, sizeof v);
 }
 
 /* Sample n: y[n] from the lanes s, its residual, then the sweep that applies
@@ -169,7 +176,7 @@ sweep(const double *x, const double *xf, double *w, int64_t n, int64_t j, v2 g,
    on every term left, bound[i / 8] * ymax, settles every lane. */
 static inline __attribute__((always_inline)) void
 step(const double *x, const double *xf, const double *d, const double *sec,
-     int64_t M, int64_t J, const double *bound, double *ymax, double *w,
+     int64_t M, int64_t J, const double *bound, double *ymax, double *W,
      int64_t L, double *y, double *e, int64_t n, int64_t stop, lanes *s,
      lanes *q, double mu, double decay, double eps, const int normalized,
      const int leak)
@@ -202,21 +209,21 @@ step(const double *x, const double *xf, const double *d, const double *sec,
     double ge = (normalized ? mu / (total(*q, k) + eps) : mu) * e[n];
     v2 g = {ge, ge}, c = {decay, decay};
     for (; ahead && j + 4 <= k; j += 4) {
-        sweep(x, xf, w, n, j, g, c, &t.lo, &p.lo, normalized, leak);
-        sweep(x, xf, w, n, j + 2, g, c, &t.hi, &p.hi, normalized, leak);
+        sweep(x, xf, W, n, j, g, c, &t.lo, &p.lo, normalized, leak);
+        sweep(x, xf, W, n, j + 2, g, c, &t.hi, &p.hi, normalized, leak);
     }
     if (ahead && j + 2 <= k) {
-        sweep(x, xf, w, n, j, g, c, &t.lo, &p.lo, normalized, leak);
+        sweep(x, xf, W, n, j, g, c, &t.lo, &p.lo, normalized, leak);
         j += 2;
     }
     /* The taps left: an odd last one, and while the history grows (k < L)
        tap k, which only decays and meets x[0]; every tap of a chunk's last
        sample, which has no look-ahead; with a leak, the taps past k. */
     for (end = leak || k == L ? L : k + 1; j < end; j++) {
-        double v = leak ? w[j] * decay : w[j];
+        double v = leak ? W[-j] * decay : W[-j];
         if (j < k)
             v += ge * xf[n - j];
-        w[j] = v;
+        W[-j] = v;
         if (ahead && j <= k) {
             add(&t, j, v * x[n + 1 - j]);
             if (normalized)
@@ -229,10 +236,11 @@ step(const double *x, const double *xf, const double *d, const double *sec,
 
 /* One step per sample, after the first sample's output and norm. ymax
    bounds |y| over every output a residual from tap J reads: those before
-   the chunk that its first residual reaches, then each one written. */
+   the chunk that its first residual reaches, then each one written. Tap j
+   of the weights is W[-j]. */
 static inline __attribute__((always_inline)) void
 run(const double *x, const double *xf, const double *d, const double *sec,
-    int64_t M, int64_t J, const double *bound, double *w, int64_t L, double *y,
+    int64_t M, int64_t J, const double *bound, double *W, int64_t L, double *y,
     double *e, int64_t start, int64_t stop, double mu, double decay, double eps,
     const int normalized, const int leak)
 {
@@ -242,19 +250,31 @@ run(const double *x, const double *xf, const double *d, const double *sec,
     for (int64_t i = start - M + 1 > 0 ? start - M + 1 : 0; i < start; i++)
         ymax = higher(ymax, y[i]);
     for (int64_t j = 0; j < k; j++) {
-        add(&s, j, w[j] * x[start - j]);
+        add(&s, j, W[-j] * x[start - j]);
         if (normalized)
             add(&q, j, xf[start - j] * xf[start - j]);
     }
     for (int64_t n = start; n < stop; n++)
-        step(x, xf, d, sec, M, J, bound, &ymax, w, L, y, e, n, stop, &s, &q, mu,
+        step(x, xf, d, sec, M, J, bound, &ymax, W, L, y, e, n, stop, &s, &q, mu,
              decay, eps, normalized, leak);
+}
+
+/* w[0 .. L - 1] in reverse order, in place. */
+static void
+flip(double *w, int64_t L)
+{
+    for (int64_t i = 0, j = L - 1; i < j; i++, j--) {
+        double t = w[i];
+        w[i] = w[j];
+        w[j] = t;
+    }
 }
 
 /* Once per call: bound[b] = max |sec[i]| over i >= 8b; J is the first
    multiple of 8 whose bound is below 2^-55 * sum |sec|, or M when there is
    none or M > BOUNDED. The cut cannot fire before J, since no lane exceeds
-   sum |sec| * ymax to rounding. */
+   sum |sec| * ymax to rounding. The weights are held newest-first while
+   the samples run, and put back in tap order before the call returns. */
 void adapt_chunk(const double *x, const double *xf, const double *d,
                  const double *sec, int64_t M, double *w, int64_t L,
                  double *y, double *e, int64_t start, int64_t stop,
@@ -276,14 +296,18 @@ void adapt_chunk(const double *x, const double *xf, const double *d,
             ;
         J = J < M ? J : M;
     }
+    /* with no taps W is never read, and w - 1 is never formed */
+    double *W = L ? w + L - 1 : w;
+    flip(w, L);
     /* one inlined copy of run per value of normalized and leak */
-#define RUN(normalized, leak) run(x, xf, d, sec, M, J, bound, w, L, y, e, start, stop, \
+#define RUN(normalized, leak) run(x, xf, d, sec, M, J, bound, W, L, y, e, start, stop, \
                                   mu, decay, eps, normalized, leak)
     if (normalized)
         leak != 0.0 ? RUN(1, 1) : RUN(1, 0);
     else
         leak != 0.0 ? RUN(0, 1) : RUN(0, 0);
 #undef RUN
+    flip(w, L);
 }
 """
 

@@ -9,6 +9,7 @@ reported as attenuation in dB per analysis window.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -164,25 +165,37 @@ def anc_run(cfg: AncConfig, noise: SampleBuffer, primary: FirPath,
 
     fs = noise.sample_rate_hz
     window = max(1, int(round(ATTENUATION_WINDOW_S * fs)))
+    full = n - n % window  # the samples of the whole windows
 
     trace = []
     diverged = False
     end = n  # detection point; n when the run completes
     with np.errstate(all="ignore"):
-        for start in range(0, n, window):
+        # each window's disturbance power, with the bits of np.mean over it;
+        # the kernel writes each e[n] before anything reads it, so until then
+        # e holds the squares (past a divergence the result keeps only e[:end])
+        powers = []
+        if full:
+            squares = np.square(d[:full], out=e[:full])
+            powers = (np.add.reduce(squares.reshape(-1, window), axis=1) / window).tolist()
+        if full < n:
+            powers.append(float(np.mean(np.square(d[full:]))))
+        for start, dist_power in zip(range(0, n, window), powers):
             stop = min(start + window, n)
-            dist_power = float(np.mean(d[start:stop] ** 2))
-            if not np.isfinite(dist_power):
+            if not math.isfinite(dist_power):
                 raise ValidationError(
                     f"disturbance power is not finite in the window starting at sample {start}")
             _kernels.adapt_chunk(x, xf, d, secondary.taps, w, y, e,
                                  start, stop, mu, leak, normalized, NLMS_EPS)
-            finite = np.isfinite(e[start:stop])  # e[n] holds sec[0] * y[n]
-            if not finite.all():
-                diverged = True
-                end = start + int(np.argmin(finite))
-                break
-            resid_power = float(np.mean(e[start:stop] ** 2))
+            resid_power = float(np.add.reduce(np.square(e[start:stop])) / (stop - start))
+            # a finite sum of squares has only finite terms; an infinite one
+            # may still have them, when the squares overflow
+            if not math.isfinite(resid_power):
+                finite = np.isfinite(e[start:stop])  # e[n] holds sec[0] * y[n]
+                if not finite.all():
+                    diverged = True
+                    end = start + int(np.argmin(finite))
+                    break
             trace.append(_window_attenuation_db(dist_power, resid_power))
             if resid_power > DIVERGENCE_POWER_RATIO * dist_power:
                 diverged = True

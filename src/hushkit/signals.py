@@ -95,9 +95,14 @@ def generate_tone(freq_hz: float, amplitude: float, phase_rad: float, n: int,
         raise ValidationError("freq_hz must lie strictly between 0 and the Nyquist rate fs/2")
     if n < 0:
         raise ValidationError("n must be >= 0")
+    # amplitude * sin(2.0 * np.pi * freq_hz * k / fs + phase_rad), in place
     k = np.arange(int(n), dtype=np.float64)
-    samples = amplitude * np.sin(2.0 * np.pi * freq_hz * k / fs + phase_rad)
-    return SampleBuffer(samples, fs)
+    k *= 2.0 * np.pi * freq_hz
+    k /= fs
+    k += phase_rad
+    np.sin(k, out=k)
+    k *= amplitude
+    return SampleBuffer(k, fs)
 
 
 def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
@@ -145,7 +150,7 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
     shaped = np.convolve(white, taps, mode="valid")
     rms = np.sqrt(np.mean(shaped**2)) if n else 0.0
     if rms > 0:
-        shaped = shaped / rms
+        shaped /= rms
     return SampleBuffer(shaped, fs)
 
 

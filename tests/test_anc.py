@@ -1,8 +1,9 @@
 """Adaptive cancellation loop: algorithm behavior, convergence, divergence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hushkit import ATTENUATION_CAP_DB, ValidationError
+from hushkit import ATTENUATION_CAP_DB, ValidationError, anc
 from hushkit.anc import (ATTENUATION_WINDOW_S, DEFAULT_STEP_SIZE,
                          DIVERGENCE_POWER_RATIO, EXACT, MAX_DURATION_SAMPLES,
                          MAX_FILTER_LENGTH, AncConfig, _window_attenuation_db,
@@ -273,3 +274,120 @@ def test_estimate_path_used_for_fxlms_reference():
     a = anc_run(exact_cfg, noise, PRIMARY_32, SECONDARY_32)
     b = anc_run(skew_cfg, noise, PRIMARY_32, SECONDARY_32)
     assert not np.array_equal(a.residual.samples, b.residual.samples)
+
+
+def _mean_loop(d, residual, window):
+    """The window loop with one np.mean per window and a finite check of each
+    window's residual, fed ``residual`` as the kernel's output: the powers
+    of each window, the trace, ``diverged`` and the residual's length."""
+    n = len(d)
+    powers, trace, diverged, end = [], [], False, n
+    with np.errstate(all="ignore"):
+        for start in range(0, n, window):
+            stop = min(start + window, n)
+            dist_power = float(np.mean(d[start:stop] ** 2))
+            if not np.isfinite(dist_power):
+                raise ValidationError(
+                    f"disturbance power is not finite in the window starting at sample {start}")
+            e = residual[start:stop]
+            finite = np.isfinite(e)
+            if not finite.all():
+                diverged = True
+                end = start + int(np.argmin(finite))
+                break
+            resid_power = float(np.mean(e ** 2))
+            powers.append((dist_power, resid_power))
+            trace.append(_window_attenuation_db(dist_power, resid_power))
+            if resid_power > DIVERGENCE_POWER_RATIO * dist_power:
+                diverged = True
+                end = stop
+                break
+    return powers, np.asarray(trace, dtype=np.float64), diverged, end
+
+
+@st.composite
+def _window_runs(draw):
+    """A disturbance and a residual of up to 9,000 samples, at a rate whose
+    0.25 s window is 1, 7, 11, 2,000 or 3,001 samples, longer than the run,
+    or drawn; a few samples of each set to inf, -inf, NaN or 1e200 (whose
+    square overflows), and the residual scaled by up to 1e160, so that its
+    squares may overflow although every sample is finite."""
+    n = draw(st.integers(1, 9000))
+    fs = draw(st.sampled_from([1.0, 4.0, 28.0, 44.0, 8000.0, 12004.0, 4.0 * n + 8.0, 1e300])
+              | st.floats(1.0, 60000.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.standard_normal(n) * 10.0 ** draw(st.sampled_from([-200, 0, 100]))
+    e = rng.standard_normal(n) * 10.0 ** draw(st.sampled_from([-300, -3, 0, 1, 150, 160]))
+    for a, odds in ((d, 0.3), (e, 0.5)):
+        if draw(st.floats(0.0, 1.0)) < odds:
+            at = rng.integers(0, n, draw(st.integers(1, 3)))
+            a[at] = draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e200]))
+    if draw(st.booleans()):
+        e[: draw(st.integers(0, n))] = 0.0
+    return fs, d, e
+
+
+class _Samples:
+    """What anc_run reads of a path's output: its samples."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+
+def test_window_loop_matches_one_mean_per_window(monkeypatch):
+    """anc_run's powers, trace, diverged flag and residual equal those of a
+    loop that takes np.mean of each window, the kernel and the disturbance
+    path replaced by the drawn residual and disturbance."""
+    run = {}
+    seen = {"raised": 0, "non_finite": 0, "overflow": 0, "ratio": 0, "whole": 0,
+            "one_window_short": 0}
+    powers = []
+
+    def kernel(x, xf, d, sec, w, y, e, start, stop, *args):
+        e[start:stop] = run["e"][start:stop]
+
+    def attenuation(dist_power, resid_power):
+        powers.append((dist_power, resid_power))
+        return _window_attenuation_db(dist_power, resid_power)
+
+    monkeypatch.setattr(anc._kernels, "adapt_chunk", kernel)
+    monkeypatch.setattr(anc, "convolve_path", lambda path, noise: _Samples(run["d"]))
+    monkeypatch.setattr(anc, "_window_attenuation_db", attenuation)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(drawn=_window_runs())
+    def same_outcome(drawn):
+        fs, d, e = drawn
+        n = len(d)
+        window = max(1, int(round(ATTENUATION_WINDOW_S * fs)))
+        run.update(d=d, e=e)
+        cfg = AncConfig(algorithm="LMS", duration_samples=n, filter_length=1)
+        noise = SampleBuffer(np.zeros(n), fs)
+        powers.clear()
+        try:
+            want = _mean_loop(d, e, window)
+        except ValidationError as error:
+            with pytest.raises(ValidationError) as got:
+                anc_run(cfg, noise, UNIT, UNIT)
+            assert str(got.value) == str(error)
+            seen["raised"] += 1
+            return
+        result = anc_run(cfg, noise, UNIT, UNIT)
+        assert [np.float64(p).tobytes() for pair in powers for p in pair] == \
+            [np.float64(p).tobytes() for pair in want[0] for p in pair]
+        assert result.attenuation_trace_db.tobytes() == want[1].tobytes()
+        assert result.diverged == want[2]
+        assert result.residual.samples.tobytes() == e[:want[3]].tobytes()
+        seen["whole"] += not want[2]
+        seen["one_window_short"] += window > n
+        if want[3] < n and not np.isfinite(e[want[3]]):
+            seen["non_finite"] += 1
+        elif want[2] and want[1][-1] == -np.inf:
+            seen["overflow"] += 1  # finite samples whose squares overflow
+        elif want[2]:
+            seen["ratio"] += 1
+
+    same_outcome()
+    # it counts 147 raised, 84 non-finite, 26 overflowing, 70 by the ratio, 73
+    # whole runs and 112 with a window longer than the run
+    assert min(seen.values()) >= 20, seen

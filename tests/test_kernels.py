@@ -8,6 +8,7 @@ that a cache it cannot use is left untouched and that the source builds
 without warnings.
 """
 import functools
+import itertools
 import os
 import shutil
 import subprocess
@@ -199,6 +200,57 @@ def test_a_secondary_path_longer_than_the_tap_bounds_is_summed_whole():
             kernel(x, x, d, sec, w, y, e, start, stop, 1e-3, 0.0, False, 1e-8)
         out += (w, y, e)
     _assert_same_bytes(got, want)
+
+
+@pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
+@pytest.mark.parametrize("algorithm", ["LMS", "NLMS", "FXLMS"])
+@pytest.mark.parametrize("leak", [0.0, 1e-3])
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 66])
+def test_the_weights_are_in_tap_order_after_every_c_call(algorithm, leak, L):
+    """The C kernel holds the weights newest-first while it runs: chunks that
+    alternate it with the numpy kernel, which reads them in tap order, give
+    the bytes of an all-numpy run, and an empty chunk moves no weight."""
+    w0 = np.linspace(-1e-3, 2e-3, L)  # no palindrome
+    run = functools.partial(_run_kernel, algorithm=algorithm, leak=leak, L=L, M=16,
+                            unstable=False, bounds=(*range(0, N, 333), N), w=w0)
+    want = run(_kernels.adapt_chunk_numpy)
+    for order in ((_kernels.adapt_chunk, _kernels.adapt_chunk_numpy),
+                  (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk)):
+        kernels = itertools.cycle(order)
+        _assert_same_bytes(run(lambda *args: next(kernels)(*args)), want)
+    x, xf, d, sec, mu = _inputs(algorithm, L, 16, False)
+    w, y, e = w0.copy(), np.zeros(N), np.zeros(N)
+    for at in (0, L, N):
+        _kernels.adapt_chunk(x, xf, d, sec, w, y, e, at, at, mu, leak, algorithm == "NLMS",
+                             1e-8)
+    _assert_same_bytes((w, y, e), (w0, np.zeros(N), np.zeros(N)))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_filter_of_no_taps_matches_the_reference(normalized):
+    x, xf, d, sec, _ = _inputs("FXLMS", 1, 16, False)
+    outs = []
+    for kernel in (_kernels.adapt_chunk_numpy, _kernels.adapt_chunk):
+        w, y, e = np.zeros(0), np.zeros(N), np.zeros(N)
+        for start, stop in ((0, 7), (7, N)):
+            kernel(x, xf, d, sec, w, y, e, start, stop, 0.1, 1e-3, normalized, 1e-8)
+        outs.append((w, y, e))
+    _assert_same_bytes(*outs)
+    assert not outs[0][1].any() and np.array_equal(outs[0][2], d)
+
+
+@pytest.mark.parametrize("kernel", ["adapt_chunk_numpy", "adapt_chunk"])
+def test_a_residual_is_written_before_it_is_read(kernel):
+    """anc_run keeps the disturbance's squares in e until the kernel runs."""
+    x, xf, d, sec, mu = _inputs("FXLMS", 8, 16, False, delay=2)
+    outs = []
+    for fill in (0.0, np.nan):
+        w, y, e = np.zeros(8), np.zeros(N), np.full(N, fill)
+        for start, stop in ((0, CHUNK), (CHUNK, N)):
+            getattr(_kernels, kernel)(x, xf, d, sec, w, y, e, start, stop, mu, 0.0, False,
+                                      1e-8)
+        outs.append((w, y, e))
+    _assert_same_bytes(*outs)
 
 
 # y before a chunk is the caller's. A value 200 samples back meets tap 200 of a
@@ -544,9 +596,11 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # The last call is an empty chunk at the end. Each sweep reads x and xf one
 # sample ahead of the sample it adapts, but for the chunk's last; the 40-tap
 # path falls by 2^-4 per tap, so its sum may stop from tap 16 on. Filters of
-# 4, 6 and 8 taps, and paths of 4, 8 and 40 taps behind 0, 1 or 3 zero taps,
-# leave 0 to 3 taps past the last block of four. Chunks that end at the
-# arrays' end start at each offset mod 4.
+# 1 to 4, 6 and 8 taps, and paths of 4, 8 and 40 taps behind 0, 1 or 3 zero
+# taps, leave 0 to 3 taps past the last block of four; the weights, held in
+# reverse while a call runs, turn about a middle tap (1 and 3 taps), none (2)
+# or an even count of them. Chunks that end at the arrays' end start at each
+# offset mod 4.
 _GUARDED = """\
 import ctypes, itertools, mmap
 import numpy as np
@@ -569,7 +623,8 @@ def guarded(values, first):
 
 N = 300
 rng = np.random.default_rng(7)
-paths = ((8, 0.5 ** np.arange(4)), (4, 0.5 ** np.arange(8)), (6, 16.0 ** -np.arange(40)))
+paths = ((8, 0.5 ** np.arange(4)), (4, 0.5 ** np.arange(8)), (6, 16.0 ** -np.arange(40)),
+         (1, 0.5 ** np.arange(4)), (2, 0.5 ** np.arange(8)), (3, 16.0 ** -np.arange(40)))
 for (L, path), delay, first in itertools.product(paths, (0, 1, 3), (False, True)):
     for normalized in (False, True):
         for leak in (0.0, 1e-3):
@@ -588,3 +643,43 @@ print(_kernels.backend_name())
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_never_touches_memory_past_a_chunk(tmp_path):
     assert _probe(tmp_path, os.environ.get("PATH", ""), code=_GUARDED) == "c"
+
+
+# The random runs again, on a build with UBSan that stops at its first report:
+# the kernel addresses the weights newest-first, tap j at W[-j], and must form
+# no pointer outside the arrays; with no taps it must not form w - 1, which
+# UBSan reports off a null w.
+_UBSAN = """\
+import ctypes, sys
+import numpy as np
+from hushkit import _kernels
+try:
+    lib = ctypes.CDLL(sys.argv[1])
+except OSError:
+    print("cannot load")
+    sys.exit()
+_kernels._load = lambda name: lib
+sys.path.insert(0, sys.argv[2])
+import test_kernels
+test_kernels.test_kernel_matches_numpy_reference_on_random_runs()
+x, y, e = np.ones(8), np.zeros(8), np.zeros(8)
+_kernels._compiled()(x.ctypes.data, x.ctypes.data, x.ctypes.data, x.ctypes.data, 8, None, 0,
+                     y.ctypes.data, e.ctypes.data, 0, 8, 0.1, 1e-3, 1, 1e-8)
+assert not y.any() and (e == 1.0).all()
+print(_kernels.backend_name())
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_runs_clean_under_ubsan(tmp_path):
+    lib = tmp_path / "adapt-ubsan.so"
+    done = subprocess.run(["cc", *_kernels._CFLAGS, "-fsanitize=undefined",
+                           "-fno-sanitize-recover=all", "-x", "c", "-", "-o", str(lib)],
+                          input=_kernels._C_SOURCE, capture_output=True, timeout=120)
+    if done.returncode != 0:
+        pytest.skip("cc cannot build with UBSan")
+    backend = _probe(tmp_path, os.environ.get("PATH", ""), str(lib), str(ROOT / "tests"),
+                     code=_UBSAN)
+    if backend == "cannot load":
+        pytest.skip("a UBSan build does not load through ctypes")
+    assert backend == "c"

@@ -1,9 +1,10 @@
 """Signal toolbox: sample buffers, FIR paths and the tone/noise generators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hushkit import ValidationError
-from hushkit.signals import (FirPath, SampleBuffer, convolve_path,
+from hushkit.signals import (FirPath, SampleBuffer, _bandpass_taps, convolve_path,
                              generate_broadband, generate_tone)
 
 FS = 8000.0
@@ -119,3 +120,45 @@ def test_sample_buffer_rejects_bad_rate():
 def test_fir_path_rejects_empty():
     with pytest.raises(ValidationError):
         FirPath(np.array([]))
+
+
+def _tone_expression(freq_hz, amplitude, phase_rad, n, fs):
+    """The tone as one expression, which the in-place arithmetic must match."""
+    k = np.arange(int(n), dtype=np.float64)
+    return amplitude * np.sin(2.0 * np.pi * freq_hz * k / fs + phase_rad)
+
+
+def _broadband_expression(seed, low_hz, high_hz, n, fs):
+    """The noise with a fresh array for the normalized samples."""
+    taps = _bandpass_taps(low_hz, high_hz, fs)
+    white = np.random.default_rng(seed).standard_normal(n + taps.shape[0] - 1)
+    shaped = np.convolve(white, taps, mode="valid")
+    rms = np.sqrt(np.mean(shaped**2)) if n else 0.0
+    if rms > 0:
+        shaped = shaped / rms
+    return shaped
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(fs=st.floats(1.0, 1e6), where=st.floats(1e-9, 1.0, exclude_max=True),
+       amplitude=st.floats(-1e300, 1e300), phase=st.floats(-1e3, 1e3),
+       n=st.integers(0, 3000))
+def test_tone_gives_the_bytes_of_its_expression(fs, where, amplitude, phase, n):
+    freq = where * fs / 2
+    got = generate_tone(freq, amplitude, phase, n, fs).samples
+    assert got.tobytes() == _tone_expression(freq, amplitude, phase, n, fs).tobytes()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(fs=st.floats(100.0, 1e6), low=st.floats(0.0, 0.9, exclude_min=True),
+       width=st.floats(1.05 / 32, 1.0), seed=st.integers(0, 2**63),
+       n=st.integers(0, 3000))
+def test_broadband_gives_the_bytes_of_its_expression(fs, low, width, seed, n):
+    # the band is wider than the filter's two half transitions, fs / 64
+    low_hz = low * fs / 2
+    high_hz = min(low_hz + width * fs / 2, np.nextafter(fs / 2, 0.0))
+    if high_hz - low_hz <= 1.01 * fs / 64:
+        low_hz = high_hz - 1.01 * fs / 64
+    got = generate_broadband(seed, low_hz, high_hz, n, fs).samples
+    want = _broadband_expression(seed, low_hz, high_hz, n, fs)
+    assert got.tobytes() == want.tobytes()
