@@ -2,8 +2,10 @@
 
 Periods are 1-based and flows occur at period ends (t = 1..T, no t=0 flow);
 ``npv`` therefore discounts C_t by (1+r)^-t, evaluated by Horner's rule. IRR
-is a per-period rate in [0, 10], or ``None`` when undefined (see ``irr`` and
-``_scan`` for when). Break-even defaults to the undiscounted cumulative flow.
+is a per-period rate, a root of NPV in [0, 10] refined by Brent's method, or
+``None`` when undefined; when the flows change sign three or more times it
+need not be the smallest root (see ``irr`` and ``_scan``). Break-even
+defaults to the undiscounted cumulative flow.
 The module uses the standard library only; flows are tuples of floats.
 
 Scenario analysis applies fractional :class:`Adjustment` rows to a base
@@ -203,18 +205,6 @@ def _sign_changes(flows: Sequence[float]) -> int:
     return changes
 
 
-def _bisect(flows, lo: float, hi: float, f_lo: float) -> float:
-    """The midpoint of [lo, hi] once halved to at most 1e-12 wide."""
-    while hi - lo > _IRR_XTOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = npv(flows, mid)
-        if f_mid == 0 or (f_mid > 0) != (f_lo > 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 def _brent(flows, a: float, fa: float, b: float, fb: float) -> Tuple[float, float]:
     """(root, NPV there) by Brent's method on [a, b], whose ends differ in
     sign or where NPV(b) is 0.
@@ -335,42 +325,39 @@ def _scan(flows, f_lo: float, f_hi: float):
 def irr(flows: Sequence[float]) -> Optional[float]:
     """Per-period internal rate of return, or None when undefined.
 
-    Finds a root of npv(r) on [0, 10] to a bracket at most 1e-12 wide, and
-    returns it only if |npv| <= $0.01 there. By Descartes' rule of signs,
-    NPV has at most as many roots r > -1 as the flows have sign changes.
+    Finds a root of npv(r) on [0, 10] by Brent's method to a bracket at
+    most 1e-12 wide, and returns it only if |npv| <= $0.01 there. By
+    Descartes' rule of signs, NPV has at most as many roots r > -1 as the
+    flows have sign changes.
 
     - No sign change: None.
     - NPV(0) = 0: the root is 0.
-    - NPV(0) and NPV(10) differ in sign: with one or two sign changes the
-      root in [0, 10] is unique, and Brent's method finds it. With three or
-      more, bisection finds the root it has always found.
+    - NPV(0) and NPV(10) differ in sign: the bracket is [0, 10]. With one or
+      two sign changes the root in it is unique; with three or more, the
+      root returned is one in [0, 10] and need not be the smallest.
     - They share a sign: with one sign change the root lies outside
       [0, 10], so None. With two or more, ``_scan`` proves cells of [0, 10]
-      root-free from left to right, and Brent's method refines the first
-      cell whose ends differ in sign. None when there is no such cell:
+      root-free from left to right, and the bracket is the first cell whose
+      ends differ in sign: its root is the smallest in [0, 10] unless a
+      cell left undecided holds two. None when there is no such cell:
       every cell is proved root-free, or some are left undecided at the
       floor width (~9.3e-9) or past the scan's cap of 200 evaluations.
     """
     changes = _sign_changes(flows)
     if not changes:
         return None
-    lo, hi = _IRR_LO, _IRR_HI
-    f_lo, f_hi = npv(flows, lo), npv(flows, hi)
+    f_lo, f_hi = npv(flows, _IRR_LO), npv(flows, _IRR_HI)
     if f_lo == 0.0:
-        return lo
+        return _IRR_LO
     if f_hi == 0 or (f_hi > 0) != (f_lo > 0):
-        if changes >= 3:
-            root = _bisect(flows, lo, hi, f_lo)
-            f_root = npv(flows, root)
-        else:
-            root, f_root = _brent(flows, lo, f_lo, hi, f_hi)
+        cell = _IRR_LO, f_lo, _IRR_HI, f_hi
     elif changes == 1:
         return None
     else:
         cell = _scan(flows, f_lo, f_hi)
         if cell is None:
             return None
-        root, f_root = _brent(flows, *cell)
+    root, f_root = _brent(flows, *cell)
     if not abs(f_root) <= IRR_NPV_TOL:
         return None
     return root

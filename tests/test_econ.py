@@ -99,7 +99,7 @@ def test_irr_is_the_low_end_when_npv_is_exactly_zero_there():
     assert irr([-1.0, 1.0]) == 0.0
 
 
-def test_irr_none_when_the_bisected_root_misses_the_tolerance():
+def test_irr_none_when_the_root_misses_the_tolerance():
     # the root is 0.1, but 1e-12 of a 1e20 flow is far more than $0.01
     assert irr([-1e20, 1.1e20]) is None
 
@@ -136,8 +136,9 @@ def test_irr_found_when_two_roots_share_a_scan_step():
 
 
 def _irr_by_bisection(flows):
-    """The former bisection of [0, 10], kept as the oracle for flows whose
-    NPV differs in sign at the two ends."""
+    """The former bisection of [0, 10], kept as the oracle for flows with
+    one or two sign changes whose NPV differs in sign at the two ends: the
+    root in [0, 10] is then unique."""
     lo, hi = 0.0, 10.0
     f_lo = npv(flows, lo)
     while hi - lo > 1e-12:
@@ -214,20 +215,25 @@ def test_irr_matches_bisection_where_the_ends_bracket_the_root(magnitudes, data)
     assert abs(root - oracle) <= 2e-12
 
 
-def test_irr_keeps_the_bisection_root_on_three_sign_changes():
-    # IRRs at 0.1, 0.5 and 2.0, and NPV(0) < 0 < NPV(10)
+def test_irr_finds_a_built_in_root_on_three_sign_changes():
+    # IRRs at 0.1, 0.5 and 2.0, and NPV(0) < 0 < NPV(10): a root in [0, 10],
+    # not necessarily the smallest
     flows = _flows_with_roots([0.1, 0.5, 2.0], scale=100.0)
     assert econ._sign_changes(flows) == 3
-    assert irr(flows) == _irr_by_bisection(flows) == pytest.approx(2.0, abs=1e-9)
+    root = irr(flows)
+    assert min(abs(root - rate) for rate in (0.1, 0.5, 2.0)) <= 1e-9
+    assert abs(npv(flows, root)) <= econ.IRR_NPV_TOL
 
 
-def test_irr_bisection_compares_signs_where_the_npv_product_underflows():
+def test_irr_compares_signs_where_the_npv_product_underflows():
     # IRRs at 0.1, 0.5 and 2.0, and NPV(0) = -1e-169 < 0 < NPV(10); the
     # product of two such NPVs underflows to 0, which read as a sign change
     # at every step and gave 2.8e-13, where no root is near
     flows = [1e-168, -5.6e-168, 9.45e-168, -4.95e-168]
     assert econ._sign_changes(flows) == 3
-    assert irr(flows) == irr([1.0, -5.6, 9.45, -4.95]) == 2.0000000000001705
+    unit = irr([1.0, -5.6, 9.45, -4.95])
+    assert unit == pytest.approx(2.0, abs=1e-9)
+    assert irr(flows) == pytest.approx(unit, abs=1e-12)
 
 
 def test_irr_evaluations_on_a_long_one_sign_change_model():
@@ -258,6 +264,19 @@ def test_irr_evaluations_on_a_tangent_double_root():
     root, evaluations = _irr_and_evaluations([-1.0, 2.2, -1.21])
     assert root is None or root == pytest.approx(0.1, abs=1e-6)
     assert evaluations <= _MOST_EVALUATIONS
+
+
+@pytest.mark.parametrize("rates, most", [
+    ((0.1, 0.5, 2.0), 20),
+    ((0.30, 0.31, 0.32), _MOST_EVALUATIONS),  # three roots 0.01 apart
+])
+def test_irr_evaluations_on_three_sign_changes_with_ends_of_differing_sign(rates, most):
+    # one Brent refinement of [0, 10], where halving it to 1e-12 alone takes 44
+    flows = _flows_with_roots(rates, scale=100.0)
+    assert econ._sign_changes(flows) == 3 and npv(flows, 0.0) < 0 < npv(flows, 10.0)
+    root, evaluations = _irr_and_evaluations(flows)
+    assert min(abs(root - rate) for rate in rates) <= 1e-9
+    assert evaluations <= most
 
 
 @pytest.mark.parametrize("flows", [

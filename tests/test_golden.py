@@ -5,13 +5,17 @@ One file per case and format lives in ``tests/golden/<case>.<format>``. The
 shipped-config files are also checked against the sha256 table the
 benchmark verifies (``perfbench/golden.json``), so both agree on the bytes.
 """
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -129,6 +133,44 @@ def test_report_bytes_match_golden(case, fmt, tmp_path):
                  "--format", fmt, "--output", str(out)])
     assert code == expected_code
     assert out.read_bytes() == (GOLDEN_DIR / f"{case}.{fmt}").read_bytes()
+
+
+_PERIOD_COLUMNS = ["period", "cash_flow", "discounted", "cumulative"]
+
+
+def _agrees(shown, value):
+    """Whether ``value`` (a float or a CSV cell) rounds to ``shown``, a
+    table figure with thousands separators, at the table's precision."""
+    places = len(shown.partition(".")[2])
+    error = abs(Decimal(value) - Decimal(shown.replace(",", "")))
+    return error <= Decimal(5) / 10 ** (places + 1)
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, (command, *_) in CASES.items()
+    if command in ("econ npv", "econ scenario")))
+def test_econ_formats_of_one_run_agree(case):
+    table = (GOLDEN_DIR / f"{case}.table").read_text(encoding="utf-8")
+    doc = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
+    header, *csv_rows = csv.reader(io.StringIO(
+        (GOLDEN_DIR / f"{case}.csv").read_text(encoding="utf-8")))
+    fields = dict(re.findall(r"^  (\w+): +(\S+)$", table, re.M))
+    assert _agrees(fields["npv"], doc["npv"])
+    assert _agrees(fields["discount_rate"], doc["discount_rate"])
+    if doc["irr"] is None:
+        assert fields["irr_per_period"] == "undefined"
+    else:
+        assert _agrees(fields["irr_per_period"], doc["irr"])
+    assert fields["break_even_period"] == str(doc["break_even_period"] or "none")
+
+    lines = table.splitlines()
+    start = [line.split() for line in lines].index(_PERIOD_COLUMNS) + 1
+    rows = [line.split() for line in takewhile(bool, lines[start:])]
+    assert header == _PERIOD_COLUMNS
+    assert len(rows) == len(doc["cash_flows"]) == len(csv_rows) > 0
+    for row, flow, cells in zip(rows, doc["cash_flows"], csv_rows):
+        assert _agrees(row[1], flow)
+        assert all(map(_agrees, row, cells))
 
 
 def test_shipped_goldens_match_benchmark_hashes():
