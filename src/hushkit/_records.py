@@ -31,7 +31,10 @@ class Record(tuple, metaclass=_RecordType):
     """A named-tuple base whose instances pass ``self._check()`` when made."""
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        if kwargs or len(args) != len(cls._fields):
+            self = super().__new__(cls, *args, **kwargs)  # defaults, arity errors
+        else:  # all the named tuple's own __new__ does with every field given
+            self = tuple.__new__(cls, args)
         self._check()
         return self
 

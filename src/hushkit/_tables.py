@@ -112,6 +112,33 @@ def finite(value) -> float:
     return value
 
 
+def clear_of_ties(cents: float) -> bool:
+    """Whether ``cents``, a figure's absolute value times 100, lies below
+    2**51 and more than 2 ulps from a half-cent: there rounding the double to
+    cents gives the cents of the Decimal rule of :func:`round_half_away`, and
+    so does printing it with two decimals. A non-finite ``cents`` fails.
+    """
+    # round() gives the same double as the Decimal rule unless the repr is
+    # itself a half-cent k.kk5:
+    # - round() rounds the exact binary value half to even, quantize() rounds
+    #   the repr half up; both end in a correctly rounded decimal-to-double
+    #   conversion, so only the cents they pick can differ.
+    # - They pick different cents only if the repr is a half-cent h, or h
+    #   lies strictly between the value and its repr. While ulp(value) < 0.01
+    #   the second cannot happen: h, closer to the value than the repr, would
+    #   round-trip too, and the repr, within 0.005 of the value, is no whole
+    #   cent and so no shorter than h; repr would have picked h.
+    # - A repr of h puts cents within 1.3 ulp(cents) of m + 0.5: the value
+    #   is within ulp(value) / 2 of h, and the product rounds once.
+    # - cents % 1.0 is exact, and so is its difference from 0.5 wherever
+    #   that is small (Sterbenz). cents < 2**51 keeps |value| below 2**46,
+    #   where ulp(value) < 0.01; the ulp test alone refuses cents >= 2**50.
+    # Formatting with ".2f" rounds the exact binary value correctly, as
+    # round() does, and ulp(value) < 0.01 lets the rounded double print as
+    # the cents it was rounded to; only the sign of a zero can differ.
+    return cents < 2.0 ** 51 and abs(cents % 1.0 - 0.5) > 2.0 * math.ulp(cents)
+
+
 def round_half_away(value: float) -> float:
     """Round to cents with ties going away from zero (display convention).
 
@@ -122,24 +149,8 @@ def round_half_away(value: float) -> float:
     ValidationError.
     """
     value = finite(value)
-    # round() gives the same double as the Decimal expression below unless
-    # the repr is itself a half-cent k.kk5:
-    # - round() rounds the exact binary value half to even, quantize() rounds
-    #   the repr half up; both end in a correctly rounded decimal-to-double
-    #   conversion, so only the cents they pick can differ.
-    # - They pick different cents only if the repr is a half-cent h, or h
-    #   lies strictly between the value and its repr. While ulp(value) < 0.01
-    #   the second cannot happen: h, closer to the value than the repr, would
-    #   round-trip too, and the repr, within 0.005 of the value, is no whole
-    #   cent and so no shorter than h; repr would have picked h.
-    # - A repr of h puts t = |value| * 100 within 1.3 ulp(t) of m + 0.5: the
-    #   value is within ulp(value) / 2 of h, and the product rounds once.
-    # - t % 1.0 is exact, and so is its difference from 0.5 wherever that is
-    #   small (Sterbenz). t < 2**51 keeps |value| below 2**46, where
-    #   ulp(value) < 0.01; the ulp test alone already refuses t >= 2**50.
-    # So ties, near-ties and huge values take the Decimal path.
-    t = abs(value) * 100.0
-    if t < 2.0 ** 51 and abs(t % 1.0 - 0.5) > 2.0 * math.ulp(t):
+    # ties, near-ties and huge values take the Decimal path
+    if clear_of_ties(abs(value) * 100.0):
         return round(value, 2) + 0.0
     from decimal import ROUND_HALF_UP, Context, Decimal
     # A finite double has at most 309 integer digits, so this precision holds

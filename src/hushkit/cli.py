@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
-from ._tables import clean, finite, round_half_away
+from ._tables import clean, clear_of_ties, finite, round_half_away
 from .errors import ValidationError
 
 FORMATS = ("table", "json", "csv")
@@ -270,8 +270,13 @@ def _rate(value, ndigits: int = 9) -> float:
 
 def _cash(value, fmt: str, sign: str = "") -> str:
     """A money cell: cents, grouped by thousands in table only; ``sign`` "+"
-    signs a change."""
-    return format(round_half_away(value), sign + ("," if fmt == "table" else "") + ".2f")
+    signs a change. Printed from the double itself, as ``round_half_away``
+    would round it, unless it is at or next to a half-cent tie or huge."""
+    spec = sign + ("," if fmt == "table" else "") + ".2f"
+    cents = abs(value) * 100.0
+    if clear_of_ties(cents):  # under half a cent prints as an unsigned 0.00
+        return format(value if cents > 0.5 else 0.0, spec)
+    return format(round_half_away(value), spec)
 
 
 def _block(title: str, pairs, width: int):

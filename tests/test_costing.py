@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hushkit import ValidationError
 from hushkit._tables import round_half_away
+from hushkit.cli import _cash
 from hushkit.costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
                              BomLine, OverheadRates, assembly_cost, bom_rollup,
                              check_discrepancies, cost_reduction_report, dfa_index,
@@ -81,8 +82,25 @@ def test_round_half_away_is_the_decimal_rule_bit_for_bit(value):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_round_half_away_rejects_non_finite(value):
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="non-finite") as err:
         round_half_away(value)
+    for fmt, sign in (("table", ""), ("csv", "+")):  # and so does a money cell
+        with pytest.raises(ValidationError) as cell_err:
+            _cash(value, fmt, sign)
+        assert str(cell_err.value) == str(err.value)
+
+
+@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _HALF_CENTS,
+                 _HALF_CENT_TEXT, _FAST_PATH_EDGE, _EXTREMES,
+                 st.floats(-1e-300, 1e-300, allow_subnormal=True),
+                 st.floats(-0.006, 0.006), st.integers(-10 ** 20, 10 ** 20)),
+       st.sampled_from(("table", "csv")), st.sampled_from(("", "+")))
+def test_a_money_cell_prints_the_rounded_figure(value, fmt, sign):
+    # a cell printed from the double itself must read as the rounded figure
+    # would: ties, near-ties, huge figures and zeros of either sign included
+    spec = sign + ("," if fmt == "table" else "") + ".2f"
+    assert _cash(value, fmt, sign) == format(round_half_away(value), spec)
 
 
 # ------------------------------------------------------------------- roll-up

@@ -279,6 +279,16 @@ def test_irr_evaluations_on_three_sign_changes_with_ends_of_differing_sign(rates
     assert evaluations <= most
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: with ends of one sign "
+                   "the scan hits its cap next to clustered roots, and irr "
+                   "returns None although four IRRs lie in [0, 10]")
+def test_irr_finds_the_smallest_of_four_clustered_roots_with_ends_of_one_sign():
+    flows = _flows_with_roots([8.04, 8.078, 8.101, 8.826])
+    assert npv(flows, 0.0) > 0 and npv(flows, 10.0) > 0
+    root = irr(flows)
+    assert root is not None and abs(root - 8.04) <= 1e-6
+
+
 @pytest.mark.parametrize("flows", [
     [1e307] * 20 + [-1e307],
     [-1e307] * 3 + [1e307] * 30 + [-1e307] * 3,

@@ -173,6 +173,74 @@ def test_econ_formats_of_one_run_agree(case):
         assert all(map(_agrees, row, cells))
 
 
+def _formats(case):
+    """The table's lines, the JSON document and the CSV rows of one golden."""
+    def text(fmt):
+        return (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
+    return (text("table").splitlines(), json.loads(text("json")),
+            list(csv.reader(io.StringIO(text("csv")))))
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, (command, *_) in CASES.items() if command == "econ sensitivity"))
+def test_sensitivity_formats_of_one_run_agree(case):
+    table, doc, (header, *csv_rows) = _formats(case)
+    base = re.fullmatch(r"sensitivity of npv \(base (\S+)\)", table[0]).group(1)
+    assert _agrees(base, doc["base_npv"])
+    # columns are at least two spaces apart, and no parameter holds two
+    rows = [re.split(r" {2,}", line.strip()) for line in table[3:]]
+    assert re.split(r" {2,}", table[2].strip()) == [
+        "parameter", "pct", "periods", "delta_npv", "pct_of_base"]
+    assert header == ["parameter", "pct", "first", "last", "delta_npv",
+                      "delta_pct_of_base"]
+    assert len(rows) == len(doc["rows"]) == len(csv_rows)
+    for (parameter, pct, periods, delta, share), row, cells in zip(rows, doc["rows"],
+                                                                   csv_rows):
+        assert parameter == row["parameter"] == cells[0]
+        assert _agrees(pct.removesuffix("%"), Decimal(row["pct"]) * 100)
+        assert _agrees(cells[1], row["pct"])
+        assert periods == f"{row['first']}-{row['last']}" == "-".join(cells[2:4])
+        assert _agrees(delta, row["delta_npv"]) and _agrees(delta, cells[4])
+        if row["delta_pct_of_base"] is None:
+            assert (share, cells[5]) == ("n/a", "")
+        else:
+            assert _agrees(share.removesuffix("%"), Decimal(row["delta_pct_of_base"]) * 100)
+            assert _agrees(share.removesuffix("%"), Decimal(cells[5]) * 100)
+
+
+_DISCREPANCY = re.compile(
+    r"^    (\w+): computed (\S+), expected (\S+) \(delta (\S+)\)$", re.M)
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, (command, *_) in CASES.items() if command == "cost bom"))
+def test_bom_formats_of_one_run_agree(case):
+    table, doc, (header, *csv_rows) = _formats(case)
+    assert table[0] == "manufacturing cost summary" and header == ["field", "value"]
+    fields = dict(re.findall(r"^  (\w+): +(\S+)$", "\n".join(table), re.M))
+    cells = dict(csv_rows)
+    figures = {label: value for label, value in doc.items() if label != "discrepancies"}
+    assert list(fields) == [label for label, _ in csv_rows if "." not in label]
+    assert sorted(fields) == sorted(figures)
+    for label, shown in fields.items():
+        assert _agrees(shown, figures[label]) and _agrees(shown, cells[label])
+
+    parts = ("computed", "expected", "delta")
+    audited = [(d["label"], *(d[part] for part in parts)) for d in doc["discrepancies"]]
+    assert [label for label, _ in csv_rows if "." in label] == [
+        f"discrepancy.{d[0]}.{part}" for d in audited for part in parts]
+    for label, *figures in audited:
+        assert all(_agrees(cells[f"discrepancy.{label}.{part}"], figure)
+                   for part, figure in zip(parts, figures))
+    shown = _DISCREPANCY.findall("\n".join(table))
+    if shown:
+        assert [label for label, *_ in shown] == [label for label, *_ in audited]
+        for (_, *texts), (_, *figures) in zip(shown, audited):
+            assert all(map(_agrees, texts, figures))
+    else:
+        assert audited == []
+
+
 def test_shipped_goldens_match_benchmark_hashes():
     recorded = json.loads(BENCH_HASHES.read_text())["sha256"]
     ours = {f"{name}.json:{fmt}": hashlib.sha256(

@@ -107,6 +107,11 @@ def test_a_field_without_a_default_may_not_follow_one_with():
             late: int
 
 
+def _named_tuple(cls, *args, **kwargs):
+    """What the named tuple under ``cls`` makes of the arguments, unchecked."""
+    return cls.__bases__[-1].__new__(cls, *args, **kwargs)
+
+
 def test_records_normalise_their_sequences():
     spec = CHECKED["ModelSpec"][0]
     assert spec.expenses == (_LINE,) and spec == (24, 0.025, (_LINE,), _SALES)
@@ -114,3 +119,52 @@ def test_records_normalise_their_sequences():
     assert matrix.criteria == (("cost", 0.6), ("size", 0.4))
     assert matrix.concepts == (("A", (3, 1)),)
     assert matrix._asdict() == {"criteria": matrix.criteria, "concepts": matrix.concepts}
+    # on every path through their own constructors
+    for made in (ModelSpec(horizon=24, discount_rate=0.025, expenses=[_LINE], sales=_SALES),
+                 ModelSpec._make((24, 0.025, [_LINE], _SALES)),
+                 spec._replace(expenses=[_LINE])):
+        assert made == _named_tuple(ModelSpec, 24, 0.025, (_LINE,), _SALES)
+    for made in (ConceptMatrix(criteria=[["cost", 0.6], ["size", 0.4]],
+                               concepts=[["A", [3, 1]]]),
+                 matrix._replace(concepts=[("A", [3, 1])])):
+        assert made == matrix
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_every_way_to_make_a_record_gives_the_named_tuples_record(name):
+    record, bad, message = CHECKED[name]
+    cls = type(record)
+    values = tuple(record)
+    required = len(cls._fields) - len(cls._field_defaults)
+    whole = _named_tuple(cls, *values)
+    made = {
+        "positional": (cls(*values), whole),
+        "keyword": (cls(**record._asdict()), whole),
+        "mixed": (cls(*values[:1], **dict(zip(cls._fields[1:], values[1:]))), whole),
+        "defaults": (cls(*values[:required]), _named_tuple(cls, *values[:required])),
+        "_make": (cls._make(values), whole),
+        "_replace": (record._replace(), whole),
+    }
+    for path, (made_record, want) in made.items():
+        assert type(made_record) is cls and made_record == want, path
+
+    # test_no_record_is_made_invalid covers _make and _replace
+    invalid = tuple(bad.get(field, value) for field, value in zip(cls._fields, values))
+    for make in (lambda: cls(*invalid),
+                 lambda: cls(**dict(zip(cls._fields, invalid))),
+                 lambda: cls(*invalid[:1], **dict(zip(cls._fields[1:], invalid[1:])))):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_a_record_of_the_wrong_arity_is_a_type_error(name):
+    record = CHECKED[name][0]
+    cls = type(record)
+    required = len(cls._fields) - len(cls._field_defaults)
+    for args in ((*record, None), tuple(record)[:required - 1]):
+        with pytest.raises(TypeError):
+            cls(*args)
+    with pytest.raises(TypeError):
+        cls(*record, **{cls._fields[0]: record[0]})
