@@ -9,7 +9,7 @@ import importlib
 
 # exported name -> the module that defines it
 _LAZY = {
-    "ValidationError": "errors",
+    "ValidationError": "_records",
     "round_half_away": "_tables",
     **dict.fromkeys(("ASSEMBLY_COLUMNS", "BOM_COLUMNS", "CENT_TOL", "AssemblyOp",
                      "BomLine", "BomSummary", "Discrepancy", "OverheadRates",

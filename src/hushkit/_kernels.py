@@ -129,6 +129,7 @@ pair(const double *a, int64_t i)  /* a[i], a[i + 1] */
 static inline __attribute__((always_inline)) double
 total(lanes s, int64_t k)
 {
+    /* adding all four lanes whatever k ran 11% slower on 2 taps */
     double a = k > 1 ? s.lo[1] + s.lo[0] : s.lo[1];
     return k > 2 ? a + (k > 3 ? s.hi[1] + s.hi[0] : s.hi[1]) : a;
 }
@@ -299,7 +300,7 @@ void adapt_chunk(const double *x, const double *xf, const double *d,
     /* with no taps W is never read, and w - 1 is never formed */
     double *W = L ? w + L - 1 : w;
     flip(w, L);
-    /* one inlined copy of run per value of normalized and leak */
+    /* a copy of run per normalized and leak: with the leak a flag, 3.5-10% slower */
 #define RUN(normalized, leak) run(x, xf, d, sec, M, J, bound, W, L, y, e, start, stop, \
                                   mu, decay, eps, normalized, leak)
     if (normalized)

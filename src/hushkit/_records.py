@@ -1,5 +1,6 @@
-"""The library's immutable records, business and ANC alike: named tuples
-that check their fields whenever one is made.
+"""The library's two base types: :class:`ValidationError`, which every input
+check raises, and :class:`Record`, the base of its immutable records, business
+and ANC alike: named tuples that check their fields whenever one is made.
 
 A record subclasses :class:`Record` and declares each field once, in order,
 as an annotation in its class body (the CLI reads the kinds from these),
@@ -9,6 +10,14 @@ no record exists in an invalid state. Records build without
 ``dataclasses``, which loads ``inspect``: a business command imports neither.
 """
 from collections import namedtuple
+
+
+class ValidationError(ValueError):
+    """Raised when an input value or configuration field is invalid.
+
+    Messages always name the offending field (or file) so callers can
+    surface actionable errors.
+    """
 
 
 class _RecordType(type):

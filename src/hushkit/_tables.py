@@ -15,7 +15,7 @@ import math
 import re
 from pathlib import Path
 
-from .errors import ValidationError
+from ._records import ValidationError
 
 
 # JSON decoding pairs every valid surrogate pair, so any left is lone

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._records import Record
-from .errors import ValidationError
+from ._records import Record, ValidationError
 from .signals import FirPath, SampleBuffer, convolve_path
 
 ALGORITHMS = ("LMS", "NLMS", "FXLMS")

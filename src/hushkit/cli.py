@@ -23,8 +23,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
+from ._records import ValidationError
 from ._tables import clean, clear_of_ties, finite, round_half_away
-from .errors import ValidationError
 
 FORMATS = ("table", "json", "csv")
 

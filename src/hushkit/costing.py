@@ -13,9 +13,8 @@ import math
 import re
 from typing import List, Optional, Sequence, Tuple
 
-from ._records import Record
+from ._records import Record, ValidationError
 from ._tables import names_file, read_rows
-from .errors import ValidationError
 
 #: Tolerance for cent-level equality checks and discrepancy flags.
 CENT_TOL = 0.005

@@ -18,8 +18,7 @@ import math
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ._records import Record
-from .errors import ValidationError
+from ._records import Record, ValidationError
 
 #: Adjustment targets addressing the sales block rather than an expense line.
 UNITS, PRICE, COST = "UNITS", "PRICE", "COST"
@@ -460,6 +459,7 @@ def sensitivity(spec: ModelSpec, adjustments: Iterable[Adjustment]
         (first0, last0, before), (first, last, after) = was, now
         cuts = sorted((0, first - 1, last, first0 - 1, last0), reverse=True)
         total = 0.0
+        # npv of each row's whole difference flow ran 1.14-1.43x slower at 150 rows
         for hi, lo in zip(cuts, cuts[1:]):  # periods hi down to lo + 1
             c = 0.0 + after if first <= hi <= last else 0.0  # as build_cash_flows adds
             c = c + -before if first0 <= hi <= last0 else c

@@ -4,9 +4,8 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from ._records import Record
+from ._records import Record, ValidationError
 from ._tables import names_file, read_rows
-from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
 RATING_MIN, RATING_MAX = 1, 3

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from ._records import ValidationError
 
 #: Tap count of the band-pass used by :func:`generate_broadband` (order 255).
 BROADBAND_FIR_TAPS = 256
@@ -148,7 +148,8 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
     # stationary samples (no start-up transient).
     white = rng.standard_normal(n + taps.shape[0] - 1)
     shaped = np.convolve(white, taps, mode="valid")
-    rms = np.sqrt(np.mean(shaped**2)) if n else 0.0
+    # white is dead after the convolution: its first n samples take the squares
+    rms = np.sqrt(np.mean(np.square(shaped, out=white[:n]))) if n else 0.0
     if rms > 0:
         shaped /= rms
     return SampleBuffer(shaped, fs)

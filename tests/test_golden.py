@@ -135,6 +135,10 @@ def test_report_bytes_match_golden(case, fmt, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / f"{case}.{fmt}").read_bytes()
 
 
+def _cases(*commands):
+    return sorted(case for case, (command, *_) in CASES.items() if command in commands)
+
+
 _PERIOD_COLUMNS = ["period", "cash_flow", "discounted", "cumulative"]
 
 
@@ -146,9 +150,7 @@ def _agrees(shown, value):
     return error <= Decimal(5) / 10 ** (places + 1)
 
 
-@pytest.mark.parametrize("case", sorted(
-    case for case, (command, *_) in CASES.items()
-    if command in ("econ npv", "econ scenario")))
+@pytest.mark.parametrize("case", _cases("econ npv", "econ scenario"))
 def test_econ_formats_of_one_run_agree(case):
     table = (GOLDEN_DIR / f"{case}.table").read_text(encoding="utf-8")
     doc = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
@@ -181,8 +183,7 @@ def _formats(case):
             list(csv.reader(io.StringIO(text("csv")))))
 
 
-@pytest.mark.parametrize("case", sorted(
-    case for case, (command, *_) in CASES.items() if command == "econ sensitivity"))
+@pytest.mark.parametrize("case", _cases("econ sensitivity"))
 def test_sensitivity_formats_of_one_run_agree(case):
     table, doc, (header, *csv_rows) = _formats(case)
     base = re.fullmatch(r"sensitivity of npv \(base (\S+)\)", table[0]).group(1)
@@ -212,11 +213,21 @@ _DISCREPANCY = re.compile(
     r"^    (\w+): computed (\S+), expected (\S+) \(delta (\S+)\)$", re.M)
 
 
-@pytest.mark.parametrize("case", sorted(
-    case for case, (command, *_) in CASES.items() if command == "cost bom"))
+@pytest.mark.parametrize("case", _cases("plan market"))
+def test_market_formats_of_one_run_agree(case):
+    _summary_formats_agree(case, "market sizing")
+
+
+@pytest.mark.parametrize("case", _cases("cost bom"))
 def test_bom_formats_of_one_run_agree(case):
+    _summary_formats_agree(case, "manufacturing cost summary")
+
+
+def _summary_formats_agree(case, title):
+    """Every figure and discrepancy of a `label: value` summary agrees across
+    the three formats."""
     table, doc, (header, *csv_rows) = _formats(case)
-    assert table[0] == "manufacturing cost summary" and header == ["field", "value"]
+    assert table[0] == title and header == ["field", "value"]
     fields = dict(re.findall(r"^  (\w+): +(\S+)$", "\n".join(table), re.M))
     cells = dict(csv_rows)
     figures = {label: value for label, value in doc.items() if label != "discrepancies"}
@@ -226,7 +237,8 @@ def test_bom_formats_of_one_run_agree(case):
         assert _agrees(shown, figures[label]) and _agrees(shown, cells[label])
 
     parts = ("computed", "expected", "delta")
-    audited = [(d["label"], *(d[part] for part in parts)) for d in doc["discrepancies"]]
+    audited = [(d["label"], *(d[part] for part in parts))
+               for d in doc.get("discrepancies", ())]
     assert [label for label, _ in csv_rows if "." in label] == [
         f"discrepancy.{d[0]}.{part}" for d in audited for part in parts]
     for label, *figures in audited:
@@ -239,6 +251,82 @@ def test_bom_formats_of_one_run_agree(case):
             assert all(map(_agrees, texts, figures))
     else:
         assert audited == []
+
+
+_MATCH = "  all supplied expected values match"
+_DIFFER = "  figures that differ from the supplied expected values:"
+
+
+@pytest.mark.parametrize("case", _cases("cost bom"))
+def test_bom_claim_sentences_follow_from_json(case):
+    table, doc, _ = _formats(case)
+    config = CASES[case][1]
+    if not isinstance(config, dict):
+        config = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    supplied = any(v is not None for v in (config.get("expected") or {}).values())
+    audited = [d["label"] for d in doc["discrepancies"]]
+    assert (_MATCH in table) is (supplied and audited == [])
+    assert (_DIFFER in table) is bool(audited)
+    if audited:
+        lines = table[table.index(_DIFFER) + 1:]
+        assert [_DISCREPANCY.fullmatch(line).group(1) for line in lines] == audited
+
+
+@pytest.mark.parametrize("case", _cases("plan concept"))
+def test_concept_formats_of_one_run_agree(case):
+    table, doc, (header, *csv_rows) = _formats(case)
+    assert table[0] == "concept ranking" and table[1].split() == ["rank", "concept", "total"]
+    assert header == ["concept", "total", "rank"]
+    # rank, concept, total; a concept may hold single spaces
+    shown = [re.fullmatch(r" +(\d+)  (.+?) +(\S+)", line).groups() for line in table[2:]]
+    assert sorted(shown, key=lambda row: int(row[0])) == shown
+    assert sorted((c, t, r) for r, c, t in shown) == sorted(map(tuple, csv_rows))
+    assert len(csv_rows) == len(doc["scores"])
+    for (concept, total, rank), score in zip(csv_rows, doc["scores"]):
+        assert (concept, int(rank)) == (score["concept"], score["rank"])
+        assert _agrees(total, score["total"])
+
+
+# code, p, i, score, quadrant, category (single spaces at most), description
+_RISK_ROW = re.compile(r"  (\S+) +(\d+) +(\d+) +(\d+)  (\S+) +(.*?) {2,}(.*)")
+_RISK_FIELDS = ["code", "description", "category", "probability", "impact", "score",
+                "quadrant"]
+
+
+@pytest.mark.parametrize("case", _cases("plan risk"))
+def test_risk_formats_of_one_run_agree(case):
+    table, doc, (header, *csv_rows) = _formats(case)
+    assert table[0] == f"risk register (threshold {doc['threshold']})"
+    assert table[1].split() == ["code", "p", "i", "score", "quadrant", "category",
+                                "description"]
+    assert header == _RISK_FIELDS
+    shown = [_RISK_ROW.fullmatch(line).groups() for line in table[2:]]
+    assert len(shown) == len(csv_rows) == len(doc["items"])
+    for (code, p, i, score, quadrant, category, text), cells, item in zip(
+            shown, csv_rows, doc["items"]):
+        assert [code, text, category, p, i, score, quadrant] == cells == [
+            str(item[field]) for field in _RISK_FIELDS]
+
+
+@pytest.mark.parametrize("case", _cases("anc simulate"))
+def test_anc_formats_of_one_run_agree(case):
+    table, doc, (header, *csv_rows) = _formats(case)
+    trace = doc["attenuation_trace_db"]
+
+    def one_decimal(db):  # the table rounds the 4-decimal figure again
+        return f"{round(db, 1) + 0.0:.1f}"
+
+    assert doc["diverged"] is (CASES[case][3] == 2)
+    assert table[0] == "noise-control simulation"
+    assert dict(re.findall(r"^  (\w+): +(\S+)$", "\n".join(table[1:5]), re.M)) == {
+        "samples": str(doc["n_samples"]), "windows": str(len(trace)),
+        "diverged": "yes" if doc["diverged"] else "no",
+        "steady_state_attenuation_db": one_decimal(doc["steady_state_attenuation_db"])}
+    assert table[5] == "" and table[6].split() == header == ["window", "attenuation_db"]
+    windows = list(enumerate(trace, start=1))
+    assert [line.split() for line in table[7:]] == [
+        [str(i), one_decimal(db)] for i, db in windows]
+    assert [(int(i), float(db)) for i, db in csv_rows] == windows
 
 
 def test_shipped_goldens_match_benchmark_hashes():
