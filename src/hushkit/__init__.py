@@ -10,7 +10,7 @@ import importlib
 # exported name -> the module that defines it
 _LAZY = {
     "ValidationError": "_records",
-    "round_half_away": "_tables",
+    "round_half_away": "cli",
     **dict.fromkeys(("ASSEMBLY_COLUMNS", "BOM_COLUMNS", "CENT_TOL", "AssemblyOp",
                      "BomLine", "BomSummary", "Discrepancy", "OverheadRates",
                      "assembly_cost", "bom_rollup", "check_discrepancies",

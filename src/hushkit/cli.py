@@ -24,7 +24,7 @@ from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
 from ._records import ValidationError
-from ._tables import clean, clear_of_ties, finite, round_half_away
+from ._tables import clean
 
 FORMATS = ("table", "json", "csv")
 
@@ -262,6 +262,63 @@ def _resolve(path_str: str, config_path: str) -> Path:
 # rows for csv or lines for table, which emit_report serializes; each returns
 # (view, exit code). Library names are looked up on their modules at call
 # time, so a replaced binding (a tracing wrapper, say) is the one called.
+
+
+def finite(value) -> float:
+    """``value`` as a float if it is finite, the one check of every number a
+    report carries; otherwise a ValidationError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"cannot round the non-finite value {value!r}")
+    return value
+
+
+def clear_of_ties(cents: float) -> bool:
+    """Whether ``cents``, a figure's absolute value times 100, lies below
+    2**51 and more than 2 ulps from a half-cent: there rounding the double to
+    cents gives the cents of the Decimal rule of :func:`round_half_away`, and
+    so does printing it with two decimals. A non-finite ``cents`` fails.
+    """
+    # round() gives the same double as the Decimal rule unless the repr is
+    # itself a half-cent k.kk5:
+    # - round() rounds the exact binary value half to even, quantize() rounds
+    #   the repr half up; both end in a correctly rounded decimal-to-double
+    #   conversion, so only the cents they pick can differ.
+    # - They pick different cents only if the repr is a half-cent h, or h
+    #   lies strictly between the value and its repr. While ulp(value) < 0.01
+    #   the second cannot happen: h, closer to the value than the repr, would
+    #   round-trip too, and the repr, within 0.005 of the value, is no whole
+    #   cent and so no shorter than h; repr would have picked h.
+    # - A repr of h puts cents within 1.3 ulp(cents) of m + 0.5: the value
+    #   is within ulp(value) / 2 of h, and the product rounds once.
+    # - cents % 1.0 is exact, and so is its difference from 0.5 wherever
+    #   that is small (Sterbenz). cents < 2**51 keeps |value| below 2**46,
+    #   where ulp(value) < 0.01; the ulp test alone refuses cents >= 2**50.
+    # Formatting with ".2f" rounds the exact binary value correctly, as
+    # round() does, and ulp(value) < 0.01 lets the rounded double print as
+    # the cents it was rounded to; only the sign of a zero can differ.
+    return cents < 2.0 ** 51 and abs(cents % 1.0 - 0.5) > 2.0 * math.ulp(cents)
+
+
+def round_half_away(value: float) -> float:
+    """Round to cents with ties going away from zero (display convention).
+
+    What is rounded is the double's shortest round-trip decimal, its
+    ``repr``: 2.675 is stored as 2.674999999999999822... and rounds to 2.68.
+    A figure that rounds to zero is ``+0.0``, never ``-0.0``, so no report
+    prints a signed zero. Any finite double rounds; a non-finite value is a
+    ValidationError.
+    """
+    value = finite(value)
+    # ties, near-ties and huge values take the Decimal path
+    if clear_of_ties(abs(value) * 100.0):
+        return round(value, 2) + 0.0
+    from decimal import ROUND_HALF_UP, Context, Decimal
+    # A finite double has at most 309 integer digits, so this precision holds
+    # any of them quantized to cents; the default 28-digit context fails from
+    # about 1e26 on.
+    return float(Decimal(repr(value)).quantize(
+        Decimal("0.01"), rounding=ROUND_HALF_UP, context=Context(prec=400))) + 0.0
 
 
 def _rate(value, ndigits: int = 9) -> float:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hushkit import ValidationError
-from hushkit._tables import round_half_away
-from hushkit.cli import _cash
+from hushkit.cli import _cash, round_half_away
 from hushkit.costing import (ASSEMBLY_COLUMNS, BOM_COLUMNS, CENT_TOL, AssemblyOp,
                              BomLine, OverheadRates, assembly_cost, bom_rollup,
                              check_discrepancies, cost_reduction_report, dfa_index,
