@@ -325,6 +325,16 @@ def _rate(value, ndigits: int = 9) -> float:
     return round(finite(value), ndigits) + 0.0
 
 
+def _finite_all(values, scale: float = 1.0) -> None:
+    """Check each of ``values`` times ``scale`` with :func:`finite`, in order.
+    A handler checks every figure that any of its formats prints before it
+    renders one, so all formats fail alike. A finite scaled sum of the sizes
+    clears them all in one pass, since rounding is monotonic."""
+    if not math.isfinite(sum(map(abs, values)) * scale):
+        for value in values:
+            finite(value * scale)
+
+
 def _cash(value, fmt: str, sign: str = "") -> str:
     """A money cell: cents, grouped by thousands in table only; ``sign`` "+"
     signs a change. Printed from the double itself, as ``round_half_away``
@@ -405,7 +415,13 @@ def _cmd_econ_eval(args):
     result = econ.evaluate(c.model, c.adjustments,
                            discounted_breakeven=args.discounted_breakeven)
     code = 2 if args.require_irr and result.irr is None else 0
-    r = c.model.discount_rate
+    r, flows = c.model.discount_rate, result.cash_flows
+    changed = [d for d in result.line_deltas if d.delta != 0.0]
+    _finite_all([*flows, *(v for d in result.line_deltas for v in d[1:]), result.npv,
+                 *accumulate(flows)])
+    _finite_all([d.pct for d in changed], 100.0)  # the table's percentages
+    if r < 0:  # at r >= 0 no discounted flow is larger than its flow
+        _finite_all(econ.discounted_flows(flows, r))
     fmt = args.format
     if fmt == "json":
         return {
@@ -422,7 +438,6 @@ def _cmd_econ_eval(args):
             "npv": round_half_away(result.npv),
         }, code
     header = ("period", "cash_flow", "discounted", "cumulative")
-    flows = result.cash_flows
     periods = [(t, _cash(flow, fmt), _cash(pv, fmt), _cash(cumulative, fmt))
                for t, (flow, pv, cumulative) in enumerate(
                    zip(flows, econ.discounted_flows(flows, r), accumulate(flows)),
@@ -436,7 +451,6 @@ def _cmd_econ_eval(args):
                ("discount_rate", f"{r + 0.0:g}")]
     view = [*_block("cash-flow evaluation", summary, 18), "",
             *_grid("  {:>6}  {:>13}  {:>13}  {:>13}", header, periods)]
-    changed = [d for d in result.line_deltas if d.delta != 0.0]
     if changed:
         view += ["", "  adjusted inputs",
                  *_grid("  {:<22}  {:>13}  {:>13}  {:>9}  {:>13}",
@@ -452,6 +466,9 @@ def _cmd_econ_sensitivity(args):
 
     c = _config(args, "sensitivity config")
     base, rows = econ.sensitivity(c.model, c.rows)
+    _finite_all([base, *(row[4] for row in rows)])
+    _finite_all([row[1] for row in rows], 100.0)  # the table's percentages
+    _finite_all([row[5] for row in rows if row[5] is not None], 100.0)
     fmt = args.format
     header = ("parameter", "pct", "first", "last", "delta_npv", "delta_pct_of_base")
     if fmt == "json":

@@ -122,13 +122,29 @@ def concept_score(matrix: ConceptMatrix) -> List[Tuple[str, float, int]]:
     matrix's concept order, with the rank attached.
     """
     weights = [w for _, w in matrix.criteria]
-    totals = [(name, math.fsum(w * r for w, r in zip(weights, ratings)))
-              for name, ratings in matrix.concepts]
+    totals = [(name, _total(weights, ratings)) for name, ratings in matrix.concepts]
     order = sorted(range(len(totals)), key=lambda i: (-totals[i][1], i))
     ranks = {}
     for position, index in enumerate(order, start=1):
         ranks[index] = position
     return [(name, total, ranks[i]) for i, (name, total) in enumerate(totals)]
+
+
+def _total(weights, ratings) -> float:
+    """``math.fsum`` of the products; where a product or a partial sum passes
+    the largest double, the exact dot product rounded once, +-inf past it."""
+    try:
+        total = math.fsum(w * r for w, r in zip(weights, ratings))
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        pass
+    from fractions import Fraction
+    exact = sum(Fraction(w) * r for w, r in zip(weights, ratings))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 class MarketEstimate(Record):

@@ -6,6 +6,7 @@ shipped-config files are also checked against the sha256 table the
 benchmark verifies (``perfbench/golden.json``), so both agree on the bytes.
 """
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from hushkit.cli import FORMATS, main
+from test_manifest import ROOT, _generator, _run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
@@ -150,12 +152,27 @@ def _agrees(shown, value):
     return error <= Decimal(5) / 10 ** (places + 1)
 
 
+def _parsed(texts):
+    """The table's lines, the JSON document and the CSV rows of one run's
+    reports, given as {format: text}."""
+    return (texts["table"].splitlines(), json.loads(texts["json"]),
+            list(csv.reader(io.StringIO(texts["csv"]))))
+
+
+def _formats(case):
+    """The parsed reports of one golden."""
+    return _parsed({fmt: (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
+                    for fmt in FORMATS})
+
+
 @pytest.mark.parametrize("case", _cases("econ npv", "econ scenario"))
 def test_econ_formats_of_one_run_agree(case):
-    table = (GOLDEN_DIR / f"{case}.table").read_text(encoding="utf-8")
-    doc = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
-    header, *csv_rows = csv.reader(io.StringIO(
-        (GOLDEN_DIR / f"{case}.csv").read_text(encoding="utf-8")))
+    _econ_agree(*_formats(case))
+
+
+def _econ_agree(table, doc, rows):
+    table = "\n".join(table)
+    header, *csv_rows = rows
     fields = dict(re.findall(r"^  (\w+): +(\S+)$", table, re.M))
     assert _agrees(fields["npv"], doc["npv"])
     assert _agrees(fields["discount_rate"], doc["discount_rate"])
@@ -175,17 +192,13 @@ def test_econ_formats_of_one_run_agree(case):
         assert all(map(_agrees, row, cells))
 
 
-def _formats(case):
-    """The table's lines, the JSON document and the CSV rows of one golden."""
-    def text(fmt):
-        return (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
-    return (text("table").splitlines(), json.loads(text("json")),
-            list(csv.reader(io.StringIO(text("csv")))))
-
-
 @pytest.mark.parametrize("case", _cases("econ sensitivity"))
 def test_sensitivity_formats_of_one_run_agree(case):
-    table, doc, (header, *csv_rows) = _formats(case)
+    _sensitivity_agree(*_formats(case))
+
+
+def _sensitivity_agree(table, doc, rows):
+    header, *csv_rows = rows
     base = re.fullmatch(r"sensitivity of npv \(base (\S+)\)", table[0]).group(1)
     assert _agrees(base, doc["base_npv"])
     # columns are at least two spaces apart, and no parameter holds two
@@ -215,18 +228,18 @@ _DISCREPANCY = re.compile(
 
 @pytest.mark.parametrize("case", _cases("plan market"))
 def test_market_formats_of_one_run_agree(case):
-    _summary_formats_agree(case, "market sizing")
+    _summary_agree("market sizing", *_formats(case))
 
 
 @pytest.mark.parametrize("case", _cases("cost bom"))
 def test_bom_formats_of_one_run_agree(case):
-    _summary_formats_agree(case, "manufacturing cost summary")
+    _summary_agree("manufacturing cost summary", *_formats(case))
 
 
-def _summary_formats_agree(case, title):
+def _summary_agree(title, table, doc, rows):
     """Every figure and discrepancy of a `label: value` summary agrees across
     the three formats."""
-    table, doc, (header, *csv_rows) = _formats(case)
+    header, *csv_rows = rows
     assert table[0] == title and header == ["field", "value"]
     fields = dict(re.findall(r"^  (\w+): +(\S+)$", "\n".join(table), re.M))
     cells = dict(csv_rows)
@@ -259,10 +272,13 @@ _DIFFER = "  figures that differ from the supplied expected values:"
 
 @pytest.mark.parametrize("case", _cases("cost bom"))
 def test_bom_claim_sentences_follow_from_json(case):
-    table, doc, _ = _formats(case)
     config = CASES[case][1]
     if not isinstance(config, dict):
         config = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    _claims_follow(config, *_formats(case))
+
+
+def _claims_follow(config, table, doc, rows):
     supplied = any(v is not None for v in (config.get("expected") or {}).values())
     audited = [d["label"] for d in doc["discrepancies"]]
     assert (_MATCH in table) is (supplied and audited == [])
@@ -274,7 +290,11 @@ def test_bom_claim_sentences_follow_from_json(case):
 
 @pytest.mark.parametrize("case", _cases("plan concept"))
 def test_concept_formats_of_one_run_agree(case):
-    table, doc, (header, *csv_rows) = _formats(case)
+    _concept_agree(*_formats(case))
+
+
+def _concept_agree(table, doc, rows):
+    header, *csv_rows = rows
     assert table[0] == "concept ranking" and table[1].split() == ["rank", "concept", "total"]
     assert header == ["concept", "total", "rank"]
     # rank, concept, total; a concept may hold single spaces
@@ -295,7 +315,11 @@ _RISK_FIELDS = ["code", "description", "category", "probability", "impact", "sco
 
 @pytest.mark.parametrize("case", _cases("plan risk"))
 def test_risk_formats_of_one_run_agree(case):
-    table, doc, (header, *csv_rows) = _formats(case)
+    _risk_agree(*_formats(case))
+
+
+def _risk_agree(table, doc, rows):
+    header, *csv_rows = rows
     assert table[0] == f"risk register (threshold {doc['threshold']})"
     assert table[1].split() == ["code", "p", "i", "score", "quadrant", "category",
                                 "description"]
@@ -306,6 +330,35 @@ def test_risk_formats_of_one_run_agree(case):
             shown, csv_rows, doc["items"]):
         assert [code, text, category, p, i, score, quadrant] == cells == [
             str(item[field]) for field in _RISK_FIELDS]
+
+
+# command -> the check of one run's parsed reports
+_AGREE = {"econ npv": _econ_agree, "econ scenario": _econ_agree,
+          "econ sensitivity": _sensitivity_agree,
+          "cost bom": functools.partial(_summary_agree, "manufacturing cost summary"),
+          "plan concept": _concept_agree, "plan risk": _risk_agree,
+          "plan market": functools.partial(_summary_agree, "market sizing")}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_business_reports_agree_across_formats(seed, tmp_path):
+    # the configs that perfbench/generate.py makes for a business_reports
+    # seed, beside the shipped ones, which the goldens cover
+    runs = {}  # config name -> (command, config path, {format: outcome})
+    for op in _generator().business_ops(seed, tmp_path, ROOT / "configs")[0]:
+        if op.golden is None:
+            *_, reports = runs.setdefault(op.key.rpartition(":")[0],
+                                          (" ".join(op.argv[:2]), op.argv[3], {}))
+            reports[op.fmt] = (op.expect_code, *_run(main, op.argv))
+    assert len(runs) == 11
+    for name, (command, config, reports) in runs.items():
+        assert sorted(reports) == sorted(FORMATS)
+        for fmt, (expected, code, out, err) in reports.items():
+            assert (code, err) == (expected, b""), (name, fmt)
+        parsed = _parsed({fmt: out.decode("utf-8") for fmt, (*_, out, _) in reports.items()})
+        _AGREE[command](*parsed)
+        if command == "cost bom":
+            _claims_follow(json.loads(Path(config).read_text()), *parsed)
 
 
 @pytest.mark.parametrize("case", _cases("anc simulate"))

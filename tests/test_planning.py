@@ -182,6 +182,17 @@ def test_market_params_reject_non_finite(field, value):
         market_params(**{field: value})
 
 
+def test_concept_total_whose_products_pass_the_largest_double_is_the_exact_one():
+    # the weights sum to exactly 1 in row order; math.fsum of the products
+    # overflows midway for A, meets inf - inf for D, and is inf for C
+    w = 8e307
+    matrix = small_matrix(weights=(w, w, -2 * w, 1.0),
+                          concepts=(("A", (2, 2, 1, 1)), ("B", (1, 1, 1, 1)),
+                                    ("C", (3, 3, 1, 1)), ("D", (3, 1, 3, 1))))
+    assert concept_score(matrix) == [("A", 2 * w, 2), ("B", 1.0, 3), ("C", INF, 1),
+                                     ("D", -2 * w, 4)]
+
+
 @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
 def test_concept_weights_reject_non_finite(value):
     with pytest.raises(ValidationError, match="weights must be finite"):
