@@ -1677,11 +1677,19 @@ def test_fuzzed_configs_exit_cleanly(case, fmt, tmp_path, capsysbinary):
 
 # ------------------------------------- one outcome per run, whatever the format
 
-def _one_outcome(argv, capsysbinary, note):
-    """Run ``argv`` in every format and check that the formats agree on the
-    outcome: one exit code and one stderr. Exit 0 or 2 gives a report (strict
-    JSON in json) that prints no non-finite number; exit 1 gives empty stdout
-    and one `error:` line. Returns (exit code, stderr)."""
+def _one_outcome(argv, config, tables, directory, capsysbinary):
+    """Write ``config`` and its CSV ``tables`` ({name: (header, rows)}) to
+    ``directory``, run ``argv`` on them in every format, and check that the
+    formats agree on the outcome: one exit code and one stderr. Exit 0 or 2
+    gives a report (strict JSON in json) that prints no non-finite number;
+    exit 1 gives empty stdout and one `error:` line. Returns (exit code,
+    stderr)."""
+    for name, (header, rows) in tables.items():
+        with (directory / name).open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    argv, note = [*argv, "--config", str(path)], (config, tables)
     runs = []
     for fmt in FORMATS:
         code = main([*argv, "--format", fmt])
@@ -1702,7 +1710,7 @@ def _one_outcome(argv, capsysbinary, note):
     return code, err
 
 
-# econ (the repro of ROADMAP item 15 first): sales at price 10 and cost -2
+# line `Dev` over periods 1-2, and sales over periods 2-4 at price 10 and cost -2
 _FOUR_PERIODS = {"horizon": 4, "discount_rate": 0.1,
                  "sales": {"first": 2, "last": 4, "unit_price": 10.0, "unit_cost": -2.0}}
 
@@ -1743,18 +1751,16 @@ _ONE_FORMAT_PRINTED = {
 @pytest.mark.parametrize("case", sorted(_ONE_FORMAT_PRINTED))
 def test_a_figure_no_format_can_print_fails_every_format(case, tmp_path, capsysbinary):
     command, config = _ONE_FORMAT_PRINTED[case]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert _one_outcome([*command.split(), "--config", str(path)], capsysbinary,
-                        case) == (1, b"error: cannot round the non-finite value inf\n")
+    assert _one_outcome(command.split(), config, {}, tmp_path, capsysbinary) == (
+        1, b"error: cannot round the non-finite value inf\n")
 
 
 @functools.cache  # a strategy built once is validated once
 def _sizes(top):
     """Non-negative numbers of every magnitude up to ~10**(top + 1): 0, a
     mantissa in [1, 10) times 10**e for an integer e in [-320, top], or a
-    corner: the least subnormal and normal doubles, and the largest one
-    below 10**(top + 1)."""
+    corner: the least subnormal and normal doubles, and 10**(top + 1) or,
+    where that overflows, the largest double."""
     return st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
                                              st.floats(1.0, 10.0, exclude_max=True),
                                              st.integers(-320, top)),
@@ -1816,28 +1822,20 @@ _FUZZ = dict(derandomize=True, database=None, deadline=None,
 @given(run=_econ_runs())
 def test_any_valid_econ_config_gets_one_outcome_in_every_format(run, tmp_path,
                                                                 capsysbinary):
-    argv, config = run
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    _one_outcome([*argv, "--config", str(path)], capsysbinary, config)
-
-
-def _write_csv(path, header, rows):
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+    _one_outcome(*run, {}, tmp_path, capsysbinary)
 
 
 @st.composite
-def _bom_runs(draw, directory):
-    """The config of a valid `cost bom` run, its tables written to
-    ``directory``: every money figure, time and rate across magnitudes."""
+def _bom_runs(draw):
+    """(config, tables) of a valid `cost bom` run: every money figure, time
+    and rate across magnitudes."""
     bom = []
     for i in range(draw(st.integers(1, 5))):
         purchased, processing, labor = (draw(_sizes(300)) for _ in range(3))
         bom.append((f"Part {i}", draw(st.integers(1, 10**6)), repr(purchased),
                     repr(processing), repr(labor), repr(purchased + processing + labor),
                     "Acme"))
-    _write_csv(directory / "bom.csv", BOM_COLUMNS, bom)
+    tables = {"bom.csv": (BOM_COLUMNS, bom)}
     config = {"bom_csv": "bom.csv", "shipment": draw(_sizes(300)),
               "overhead_rates": {"materials_rate": draw(st.floats(0.0, 10.0)),
                                  "labor_rate": draw(st.floats(0.0, 10.0))},
@@ -1846,7 +1844,7 @@ def _bom_runs(draw, directory):
     if draw(st.booleans()):
         config["overhead_override"] = draw(_sizes(300))
     if draw(st.booleans()):
-        _write_csv(directory / "ops.csv", ASSEMBLY_COLUMNS, [
+        tables["ops.csv"] = (ASSEMBLY_COLUMNS, [
             (f"Op {i}", draw(st.integers(1, 10**6)), repr(draw(_sizes(300))),
              repr(draw(_sizes(300)))) for i in range(draw(st.integers(1, 4)))])
         config["assembly"] = {"ops_csv": "ops.csv", "hourly_rate": draw(_sizes(300))}
@@ -1860,60 +1858,54 @@ def _bom_runs(draw, directory):
     if draw(st.booleans()):
         config["expected"] = draw(st.dictionaries(st.sampled_from(labels), _signed(300),
                                                   max_size=3))
-    return config
+    return config, tables
 
 
 @settings(max_examples=150, **_FUZZ)
-@given(data=st.data())
-def test_any_valid_bom_config_gets_one_outcome_in_every_format(data, tmp_path,
+@given(run=_bom_runs())
+def test_any_valid_bom_config_gets_one_outcome_in_every_format(run, tmp_path,
                                                                capsysbinary):
-    config = data.draw(_bom_runs(tmp_path))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    _one_outcome(["cost", "bom", "--config", str(path)], capsysbinary, config)
+    _one_outcome(("cost", "bom"), *run, tmp_path, capsysbinary)
 
 
 @st.composite
-def _plan_runs(draw, directory):
-    """(argv without --config, config) of a valid `plan` run, its table
-    written to ``directory``: concept weights across magnitudes that sum to
-    exactly 1 in row order, any risk register, and market figures across
-    magnitudes."""
+def _plan_runs(draw):
+    """(argv without --config, config, tables) of a valid `plan` run: concept
+    weights across magnitudes, closed by their negated sum and 1 so that they
+    sum to exactly 1 in row order; any risk register; and market figures
+    across magnitudes."""
     command = draw(st.sampled_from(("concept", "risk", "market")))
     if command == "concept":
         weights = draw(st.lists(_signed(308), max_size=3))
         weights += [-sum(weights), 1.0] if weights else [1.0]
         concepts = draw(st.integers(1, 3))
-        _write_csv(directory / "matrix.csv", ["Criterion", "Weight", *"ABC"[:concepts]],
-                   [(f"c{i}", repr(w), *draw(st.lists(st.integers(1, 3), min_size=concepts,
-                                                      max_size=concepts)))
-                    for i, w in enumerate(weights)])
-        return ("plan", command), {"matrix_csv": "matrix.csv"}
+        rows = [(f"c{i}", repr(w), *draw(st.lists(st.integers(1, 3), min_size=concepts,
+                                                   max_size=concepts)))
+                for i, w in enumerate(weights)]
+        return (("plan", command), {"matrix_csv": "matrix.csv"},
+                {"matrix.csv": (["Criterion", "Weight", *"ABC"[:concepts]], rows)})
     if command == "risk":
-        _write_csv(directory / "register.csv",
-                   ("Code", "Description", "Category", "Probability", "Impact"),
-                   [(f"R{i}", "Late tooling", "Schedule", draw(st.integers(1, 10)),
-                     draw(st.integers(1, 10))) for i in range(draw(st.integers(0, 5)))])
+        rows = [(f"R{i}", "Late tooling", "Schedule", draw(st.integers(1, 10)),
+                 draw(st.integers(1, 10))) for i in range(draw(st.integers(0, 5)))]
         config = {"register_csv": "register.csv"}
         if draw(st.booleans()):
             config["threshold"] = draw(st.integers(1, 10))
-        return ("plan", command), config
+        return (("plan", command), config,
+                {"register.csv": (("Code", "Description", "Category", "Probability",
+                                   "Impact"), rows)})
     return ("plan", command), {
         "world_pop": draw(_sizes(308).filter(bool)),
         "ref_pop": draw(_sizes(308).filter(bool)),
         "ref_affected": draw(_sizes(308)), "tolerance": draw(st.floats(0.0, 1.0)),
         "adoption_share": draw(st.floats(0.0, 1.0)),
-        "unit_price": draw(_sizes(308)), "unit_cost": draw(_sizes(308))}
+        "unit_price": draw(_sizes(308)), "unit_cost": draw(_sizes(308))}, {}
 
 
 @settings(max_examples=200, **_FUZZ)
-@given(data=st.data())
-def test_any_valid_plan_config_gets_one_outcome_in_every_format(data, tmp_path,
+@given(run=_plan_runs())
+def test_any_valid_plan_config_gets_one_outcome_in_every_format(run, tmp_path,
                                                                 capsysbinary):
-    argv, config = data.draw(_plan_runs(tmp_path))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    _one_outcome([*argv, "--config", str(path)], capsysbinary, config)
+    _one_outcome(*run, tmp_path, capsysbinary)
 
 
 @functools.cache
@@ -1946,7 +1938,8 @@ def _anc_configs(draw):
     return config
 
 
-# no shrinking: the first failing draw is the finding
+# no shrinking: a strict xfail needs one failing draw, and shrinking ANC runs
+# is slow
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: a window whose samples are finite but whose "
                    "power overflows gives -inf dB, and every format exits 1")
@@ -1954,10 +1947,7 @@ def _anc_configs(draw):
 @given(config=_anc_configs())
 def test_any_valid_anc_config_gets_a_report_in_every_format(config, tmp_path,
                                                             capsysbinary):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, _ = _one_outcome(["anc", "simulate", "--config", str(path)], capsysbinary,
-                           config)
+    code, _ = _one_outcome(("anc", "simulate"), config, {}, tmp_path, capsysbinary)
     assert code in (0, 2)
 
 
