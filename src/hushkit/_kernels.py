@@ -1,6 +1,7 @@
-"""Adaptive-filter inner loop.
+"""Adaptive-filter inner loop and the FIR of the ANC stimulus and paths.
 
-The per-sample adaptation recursion is the only hot spot in the package.
+The per-sample adaptation recursion is the largest hot spot in the package;
+the FIR convolutions that make the stimulus and the path outputs come next.
 ``adapt_chunk`` fills ``y[start:stop]`` and ``e[start:stop]`` in place and
 updates the weight vector ``w`` in place:
 
@@ -12,13 +13,13 @@ updates the weight vector ``w`` in place:
 where ``xf`` is the (possibly secondary-path-filtered) reference signal and
 history samples before index 0 are zero.
 
-``adapt_chunk`` runs a small C kernel (``_C_SOURCE``), compiled with the
-system ``cc`` on the first call and loaded through ``ctypes``. The shared
-library is cached under ``$XDG_CACHE_HOME/hushkit/`` (default
+``adapt_chunk`` and ``fir`` run a small C library (``_C_SOURCE``), compiled
+with the system ``cc`` on the first call and loaded through ``ctypes``. The
+shared library is cached under ``$XDG_CACHE_HOME/hushkit/`` (default
 ``~/.cache/hushkit/``), named by the hash of its source, flags and machine,
 so one machine compiles it once. Without a compiler, or when the build or
-the load fails, ``adapt_chunk`` runs ``adapt_chunk_numpy`` instead;
-``backend_name()`` says which one runs.
+the load fails, ``adapt_chunk`` runs ``adapt_chunk_numpy`` instead and
+``fir`` runs ``fir_numpy``; ``backend_name()`` says which ones run.
 
 ``adapt_chunk_numpy`` is the reference the C kernel must match bit for bit,
 and ``_lanes`` holds the one order in which both sum the output, the
@@ -58,6 +59,19 @@ multiples of 2^-1074). A lane of 0 or NaN never passes, nor does a bound
 times an infinite ymax, so 0*inf in the tail still gives NaN. Paths with no
 negligible tail (as in the shipped configs) and paths over 4,096 taps get
 J = M: their whole sum runs with no check.
+
+``fir`` computes ``out[i] = sum_k h[k] * src[i + M - 1 - k]`` for i in
+[0, n), ``src`` being ``x`` behind ``lead`` zeros and n = lead + len(x) - M
++ 1: valid convolution with no lead, causal with ``lead = M - 1``. Each
+output is a serial sum in order of k from 0.0, as ``fir_numpy`` states it,
+so no figure of an ANC report passes through BLAS, whose dot product's
+order depends on the CPU. The sum never becomes -0.0, so a term that meets
+a lead zero, being +-0.0 since the taps must be finite, cannot change it,
+and the C copies skip those terms. The C FIR holds consecutive outputs in the lanes of a vector, each
+lane rounding as scalar code does, so its bits do not depend on the vector
+width. One body is compiled in three copies, of 2 lanes (the baseline
+target), 4 (AVX2) and 8 (AVX-512F); on x86-64 ``fir_width()`` is the widest
+that the CPU runs, elsewhere only the baseline copy is built.
 """
 from __future__ import annotations
 
@@ -91,6 +105,32 @@ def adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized,
         if leak != 0.0:
             w *= decay
         w[:k] += (g * e[n]) * xfw
+
+
+def _fir_length(h, x, lead):
+    """n, the count of outputs of ``h`` over ``x`` behind ``lead`` zeros."""
+    if h.ndim != 1 or x.ndim != 1 or len(h) == 0:
+        raise ValueError("h and x must be 1-D, and h must have a tap")
+    if not np.isfinite(h).all():  # inf * 0 would make a lead zero's term NaN
+        raise ValueError("h must be finite")
+    if not 0 <= lead < len(h):
+        raise ValueError(f"lead {lead} lies outside [0, {len(h) - 1}]")
+    n = lead + len(x) - len(h) + 1
+    if n < 0:
+        raise ValueError("x is shorter than the taps reach")
+    return n
+
+
+def fir_numpy(h, x, lead=0):
+    """The reference FIR: every output adds its taps' terms from 0.0 in
+    order of k, the lead zeros' terms included."""
+    h, x, lead = np.asarray(h, np.float64), np.asarray(x, np.float64), int(lead)
+    M, n = len(h), _fir_length(h, x, lead)
+    src = np.concatenate((np.zeros(lead), x))
+    out = np.zeros(n)
+    for k in range(M):
+        out += h[k] * src[M - 1 - k : M - 1 - k + n]
+    return out
 
 
 _C_SOURCE = b"""\
@@ -310,6 +350,102 @@ void adapt_chunk(const double *x, const double *xf, const double *d,
 #undef RUN
     flip(w, L);
 }
+
+/* out[i] from s, its sum over the taps before k, on through its last tap
+   that meets a sample: min(M - 1, i + D), where x[i + D - k] is the sample
+   of tap k. The taps past it meet the lead zeros, and add nothing. */
+static inline double
+serial(const double *h, int64_t M, const double *x, int64_t D, int64_t i,
+       int64_t k, double s)
+{
+    int64_t last = i + D < M - 1 ? i + D : M - 1;
+    for (; k <= last; k++)
+        s += h[k] * x[i + D - k];
+    return s;
+}
+
+/* One copy of the FIR, of vectors of `lanes` outputs: blocks of FIR_SUMS
+   vectors, each vector of accumulators adding tap k's terms for its outputs
+   in order of k. The last block ends at n and may redo outputs of the one
+   before, which get the same bits; n below one block runs serially. Where
+   a block's first outputs reach the lead zeros (at + D < M - 1), its
+   vectors stop at the last tap its first output takes, and each output
+   goes on serially. Without the unroll pragma the accumulators live on the
+   stack and the copy runs 2-3x slower. */
+#define FIR_SUMS 8
+#define FIR_COPY(name, lanes, ...)                                           \\
+__VA_ARGS__ static void                                                      \\
+name(const double *h, int64_t M, const double *x, int64_t n, int64_t D,     \\
+     double *out)                                                            \\
+{                                                                            \\
+    typedef double v __attribute__((vector_size(8 * lanes)));                \\
+    const int64_t B = FIR_SUMS * lanes;                                      \\
+    for (int64_t i = 0; i < n; i += B) {                                     \\
+        int64_t at = i + B <= n ? i : n - B;                                 \\
+        if (at < 0) {                                                        \\
+            for (; i < n; i++)                                               \\
+                out[i] = serial(h, M, x, D, i, 0, 0.0);                      \\
+            break;                                                           \\
+        }                                                                    \\
+        int64_t last = at + D < M - 1 ? at + D : M - 1;                      \\
+        v s[FIR_SUMS];                                                       \\
+        _Pragma("GCC unroll 8")                                              \\
+        for (int a = 0; a < FIR_SUMS; a++)                                   \\
+            s[a] = (v){0.0};                                                 \\
+        for (int64_t k = 0; k <= last; k++) {                                \\
+            _Pragma("GCC unroll 8")                                          \\
+            for (int a = 0; a < FIR_SUMS; a++) {                             \\
+                v t;                                                         \\
+                memcpy(&t, x + at + a * lanes + D - k, sizeof t);            \\
+                s[a] += h[k] * t;                                            \\
+            }                                                                \\
+        }                                                                    \\
+        _Pragma("GCC unroll 8")                                              \\
+        for (int a = 0; a < FIR_SUMS; a++)                                   \\
+            memcpy(out + at + a * lanes, &s[a], sizeof s[a]);                \\
+        for (int64_t j = at; last < M - 1 && j < at + B; j++)                \\
+            out[j] = serial(h, M, x, D, j, last + 1, out[j]);                \\
+    }                                                                        \\
+}
+
+FIR_COPY(fir2, 2)
+#if defined(__x86_64__)
+FIR_COPY(fir4, 4, __attribute__((target("avx2"))))
+FIR_COPY(fir8, 8, __attribute__((target("avx512f"))))
+#endif
+
+/* Lanes of the widest copy this CPU runs. */
+int fir_width(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return 8;
+    if (__builtin_cpu_supports("avx2"))
+        return 4;
+#endif
+    return 2;
+}
+
+/* out[i] = sum_k h[k] * src[i + M - 1 - k] for 0 <= i < n, src being x
+   behind lead zeros (0 <= lead < M), on the copy of `width` lanes, which
+   the caller has checked the CPU runs; 2 on any other value. */
+void fir(const double *h, int64_t M, const double *x, int64_t n, int64_t lead,
+         double *out, int width)
+{
+    int64_t D = M - 1 - lead;
+#if defined(__x86_64__)
+    if (width == 8) {
+        fir8(h, M, x, n, D, out);
+        return;
+    }
+    if (width == 4) {
+        fir4(h, M, x, n, D, out);
+        return;
+    }
+#endif
+    fir2(h, M, x, n, D, out);
+}
 """
 
 # -ffp-contract=off keeps a*b+c from fusing into an FMA, which GCC does by
@@ -367,9 +503,11 @@ def _load(name: str):
 
 @functools.cache
 def _compiled():
-    """The C kernel as a ctypes function, or None when it cannot be built or
-    loaded. Resolved on the first kernel call, not at import, so commands
-    that never adapt never load the library or run the compiler."""
+    """The C library's ``adapt_chunk`` and ``fir`` as ctypes functions, and
+    the lanes of the widest FIR copy the CPU runs; None when the library
+    cannot be built or loaded. Resolved on the first kernel call, not at
+    import, so commands that never simulate never load the library or run
+    the compiler."""
     import ctypes
     import zlib
 
@@ -379,14 +517,17 @@ def _compiled():
     key = zlib.crc32(b"\0".join(
         (_C_SOURCE, " ".join(_CFLAGS).encode(), os.uname().machine.encode())))
     try:
-        fn = _load(f"adapt-{key:08x}.so").adapt_chunk
+        lib = _load(f"kernels-{key:08x}.so")
+        adapt, fir, width = lib.adapt_chunk, lib.fir, lib.fir_width
     except (OSError, AttributeError):
         return None
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64,
-                   f64, f64, ctypes.c_int, f64)
-    fn.restype = None
-    return fn
+    adapt.argtypes = (ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64,
+                      f64, f64, ctypes.c_int, f64)
+    fir.argtypes = (ptr, i64, ptr, i64, i64, ptr, ctypes.c_int)
+    adapt.restype = fir.restype = None
+    width.argtypes, width.restype = (), ctypes.c_int
+    return adapt, fir, width()
 
 
 def _output(a, name):
@@ -399,8 +540,8 @@ def _output(a, name):
 def adapt_chunk(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
     """Run samples ``[start, stop)`` on the C kernel, or on the numpy one when
     the C kernel is unavailable; same arguments as ``adapt_chunk_numpy``."""
-    fn = _compiled()
-    if fn is None:
+    compiled = _compiled()
+    if compiled is None:
         return adapt_chunk_numpy(x, xf, d, sec, w, y, e, start, stop, mu, leak,
                                  normalized, eps)
     x, xf, d, sec = (np.ascontiguousarray(a, np.float64) for a in (x, xf, d, sec))
@@ -410,11 +551,34 @@ def adapt_chunk(x, xf, d, sec, w, y, e, start, stop, mu, leak, normalized, eps):
     start, stop = int(start), int(stop)
     if not 0 <= start <= stop <= min(len(x), len(xf), len(d), len(y), len(e)):
         raise ValueError(f"chunk [{start}, {stop}) lies outside the signal arrays")
-    fn(x.ctypes.data, xf.ctypes.data, d.ctypes.data, sec.ctypes.data, len(sec),
-       w.ctypes.data, len(w), y.ctypes.data, e.ctypes.data, start, stop,
-       float(mu), float(leak), bool(normalized), float(eps))
+    compiled[0](x.ctypes.data, xf.ctypes.data, d.ctypes.data, sec.ctypes.data,
+                len(sec), w.ctypes.data, len(w), y.ctypes.data, e.ctypes.data,
+                start, stop, float(mu), float(leak), bool(normalized), float(eps))
+
+
+def fir(h, x, lead=0):
+    """``fir_numpy(h, x, lead)``, the same bits, from the C library's widest
+    FIR copy, or from ``fir_numpy`` when the library is unavailable."""
+    compiled = _compiled()
+    if compiled is None:
+        return fir_numpy(h, x, lead)
+    h, x = (np.ascontiguousarray(a, np.float64) for a in (h, x))
+    lead = int(lead)
+    n = _fir_length(h, x, lead)
+    out = np.empty(n)
+    compiled[1](h.ctypes.data, len(h), x.ctypes.data, n, lead, out.ctypes.data,
+                compiled[2])
+    return out
 
 
 def backend_name() -> str:
-    """Name of the kernel backend ``adapt_chunk`` runs: ``"c"`` or ``"numpy"``."""
+    """Name of the backend ``adapt_chunk`` and ``fir`` run: ``"c"`` or
+    ``"numpy"``."""
     return "numpy" if _compiled() is None else "c"
+
+
+def fir_width() -> int:
+    """Lanes of the C FIR copy ``fir`` runs: 8 (AVX-512F), 4 (AVX2) or 2 (the
+    baseline target), or 0 when ``fir_numpy`` runs."""
+    compiled = _compiled()
+    return 0 if compiled is None else compiled[2]

@@ -2,7 +2,9 @@
 
 Everything here is deterministic and pure. Buffers carry float64 samples plus a
 sample rate; FIR paths are plain impulse responses applied by causal
-convolution (``y[k] = sum_j taps[j] * x[k-j]``, ``x[<0] = 0``).
+convolution (``y[k] = sum_j taps[j] * x[k-j]``, ``x[<0] = 0``). Every FIR sum,
+the paths' and the broadband band-pass's, runs serially in order of j from
+0.0 (``_kernels.fir``), so its bits do not depend on the host.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._records import ValidationError
 
 #: Tap count of the band-pass used by :func:`generate_broadband` (order 255).
@@ -144,10 +147,10 @@ def generate_broadband(seed: int, low_hz: float, high_hz: float, n: int,
     n = int(n)
     taps = _bandpass_taps(low_hz, high_hz, fs)
     rng = np.random.default_rng(seed)
-    # Extra warm-up samples make 'valid' convolution return exactly n
+    # Extra warm-up samples make the valid convolution return exactly n
     # stationary samples (no start-up transient).
     white = rng.standard_normal(n + taps.shape[0] - 1)
-    shaped = np.convolve(white, taps, mode="valid")
+    shaped = _kernels.fir(taps, white)
     # white is dead after the convolution: its first n samples take the squares
     rms = np.sqrt(np.mean(np.square(shaped, out=white[:n]))) if n else 0.0
     if rms > 0:
@@ -161,7 +164,6 @@ def convolve_path(path: FirPath, x: SampleBuffer) -> SampleBuffer:
     Output length equals input length; samples before the start of the
     buffer are taken as zero.
     """
-    n = len(x)
-    out = np.convolve(x.samples, path.taps)[:n]
+    out = _kernels.fir(path.taps, x.samples, lead=len(path) - 1)
     return SampleBuffer(out, x.sample_rate_hz)
 

@@ -414,16 +414,29 @@ def test_no_golden_prints_a_signed_zero():
 
 
 # Writes the shipped ANC reports in every format into argv[1], then prints
-# the sha256 of one np.convolve result, which OpenBLAS computes.
+# the sha256 of every stimulus and path output those runs made, and that of
+# one np.convolve result, which OpenBLAS computes.
 _ANC_PROBE = """\
 import hashlib, json, sys
 import numpy as np
+from hushkit import anc, signals
 from hushkit.cli import FORMATS, main
+samples = hashlib.sha256()
+def recorded(make):
+    def run(*args, **kwargs):
+        buffer = make(*args, **kwargs)
+        samples.update(buffer.samples.tobytes())
+        return buffer
+    return run
+for module, name in ((signals, "generate_tone"), (signals, "generate_broadband"),
+                     (anc, "convolve_path")):
+    setattr(module, name, recorded(getattr(module, name)))
 for case in json.loads(sys.argv[2]):
     for fmt in FORMATS:
         code = main(["anc", "simulate", "--config", f"{sys.argv[3]}/{case}.json",
                      "--format", fmt, "--output", f"{sys.argv[1]}/{case}.{fmt}"])
         assert code == 0, (case, fmt, code)
+print(samples.hexdigest())
 probe = np.convolve(np.sin(np.arange(4096.0)), np.cos(np.arange(64.0)))
 print(hashlib.sha256(probe.tobytes()).hexdigest())
 """
@@ -432,12 +445,11 @@ print(hashlib.sha256(probe.tobytes()).hexdigest())
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_anc_goldens_hold_under_other_openblas_kernels(tmp_path):
-    # np.convolve, which makes the broadband stimulus and both path
-    # convolutions, runs on the OpenBLAS kernel chosen for the CPU; the
-    # variable forces another one in a fresh process
+    # the variable forces another OpenBLAS kernel in a fresh process; no
+    # stimulus or path sample may move, nor any report byte
     anc = sorted(name for name, command in SHIPPED.items() if command == "anc simulate")
     src = str(CONFIG_DIR.parent / "src")
-    digests = []
+    samples, digests = [], []
     for coretype in ("Haswell", "Prescott"):
         out = tmp_path / coretype
         out.mkdir()
@@ -447,10 +459,13 @@ def test_anc_goldens_hold_under_other_openblas_kernels(tmp_path):
             [sys.executable, "-c", _ANC_PROBE, str(out), json.dumps(anc), str(CONFIG_DIR)],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
+        sample_digest, blas_digest = done.stdout.split()
+        samples.append(sample_digest)
+        digests.append(blas_digest)
         for case in anc:
             for fmt in FORMATS:
                 assert (out / f"{case}.{fmt}").read_bytes() == \
                     (GOLDEN_DIR / f"{case}.{fmt}").read_bytes(), (coretype, case, fmt)
+    assert samples[0] == samples[1]
     if digests[0] == digests[1]:
         pytest.skip("OPENBLAS_CORETYPE chose no other kernel in this numpy build")

@@ -1,11 +1,13 @@
-"""The adaptive kernel against its numpy reference, and how it is built.
+"""The adaptive kernel and the FIR against their numpy references, and how
+they are built.
 
 ``adapt_chunk`` must give the same bytes as ``adapt_chunk_numpy`` whichever
-backend runs, however the signal is cut into chunks, and must touch no
-memory outside its arrays; the subprocess tests pin the compile-once cache
-and the numpy fallback without a working compiler, and the build tests pin
-that a cache it cannot use is left untouched and that the source builds
-without warnings.
+backend runs, however the signal is cut into chunks, and ``fir`` those of
+``fir_numpy`` at every vector width; neither may touch memory outside its
+arrays. The subprocess tests pin the compile-once cache and the numpy
+fallback without a working compiler, and the build tests pin that a cache
+it cannot use is left untouched and that the source builds without
+warnings.
 """
 import functools
 import itertools
@@ -471,6 +473,78 @@ def test_a_chunk_behind_a_non_finite_output_matches_the_reference(back, value):
     _assert_same_bytes(*outs)
 
 
+def _fir_c(h, x, lead, width):
+    """The C FIR's outputs on its copy of ``width`` lanes."""
+    n = lead + len(x) - len(h) + 1
+    out = np.full(n, np.nan)
+    _kernels._compiled()[1](h.ctypes.data, len(h), x.ctypes.data, n, lead,
+                            out.ctypes.data, width)
+    return out
+
+
+# The copies this CPU runs, by lanes; the library builds the widest it can.
+FIR_WIDTHS = [w for w in (2, 4, 8) if w <= _kernels.fir_width()]
+# Block sizes are 16, 32 and 64 outputs: counts below one block, at one, just
+# past one and between them; taps of 1 to 4,096, ANC's largest path.
+FIR_LENGTHS = (0, 1, 2, 7, 15, 16, 17, 31, 33, 63, 64, 65, 100, 127, 129, 1000)
+FIR_TAPS = (1, 2, 3, 8, 17, 64, 255, 256, 257, 1000, 4096)
+
+
+@pytest.mark.skipif(_kernels.backend_name() != "c", reason="C library not built")
+@pytest.mark.parametrize("M", FIR_TAPS)
+def test_fir_matches_numpy_at_every_width(M):
+    rng = np.random.default_rng(M)
+    h = rng.standard_normal(M)
+    # valid, causal, and a lead between them
+    for n, lead in itertools.product((*FIR_LENGTHS, M + 37), {0, M // 2, M - 1}):
+        x = rng.standard_normal(n + M - 1 - lead)
+        want = _kernels.fir_numpy(h, x, lead).tobytes()
+        assert _kernels.fir(h, x, lead).tobytes() == want, (n, lead)
+        for width in FIR_WIDTHS:
+            assert _fir_c(h, x, lead, width).tobytes() == want, (n, lead, width)
+
+
+@pytest.mark.skipif(_kernels.backend_name() != "c", reason="C library not built")
+def test_fir_matches_numpy_where_outputs_overflow():
+    # products and running sums past the largest double, of either sign, and
+    # inf - inf; huge terms that cancel, which a sum in another order keeps
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal(40) * 1e300
+    h[::7] = 1e308
+    x = np.where(rng.random(500) < 0.02, rng.choice((-1.0, 1.0), 500) * 1e10,
+                 rng.standard_normal(500))
+    for lead in (0, 39):
+        with np.errstate(all="ignore"):
+            want = _kernels.fir_numpy(h, x, lead)
+        assert np.isposinf(want).any() and np.isneginf(want).any()
+        assert np.isnan(want).any() and np.isfinite(want).any()
+        for width in FIR_WIDTHS:
+            assert _fir_c(h, x, lead, width).tobytes() == want.tobytes(), (lead, width)
+
+
+def test_fir_numpy_sums_each_output_serially():
+    # 1 + 1e16 - 1e16 is 0 summed in order of k, 1 in some other order
+    h = np.array([1.0, 1e16, -1e16])
+    assert _kernels.fir_numpy(h, np.ones(3)).tolist() == [0.0]
+    rng = np.random.default_rng(9)
+    h, x = rng.standard_normal(37), rng.standard_normal(120)
+    src = np.concatenate((np.zeros(36), x))
+    want = [_serial(h.tolist(), src[i + 36::-1][:37].tolist()) for i in range(120)]
+    assert _kernels.fir_numpy(h, x, 36).tolist() == want
+    assert _kernels.fir(h, x, 36).tolist() == want
+
+
+@pytest.mark.parametrize("kernel", ["fir_numpy", "fir"])
+@pytest.mark.parametrize("h, x, lead", [
+    (np.zeros(0), np.ones(4), 0), (np.ones(3), np.ones((2, 2)), 0),
+    (np.ones(3), np.ones(4), 3), (np.ones(3), np.ones(4), -1), (np.ones(3), np.ones(1), 0),
+    (np.array([1.0, np.inf]), np.ones(4), 1),
+], ids=["no-taps", "2-d", "lead-past-taps", "negative-lead", "short-x", "infinite-tap"])
+def test_fir_refuses_what_it_cannot_sum(kernel, h, x, lead):
+    with pytest.raises(ValueError):
+        getattr(_kernels, kernel)(h, x, lead)
+
+
 @pytest.mark.skipif(_kernels.backend_name() != "c", reason="C kernel not built")
 @pytest.mark.parametrize("bad", ["w-strided", "y-float32", "e-read-only"])
 def test_kernel_refuses_outputs_it_cannot_write_in_place(bad):
@@ -544,12 +618,14 @@ def test_a_cache_other_users_can_write_is_never_used(tmp_path):
 
 
 def test_without_a_compiler_the_numpy_kernel_gives_the_golden_report(tmp_path):
-    out = tmp_path / "report.json"
-    backend = _probe(tmp_path / "cache", "", "anc", "simulate", "--config",
-                     str(ROOT / "configs" / "anc_tone_2tap.json"), "--format",
-                     "json", "--output", str(out))
-    assert backend == "numpy"
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / "anc_tone_2tap.json").read_bytes()
+    # anc_broadband's stimulus and both its paths come from fir_numpy
+    for case in ("anc_tone_2tap", "anc_broadband"):
+        out = tmp_path / f"{case}.json"
+        backend = _probe(tmp_path / "cache", "", "anc", "simulate", "--config",
+                         str(ROOT / "configs" / f"{case}.json"), "--format",
+                         "json", "--output", str(out))
+        assert backend == "numpy"
+        assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{case}.json").read_bytes()
 
 
 def test_a_failing_compiler_leaves_the_cache_empty(tmp_path):
@@ -591,17 +667,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # Every array lies between two PROT_NONE pages, and each run goes twice: with
 # the arrays ending where the page after them begins, so that a read or write
 # one past the last sample kills the process, then starting where the page
-# before them ends, so that one before the first sample does (the bound on the
-# outputs a chunk's first residuals read looks back from the chunk's start).
-# The last call is an empty chunk at the end. Each sweep reads x and xf one
-# sample ahead of the sample it adapts, but for the chunk's last; the 40-tap
-# path falls by 2^-4 per tap, so its sum may stop from tap 16 on. Filters of
-# 1 to 4, 6 and 8 taps, and paths of 4, 8 and 40 taps behind 0, 1 or 3 zero
-# taps, leave 0 to 3 taps past the last block of four; the weights, held in
-# reverse while a call runs, turn about a middle tap (1 and 3 taps), none (2)
-# or an even count of them. Chunks that end at the arrays' end start at each
-# offset mod 4.
-_GUARDED = """\
+# before them ends, so that one before the first sample does.
+_GUARD_PAGES = """\
 import ctypes, itertools, mmap
 import numpy as np
 from hushkit import _kernels
@@ -621,6 +688,18 @@ def guarded(values, first):
     a[:] = values
     return a
 
+"""
+
+# The kernel under guard pages: the bound on the outputs a chunk's first
+# residuals read looks back from the chunk's start. The last call is an empty
+# chunk at the end. Each sweep reads x and xf one sample ahead of the sample
+# it adapts, but for the chunk's last; the 40-tap path falls by 2^-4 per tap,
+# so its sum may stop from tap 16 on. Filters of 1 to 4, 6 and 8 taps, and
+# paths of 4, 8 and 40 taps behind 0, 1 or 3 zero taps, leave 0 to 3 taps
+# past the last block of four; the weights, held in reverse while a call
+# runs, turn about a middle tap (1 and 3 taps), none (2) or an even count of
+# them. Chunks that end at the arrays' end start at each offset mod 4.
+_GUARDED = _GUARD_PAGES + """\
 N = 300
 rng = np.random.default_rng(7)
 paths = ((8, 0.5 ** np.arange(4)), (4, 0.5 ** np.arange(8)), (6, 16.0 ** -np.arange(40)),
@@ -645,10 +724,35 @@ def test_kernel_never_touches_memory_past_a_chunk(tmp_path):
     assert _probe(tmp_path, os.environ.get("PATH", ""), code=_GUARDED) == "c"
 
 
-# The random runs again, on a build with UBSan that stops at its first report:
-# the kernel addresses the weights newest-first, tap j at W[-j], and must form
-# no pointer outside the arrays; with no taps it must not form w - 1, which
-# UBSan reports off a null w.
+# The FIR at each width reads only the n + M - 1 - lead samples of x and
+# writes only its n outputs: valid and causal, n below, at and past a block
+# (of up to 64 outputs), taps that a block's first outputs reach past.
+_FIR_GUARDED = _GUARD_PAGES + """\
+rng = np.random.default_rng(11)
+fn, top = _kernels._compiled()[1], _kernels.fir_width()
+for M, n, first in itertools.product((1, 3, 64, 300), (0, 1, 17, 64, 100, 1000),
+                                     (False, True)):
+    h = guarded(rng.standard_normal(M), first)
+    for lead in sorted({0, M - 1}):
+        x = guarded(rng.standard_normal(n + M - 1 - lead), first)
+        want = _kernels.fir_numpy(h, x, lead).tobytes()
+        for width in (w for w in (2, 4, 8) if w <= top):
+            out = guarded(np.zeros(n), first)
+            fn(h.ctypes.data, M, x.ctypes.data, n, lead, out.ctypes.data, width)
+            assert out.tobytes() == want, (M, n, lead, width)
+print(_kernels.backend_name())
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_fir_never_touches_memory_past_its_arrays(tmp_path):
+    assert _probe(tmp_path, os.environ.get("PATH", ""), code=_FIR_GUARDED) == "c"
+
+
+# The random runs and the FIR's widths again, on a build with UBSan that stops
+# at its first report: the kernel addresses the weights newest-first, tap j
+# at W[-j], and must form no pointer outside the arrays; with no taps it must
+# not form w - 1, which UBSan reports off a null w.
 _UBSAN = """\
 import ctypes, sys
 import numpy as np
@@ -662,9 +766,11 @@ _kernels._load = lambda name: lib
 sys.path.insert(0, sys.argv[2])
 import test_kernels
 test_kernels.test_kernel_matches_numpy_reference_on_random_runs()
+for M in test_kernels.FIR_TAPS:
+    test_kernels.test_fir_matches_numpy_at_every_width(M)
 x, y, e = np.ones(8), np.zeros(8), np.zeros(8)
-_kernels._compiled()(x.ctypes.data, x.ctypes.data, x.ctypes.data, x.ctypes.data, 8, None, 0,
-                     y.ctypes.data, e.ctypes.data, 0, 8, 0.1, 1e-3, 1, 1e-8)
+_kernels._compiled()[0](x.ctypes.data, x.ctypes.data, x.ctypes.data, x.ctypes.data, 8, None,
+                        0, y.ctypes.data, e.ctypes.data, 0, 8, 0.1, 1e-3, 1, 1e-8)
 assert not y.any() and (e == 1.0).all()
 print(_kernels.backend_name())
 """

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hushkit import ValidationError
+from hushkit._kernels import fir_numpy
 from hushkit.signals import (FirPath, SampleBuffer, _bandpass_taps, convolve_path,
                              generate_broadband, generate_tone)
 
@@ -94,11 +95,27 @@ def test_broadband_rejects_inverted_band():
 
 
 def test_convolve_path_matches_numpy():
+    # exact terms and sums: np.convolve's result in any order
     x = SampleBuffer(np.arange(10, dtype=float), FS)
     path = FirPath(np.array([0.5, 0.25, 0.125]))
     out = convolve_path(path, x)
     expected = np.convolve(x.samples, path.taps)[:10]
     assert np.allclose(out.samples, expected, rtol=0, atol=0)
+    # otherwise the serial sum over x behind taps - 1 zeros, each zero term
+    # included
+    rng = np.random.default_rng(5)
+    for n, taps in ((10, 3), (1, 3), (200, 1), (300, 33), (5, 64)):
+        x = SampleBuffer(rng.standard_normal(n), FS)
+        path = FirPath(rng.standard_normal(taps))
+        out = convolve_path(path, x).samples
+        assert out.tobytes() == fir_numpy(
+            path.taps, np.concatenate((np.zeros(taps - 1), x.samples))).tobytes()
+
+
+def test_an_empty_stimulus_or_path_output_has_no_samples():
+    assert len(generate_broadband(0, 50.0, 500.0, 0, FS)) == 0
+    out = convolve_path(FirPath(np.array([0.5, 0.25])), SampleBuffer(np.zeros(0), FS))
+    assert len(out) == 0 and out.sample_rate_hz == FS
 
 
 def test_identity_path_is_transparent():
@@ -129,10 +146,11 @@ def _tone_expression(freq_hz, amplitude, phase_rad, n, fs):
 
 
 def _broadband_expression(seed, low_hz, high_hz, n, fs):
-    """The noise with a fresh array for the normalized samples."""
+    """The noise with a fresh array for the normalized samples, each sample
+    of the band-pass summed serially over the taps."""
     taps = _bandpass_taps(low_hz, high_hz, fs)
     white = np.random.default_rng(seed).standard_normal(n + taps.shape[0] - 1)
-    shaped = np.convolve(white, taps, mode="valid")
+    shaped = fir_numpy(taps, white)
     rms = np.sqrt(np.mean(shaped**2)) if n else 0.0
     if rms > 0:
         shaped = shaped / rms
