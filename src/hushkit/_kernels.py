@@ -443,6 +443,8 @@ void fir(const double *h, int64_t M, const double *x, int64_t n, int64_t lead,
         fir4(h, M, x, n, D, out);
         return;
     }
+#else
+    (void)width;  /* elsewhere only the baseline copy is built */
 #endif
     fir2(h, M, x, n, D, out);
 }
